@@ -35,6 +35,8 @@ fn callgraph_covers_the_known_hot_entries() {
         "greenps_core::cram::Engine::attempt",
         "greenps_simnet::network::Network::dispatch",
         "greenps_pubsub::matching::BucketMatcher::matches_into",
+        "greenps_pubsub::index::RoutingIndex::walk",
+        "greenps_broker::logic::BrokerCore::handle_publication",
     ] {
         assert!(
             !g.find_suffix(entry).is_empty(),

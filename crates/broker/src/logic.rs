@@ -15,7 +15,7 @@ use crate::messages::{BrokerMsg, GatheredBroker};
 use greenps_core::model::{BrokerSpec, SubscriptionEntry};
 use greenps_profile::{PublisherProfile, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::routing::RoutingTables;
+use greenps_pubsub::routing::{Forward, RoutingTables};
 use greenps_simnet::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,7 +79,7 @@ pub struct BrokerCore<P> {
     /// Reusable next-hop buffer for [`BrokerCore::handle_publication`]:
     /// the per-publication forwarding set is rebuilt in place instead
     /// of allocating a fresh `Vec` per message.
-    hops_scratch: Vec<P>,
+    forwards_scratch: Vec<Forward<P>>,
 }
 
 impl<P: Copy + Ord> BrokerCore<P> {
@@ -97,7 +97,7 @@ impl<P: Copy + Ord> BrokerCore<P> {
             seen_bir: BTreeSet::new(),
             matched_count: 0,
             delivered_count: 0,
-            hops_scratch: Vec::new(),
+            forwards_scratch: Vec::new(),
         }
     }
 
@@ -197,37 +197,32 @@ impl<P: Copy + Ord> BrokerCore<P> {
             lp.last_msg_id = lp.last_msg_id.max(env.publication.msg_id);
         }
 
-        // Match once; derive forwarding set and local deliveries. The
-        // hop buffer is a scratch field so steady-state forwarding does
-        // not allocate per publication.
-        let matching = self.routing.matching_subscriptions_mut(&env.publication);
-        let mut hops = std::mem::take(&mut self.hops_scratch);
-        hops.clear();
-        hops.reserve(matching.len());
-        for &sub in &matching {
-            let Some(&hop) = self.routing.subscription_hop(sub) else {
-                continue;
-            };
-            if hop == from {
-                continue;
-            }
-            if self.clients.contains(&hop) {
-                // CBC: record the publication in the local profile.
-                if let Some(profile) = self.sub_profiles.get_mut(&sub) {
-                    profile.record(env.publication.adv_id, env.publication.msg_id);
+        // One walk of the routing index yields the forwarding set in
+        // send order; neighbours cost one matching witness each, local
+        // clients report every match for their CBC profiles. The buffer
+        // is a scratch field so steady-state forwarding does not
+        // allocate per publication.
+        let mut forwards = std::mem::take(&mut self.forwards_scratch);
+        let (clients, profiles) = (&self.clients, &mut self.sub_profiles);
+        let (adv_id, msg_id) = (env.publication.adv_id, env.publication.msg_id);
+        self.routing.route_into(
+            &env.publication,
+            Some(&from),
+            |hop| clients.contains(hop),
+            |sub| {
+                if let Some(profile) = profiles.get_mut(&sub) {
+                    profile.record(adv_id, msg_id);
                 }
-            }
-            if !hops.contains(&hop) {
-                hops.push(hop);
-            }
-        }
-        for &hop in &hops {
-            if self.clients.contains(&hop) {
+            },
+            &mut forwards,
+        );
+        for forward in &forwards {
+            if forward.client {
                 self.delivered_count += 1;
             }
-            sink.send_after(fwd_delay, hop, BrokerMsg::Publication(env.hopped()));
+            sink.send_after(fwd_delay, forward.hop, BrokerMsg::Publication(env.hopped()));
         }
-        self.hops_scratch = hops;
+        self.forwards_scratch = forwards;
     }
 
     /// Advertisement churn (control plane): install the advertisement

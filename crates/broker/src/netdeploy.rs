@@ -224,12 +224,15 @@ struct SubscriberNode<E> {
     client: ClientId,
     broker: BrokerId,
     ep: E,
-    delivered: Vec<(u64, u64)>,
-    latency_us: Vec<u64>,
-    hops_sum: u64,
-    /// Upper bound on deliveries (total scenario publications), so the
-    /// sweep loop can size the accumulators up front.
-    expected: usize,
+}
+
+/// One publication received by a subscriber endpoint.
+struct Delivery {
+    /// Index into `NetDeployment::subscribers`.
+    subscriber: usize,
+    adv: u64,
+    msg: u64,
+    latency_us: u64,
 }
 
 struct PublisherNode<E> {
@@ -270,6 +273,13 @@ pub struct NetDeployment<E> {
     brokers: Vec<BrokerNode<E>>,
     subscribers: Vec<SubscriberNode<E>>,
     publishers: Vec<PublisherNode<E>>,
+    /// Every delivery of the run in arrival order: one log for the
+    /// deployment, growing as deliveries happen, rather than two
+    /// vectors per subscriber sized for the worst case (thousands of
+    /// subscribers each reserving room for every publication).
+    /// [`NetDeployment::report`] splits it per subscriber.
+    deliveries: Vec<Delivery>,
+    hops_sum: u64,
     start: Instant,
     published: u64,
 }
@@ -344,14 +354,6 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                 client: sub.client,
                 broker: sub.broker,
                 ep,
-                delivered: Vec::new(),
-                latency_us: Vec::new(),
-                hops_sum: 0,
-                expected: scenario
-                    .publishers
-                    .iter()
-                    .map(|p| p.publications.len())
-                    .sum(),
             });
         }
         let mut publishers = Vec::with_capacity(scenario.publishers.len());
@@ -380,6 +382,8 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
             brokers,
             subscribers,
             publishers,
+            deliveries: Vec::new(),
+            hops_sum: 0,
             start: Instant::now(),
             published: 0,
         })
@@ -420,11 +424,10 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                 }
             }
         }
-        for sub in &mut self.subscribers {
-            sub.delivered
-                .reserve(sub.expected.saturating_sub(sub.delivered.len()));
-            sub.latency_us
-                .reserve(sub.expected.saturating_sub(sub.latency_us.len()));
+        // Room for one delivery per subscriber per sweep; beyond that the
+        // log grows amortised.
+        self.deliveries.reserve(self.subscribers.len());
+        for (subscriber, sub) in self.subscribers.iter_mut().enumerate() {
             while let Some(ev) = sub.ep.poll(Duration::ZERO) {
                 processed += 1;
                 if let NetEvent::Msg {
@@ -432,11 +435,13 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                     ..
                 } = ev
                 {
-                    sub.delivered
-                        .push((env.publication.adv_id.raw(), env.publication.msg_id.raw()));
-                    sub.latency_us
-                        .push(now.as_micros().saturating_sub(env.published_at.as_micros()));
-                    sub.hops_sum += u64::from(env.hops);
+                    self.deliveries.push(Delivery {
+                        subscriber,
+                        adv: env.publication.adv_id.raw(),
+                        msg: env.publication.msg_id.raw(),
+                        latency_us: now.as_micros().saturating_sub(env.published_at.as_micros()),
+                    });
+                    self.hops_sum += u64::from(env.hops);
                 }
             }
         }
@@ -514,26 +519,45 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
     }
 
     fn report(&self) -> NetDeployReport {
+        // Split the log per subscriber, each part sized exactly.
+        let mut counts = vec![0usize; self.subscribers.len()];
+        for d in &self.deliveries {
+            if let Some(n) = counts.get_mut(d.subscriber) {
+                *n += 1;
+            }
+        }
+        let mut ids: Vec<Vec<(u64, u64)>> = vec![Vec::new(); counts.len()];
+        let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); counts.len()];
+        for ((got, lat), &n) in ids.iter_mut().zip(&mut latencies).zip(&counts) {
+            got.reserve_exact(n);
+            lat.reserve_exact(n);
+        }
+        for d in &self.deliveries {
+            if let (Some(got), Some(lat)) =
+                (ids.get_mut(d.subscriber), latencies.get_mut(d.subscriber))
+            {
+                got.push((d.adv, d.msg));
+                lat.push(d.latency_us);
+            }
+        }
+        let mut latency_us_by_broker: BTreeMap<BrokerId, Vec<u64>> = BTreeMap::new();
+        for (sub, lat) in self.subscribers.iter().zip(latencies) {
+            latency_us_by_broker
+                .entry(sub.broker)
+                .or_default()
+                .extend(lat);
+        }
         let deliveries: BTreeMap<ClientId, Vec<(u64, u64)>> = self
             .subscribers
             .iter()
-            .map(|sub| {
-                let mut got = sub.delivered.clone();
+            .zip(ids)
+            .map(|(sub, mut got)| {
                 got.sort_unstable();
                 (sub.client, got)
             })
             .collect();
-        let mut latency_us_by_broker: BTreeMap<BrokerId, Vec<u64>> = BTreeMap::new();
-        let mut hops_sum = 0u64;
-        let mut delivered = 0u64;
-        for sub in &self.subscribers {
-            delivered += sub.delivered.len() as u64;
-            hops_sum += sub.hops_sum;
-            latency_us_by_broker
-                .entry(sub.broker)
-                .or_default()
-                .extend_from_slice(&sub.latency_us);
-        }
+        let delivered = self.deliveries.len() as u64;
+        let hops_sum = self.hops_sum;
         let broker_stats = self
             .brokers
             .iter()

@@ -15,11 +15,18 @@ use crate::message::Publication;
 use crate::predicate::{Op, Predicate};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A conjunction of [`Predicate`]s over distinct or repeated attributes.
+///
+/// Filters are shared immutable values, like a publication's
+/// attributes: cloning one bumps a reference count, so a subscription
+/// forwarded through many brokers, recorded in their routing indexes
+/// and reported in a BIA is one predicate allocation, not one per copy.
+/// The builder methods copy on write only while the value is shared.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Filter {
-    predicates: Vec<Predicate>,
+    predicates: Arc<Vec<Predicate>>,
 }
 
 impl Filter {
@@ -31,14 +38,14 @@ impl Filter {
     /// Creates a filter from predicates.
     pub fn from_predicates(predicates: impl IntoIterator<Item = Predicate>) -> Self {
         Self {
-            predicates: predicates.into_iter().collect(),
+            predicates: Arc::new(predicates.into_iter().collect()),
         }
     }
 
     /// Appends a predicate (builder style).
     #[must_use]
     pub fn and(mut self, predicate: Predicate) -> Self {
-        self.predicates.push(predicate);
+        Arc::make_mut(&mut self.predicates).push(predicate);
         self
     }
 
@@ -80,8 +87,8 @@ impl Filter {
     /// True when some publication can match both filters (conservative —
     /// only provably disjoint pairs return `false`).
     pub fn overlaps(&self, other: &Filter) -> bool {
-        for p1 in &self.predicates {
-            for p2 in &other.predicates {
+        for p1 in self.predicates.iter() {
+            for p2 in other.predicates.iter() {
                 if p1.attr == p2.attr && !p1.overlaps(p2) {
                     return false;
                 }
@@ -146,7 +153,7 @@ impl FromIterator<Predicate> for Filter {
 
 impl Extend<Predicate> for Filter {
     fn extend<T: IntoIterator<Item = Predicate>>(&mut self, iter: T) {
-        self.predicates.extend(iter);
+        Arc::make_mut(&mut self.predicates).extend(iter);
     }
 }
 

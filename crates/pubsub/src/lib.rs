@@ -35,7 +35,7 @@
 //!     .attr("symbol", "YHOO")
 //!     .attr("close", 18.37)
 //!     .build();
-//! assert_eq!(rt.route_publication(&quote, Some(&0)), vec![1]);
+//! assert_eq!(rt.route_publication_mut(&quote, Some(&0)), vec![1]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,6 +43,7 @@
 
 pub mod filter;
 pub mod ids;
+mod index;
 pub mod matching;
 pub mod message;
 pub mod parser;

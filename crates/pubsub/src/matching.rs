@@ -1,18 +1,30 @@
-//! Matching engine: given a publication, find the matching subscriptions.
+//! Matching engines: given a publication, find the matching
+//! subscriptions.
 //!
-//! Two implementations share the [`Matcher`] behaviour:
+//! Three implementations share the [`Matcher`] behaviour:
 //!
-//! * [`NaiveMatcher`] scans every filter — the reference oracle used in
-//!   tests;
+//! * [`NaiveMatcher`] scans every filter — the reference oracle of the
+//!   tests and the benchmark;
+//! * [`BucketMatcher`] is the engine brokers use, or rather its
+//!   hop-less face: a thin wrapper over the crate's one routing index
+//!   (`index.rs`; the same structure
+//!   [`crate::routing::RoutingTables`] holds with real next hops) in
+//!   which every subscription belongs to a single hop group that
+//!   reports all of its matches. Filters are bucketed under their
+//!   rarest equality predicate, entries evaluate their predicates
+//!   against attribute values resolved once per publication, and the
+//!   `&self` match path neither allocates nor rebuilds;
 //! * [`CountingMatcher`] implements the classic predicate-counting
-//!   algorithm with per-attribute predicate sharing, the engine brokers
-//!   use. Identical predicates appearing in many subscriptions (e.g. the
+//!   algorithm with per-attribute predicate sharing — a comparison
+//!   baseline for the benches, not on any serving path. Identical
+//!   predicates appearing in many subscriptions (e.g. the
 //!   `[class,=,'STOCK']` predicate in every stock subscription) are
 //!   evaluated once per publication.
 
 use crate::filter::Filter;
 use crate::ids::SubId;
-use crate::message::Publication;
+use crate::index::RoutingIndex;
+use crate::message::{Publication, Subscription};
 use std::collections::BTreeMap;
 
 /// Common behaviour of matching engines.
@@ -213,25 +225,23 @@ impl Matcher for CountingMatcher {
     }
 }
 
-/// Bucket-indexed matcher: each filter is indexed under its *least
-/// common* equality predicate, so a publication only evaluates the
-/// filters whose discriminating `(attribute, value)` pair it actually
-/// carries. On the paper's stock workload this reduces per-publication
-/// work from "every subscription sharing `[class,=,'STOCK']`" to "the
-/// subscriptions of one symbol" — the difference between simulating 80
-/// brokers in minutes and in seconds.
+/// Bucket-indexed matcher: the routing index with every subscription
+/// in one hop group that reports all of its matches. Each filter is
+/// indexed under its *least common* equality predicate, so a
+/// publication only evaluates the filters whose discriminating
+/// `(attribute, value)` pair it actually carries. On the paper's stock
+/// workload this reduces per-publication work from "every subscription
+/// sharing `[class,=,'STOCK']`" to "the subscriptions of one symbol" —
+/// the difference between simulating 80 brokers in minutes and in
+/// seconds.
 ///
 /// Filters with no equality predicate fall back to a scan list. The
-/// index is rebuilt lazily after inserts/removals.
+/// index is rebuilt lazily after inserts/removals, on the `&mut` entry
+/// points only ([`BucketMatcher::ensure_built`],
+/// [`BucketMatcher::matches_mut`]).
 #[derive(Debug, Clone, Default)]
 pub struct BucketMatcher {
-    filters: BTreeMap<SubId, Filter>,
-    dirty: bool,
-    /// attribute → value → subscriptions bucketed under that equality
-    /// pair. Nested (rather than keyed by tuple) so the match path can
-    /// look buckets up by `&str` without allocating key strings.
-    buckets: BTreeMap<String, BTreeMap<String, Vec<SubId>>>,
-    scan: Vec<SubId>,
+    index: RoutingIndex<()>,
 }
 
 impl BucketMatcher {
@@ -240,91 +250,55 @@ impl BucketMatcher {
         Self::default()
     }
 
-    /// Canonical bucket key of a value: strings unquoted (so the match
-    /// path can look them up by `&str`), everything else via `Display`.
-    /// A numeric key colliding with an equal-looking string key only
-    /// costs a wasted filter evaluation — candidates are verified with
-    /// the full filter before they match.
-    fn bucket_key(v: &crate::value::Value) -> String {
-        match v.as_str() {
-            Some(s) => s.to_string(),
-            None => v.to_string(),
-        }
-    }
-
-    fn rebuild(&mut self) {
-        self.buckets.clear();
-        self.scan.clear();
-        // Frequency of each equality (attr, value) pair.
-        let mut freq: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for f in self.filters.values() {
-            for p in f.predicates() {
-                if p.op == crate::predicate::Op::Eq {
-                    *freq
-                        .entry((p.attr.clone(), Self::bucket_key(&p.value)))
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        for (&id, f) in &self.filters {
-            // Index under the rarest equality predicate.
-            let key = f
-                .predicates()
-                .iter()
-                .filter(|p| p.op == crate::predicate::Op::Eq)
-                .map(|p| (p.attr.clone(), Self::bucket_key(&p.value)))
-                .min_by_key(|k| freq.get(k).copied().unwrap_or(0));
-            match key {
-                Some((attr, value)) => self
-                    .buckets
-                    .entry(attr)
-                    .or_default()
-                    .entry(value)
-                    .or_default()
-                    .push(id),
-                None => self.scan.push(id),
-            }
-        }
-        for by_value in self.buckets.values_mut() {
-            for b in by_value.values_mut() {
-                b.sort_unstable();
-            }
-        }
-        self.scan.sort_unstable();
-        self.dirty = false;
-    }
-
     /// Number of index buckets (diagnostic; rebuilds if stale).
     pub fn bucket_count(&mut self) -> usize {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.buckets.values().map(|m| m.len()).sum()
+        self.index.ensure_built();
+        self.index.bucket_count()
+    }
+
+    /// Like [`Matcher::matches`] but rebuilds the index in place first.
+    pub fn matches_mut(&mut self, publication: &Publication) -> Vec<SubId> {
+        self.index.ensure_built();
+        self.matches(publication)
+    }
+
+    /// Appends the matching subscription ids to `out` (cleared first),
+    /// sorted. The allocation-free match path: bucket lookups borrow
+    /// the publication's attribute and value strings, and callers reuse
+    /// `out` across publications.
+    ///
+    /// The index must be fresh (see [`BucketMatcher::ensure_built`]);
+    /// a stale index matches against the last built state.
+    pub fn matches_into(&self, publication: &Publication, out: &mut Vec<SubId>) {
+        self.index.all_matches_into(publication, out);
+    }
+
+    /// Rebuilds the index now if stale (call after a subscribe burst so
+    /// later `&self` matches use the index rather than a linear scan).
+    pub fn ensure_built(&mut self) {
+        self.index.ensure_built();
     }
 }
 
 impl Matcher for BucketMatcher {
     fn insert(&mut self, id: SubId, filter: Filter) {
-        self.filters.insert(id, filter);
-        self.dirty = true;
+        self.index.insert(Subscription::new(id, filter), ());
     }
 
     fn remove(&mut self, id: SubId) -> bool {
-        let hit = self.filters.remove(&id).is_some();
-        if hit {
-            self.dirty = true;
-        }
-        hit
+        self.index.remove(id).is_some()
     }
 
     fn matches(&self, publication: &Publication) -> Vec<SubId> {
-        // Interior mutability would complicate the trait; rebuild into a
-        // fresh index when stale instead (inserts come in bursts, and
-        // brokers match far more often than they subscribe).
-        if self.dirty {
-            let mut fresh = self.clone();
-            fresh.rebuild();
-            return fresh.matches(publication);
+        // `&self` never builds: a stale index is answered by scanning
+        // the store, which is already in id order.
+        if self.index.is_stale() {
+            return self
+                .index
+                .iter()
+                .filter(|(sub, _)| sub.filter.matches(publication))
+                .map(|(sub, _)| sub.id)
+                .collect();
         }
         // An owned-result convenience over `matches_into`; hot callers
         // reuse a buffer through that entry point instead.
@@ -334,70 +308,7 @@ impl Matcher for BucketMatcher {
     }
 
     fn len(&self) -> usize {
-        self.filters.len()
-    }
-}
-
-/// Mutable-access variant used by hot paths: rebuilds in place when
-/// stale, then matches without cloning.
-impl BucketMatcher {
-    /// Like [`Matcher::matches`] but rebuilds the index in place first.
-    pub fn matches_mut(&mut self, publication: &Publication) -> Vec<SubId> {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.matches(publication)
-    }
-
-    /// Appends the matching subscription ids to `out` (cleared first),
-    /// sorted and deduplicated. The allocation-free match path: bucket
-    /// lookups borrow the publication's attribute and value strings,
-    /// and callers reuse `out` across publications.
-    ///
-    /// The index must be fresh (see [`BucketMatcher::ensure_built`]);
-    /// a stale index matches against the last built state.
-    pub fn matches_into(&self, publication: &Publication, out: &mut Vec<SubId>) {
-        out.clear();
-        for (attr, value) in publication.iter() {
-            let Some(by_value) = self.buckets.get(attr) else {
-                continue;
-            };
-            let bucket = match value.as_str() {
-                Some(s) => by_value.get(s),
-                // Numeric/bool equality buckets are rare (the stock
-                // workload buckets on strings); rendering the value is
-                // the one allocation left on the match path.
-                None => by_value.get(value.to_string().as_str()),
-            };
-            for &id in bucket.into_iter().flatten() {
-                if self
-                    .filters
-                    .get(&id)
-                    .is_some_and(|f| f.matches(publication))
-                {
-                    out.push(id);
-                }
-            }
-        }
-        for &id in &self.scan {
-            if self
-                .filters
-                .get(&id)
-                .is_some_and(|f| f.matches(publication))
-            {
-                out.push(id);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Rebuilds the index now if stale (call after a subscribe burst so
-    /// later `&self` matches never hit the clone-on-stale path).
-    pub fn ensure_built(&mut self) {
-        if self.dirty {
-            self.rebuild();
-        }
+        self.index.len()
     }
 }
 
@@ -407,6 +318,7 @@ mod tests {
     use crate::filter::stock_template;
     use crate::ids::{AdvId, MsgId};
     use crate::predicate::{Op, Predicate};
+    use crate::value::Value;
 
     fn quote(symbol: &str, low: f64, volume: i64) -> Publication {
         Publication::builder(AdvId::new(1), MsgId::new(1))
@@ -535,14 +447,51 @@ mod tests {
         for k in 0..100 {
             let sym = symbols[k % symbols.len()];
             let p = quote(sym, (k as f64) % 100.0, 10);
+            // `&self` on the stale index (a scan of the store), then
+            // the built index.
+            assert_eq!(naive.matches(&p), bucket.matches(&p), "stale, pub {k}");
             assert_eq!(naive.matches(&p), bucket.matches_mut(&p), "pub {k}");
-            // Immutable (clone-on-stale) path agrees too.
             assert_eq!(naive.matches(&p), bucket.matches(&p));
+            bucket.insert(SubId::new(901), Filter::new());
+            bucket.remove(SubId::new(901));
         }
         assert!(bucket.bucket_count() >= symbols.len());
         assert!(bucket.remove(SubId::new(900)));
         assert!(!bucket.remove(SubId::new(900)));
         assert_eq!(bucket.len(), 150);
+    }
+
+    /// Equality buckets are keyed the way `Value::eq` compares: by
+    /// number, not by spelling.
+    #[test]
+    fn numeric_equality_buckets_follow_value_equality() {
+        let cases = [
+            ("x", Value::Float(0.0), Value::Float(-0.0)),
+            ("y", Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            ("z", Value::Int(18), Value::Float(18.0)),
+            ("b", Value::Bool(true), Value::Bool(true)),
+        ];
+        for (attr, operand, published) in cases {
+            let filter = Filter::new().and(Predicate::eq(attr, operand));
+            let p = Publication::builder(AdvId::new(1), MsgId::new(1))
+                .attr(attr, published)
+                .build();
+            let mut naive = NaiveMatcher::new();
+            let mut bucket = BucketMatcher::new();
+            naive.insert(SubId::new(1), filter.clone());
+            bucket.insert(SubId::new(1), filter.clone());
+            assert_eq!(naive.matches(&p), vec![SubId::new(1)], "{filter} on {p}");
+            assert_eq!(
+                bucket.matches_mut(&p),
+                vec![SubId::new(1)],
+                "{filter} on {p}"
+            );
+            assert_eq!(
+                bucket.bucket_count(),
+                1,
+                "{filter} is bucketed, not scanned"
+            );
+        }
     }
 
     #[test]

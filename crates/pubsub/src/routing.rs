@@ -14,28 +14,70 @@
 //! with an enum distinguishing neighbor brokers from local clients. `H`
 //! must be `Ord`: tables iterate in hop/id order so routing decisions
 //! are identical run to run (the determinism lint's contract).
+//!
+//! # The PRT is one routing index
+//!
+//! Subscriptions live in a single routing index (`index.rs`, the same
+//! structure behind [`crate::matching::BucketMatcher`]): each is stored
+//! once with its last hop — there is no second `SubId → Filter` map —
+//! and indexed under its rarest equality predicate in buckets of
+//! `(hop, SubId, filter)` entries sorted by `(hop, SubId)`.
+//! [`RoutingTables::route_into`] walks the buckets a publication hits
+//! one hop group at a time:
+//!
+//! * the group of the hop the publication came from is skipped without
+//!   evaluating a filter;
+//! * a *client* hop reports every matching subscription, because
+//!   deliveries and CBC profiles are per subscription;
+//! * any other hop stops at its first match: an interior broker needs
+//!   one witness per neighbour, not the neighbour's full match set.
+//!
+//! Whether a hop is a client is asked of the caller at walk time, once
+//! per group, so a hop that becomes a client after its subscriptions
+//! were recorded is treated as one from then on.
+//!
+//! **Send order is preserved.** A broker that matched every
+//! subscription and walked the matches in ascending `SubId` order would
+//! first meet each hop at that hop's lowest matching `SubId`, and so
+//! forward in ascending order of those. Within a group entries are in
+//! ascending `SubId` order, so the first match *is* the hop's lowest;
+//! sorting the handful of per-hop witnesses by `SubId` reproduces the
+//! order exactly, and every simulated run stays bit-identical.
+//!
+//! Inserts and removals mark the index stale; it is rebuilt on the next
+//! `&mut` match. No `&self` method builds or clones an index.
 
 use crate::filter::Filter;
 use crate::ids::{AdvId, SubId};
-use crate::matching::{BucketMatcher, Matcher};
+use crate::index::RoutingIndex;
 use crate::message::{Advertisement, Publication, Subscription};
 use std::collections::BTreeMap;
+
+/// One hop a publication must be sent to, as produced by
+/// [`RoutingTables::route_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Forward<H> {
+    /// The next hop.
+    pub hop: H,
+    /// The hop's lowest matching subscription.
+    pub witness: SubId,
+    /// Whether the caller classified the hop as a local client.
+    pub client: bool,
+}
 
 /// Routing state of one broker: the advertisement table (SRT) and the
 /// publication routing table (PRT).
 #[derive(Debug, Clone)]
 pub struct RoutingTables<H> {
     advertisements: BTreeMap<AdvId, (Advertisement, H)>,
-    subscriptions: BTreeMap<SubId, (Subscription, H)>,
-    matcher: BucketMatcher,
+    subscriptions: RoutingIndex<H>,
 }
 
 impl<H: Clone + Ord> Default for RoutingTables<H> {
     fn default() -> Self {
         Self {
             advertisements: BTreeMap::new(),
-            subscriptions: BTreeMap::new(),
-            matcher: BucketMatcher::new(),
+            subscriptions: RoutingIndex::default(),
         }
     }
 }
@@ -79,15 +121,13 @@ impl<H: Clone + Ord> RoutingTables<H> {
                 out.push(adv_hop.clone());
             }
         }
-        self.matcher.insert(sub.id, sub.filter.clone());
-        self.subscriptions.insert(sub.id, (sub, last_hop));
+        self.subscriptions.insert(sub, last_hop);
         out
     }
 
     /// Removes a subscription; returns its last hop if it was present.
     pub fn remove_subscription(&mut self, id: SubId) -> Option<H> {
-        self.matcher.remove(id);
-        self.subscriptions.remove(&id).map(|(_, hop)| hop)
+        self.subscriptions.remove(id).map(|(_, hop)| hop)
     }
 
     /// Computes where to forward a subscription that is *already*
@@ -95,7 +135,7 @@ impl<H: Clone + Ord> RoutingTables<H> {
     /// advertisement arrives after subscriptions).
     pub fn subscriptions_toward(&self, adv: &Advertisement, adv_hop: &H) -> Vec<SubId> {
         self.subscriptions
-            .values()
+            .iter()
             .filter(|(sub, sub_hop)| {
                 sub_hop != adv_hop && sub.filter.intersects_advertisement(&adv.filter)
             })
@@ -103,50 +143,70 @@ impl<H: Clone + Ord> RoutingTables<H> {
             .collect()
     }
 
-    /// Routes a publication: returns the distinct last hops of matching
-    /// subscriptions, excluding the hop the publication arrived from.
-    pub fn route_publication(&self, publication: &Publication, from: Option<&H>) -> Vec<H> {
-        let matches = self.matcher.matches(publication);
-        // At most one forward per matching subscription.
-        let mut out: Vec<H> = Vec::with_capacity(matches.len());
-        for sub_id in matches {
-            if let Some((_, hop)) = self.subscriptions.get(&sub_id) {
-                if Some(hop) != from && !out.contains(hop) {
-                    out.push(hop.clone());
+    /// Routes a publication that arrived from `from` — the broker hot
+    /// path. Clears `out` and fills it with one [`Forward`] per
+    /// distinct hop other than `from` that holds a matching
+    /// subscription, in ascending order of each hop's lowest matching
+    /// `SubId` (the order a full match walked by id would first meet
+    /// the hops). `on_client_match` sees every matching subscription
+    /// of every hop `is_client` accepts; for other hops matching stops
+    /// at the first hit (module docs).
+    ///
+    /// Rebuilds the index first when stale; otherwise allocates only
+    /// to grow `out`, which callers reuse across publications.
+    pub fn route_into<C, M>(
+        &mut self,
+        publication: &Publication,
+        from: Option<&H>,
+        is_client: C,
+        mut on_client_match: M,
+        out: &mut Vec<Forward<H>>,
+    ) where
+        C: Fn(&H) -> bool,
+        M: FnMut(SubId),
+    {
+        self.subscriptions.ensure_built();
+        out.clear();
+        self.subscriptions
+            .walk(publication, from, is_client, |hop, witness, client| {
+                if client {
+                    on_client_match(witness);
                 }
-            }
-        }
-        out
+                out.push(Forward {
+                    hop: hop.clone(),
+                    witness,
+                    client,
+                });
+            });
+        // A hop is reported once per bucket it has matches in, and a
+        // client hop once per match: keep each hop's lowest witness.
+        out.sort_unstable_by(|a, b| (&a.hop, a.witness).cmp(&(&b.hop, b.witness)));
+        out.dedup_by(|later, first| later.hop == first.hop);
+        out.sort_unstable_by_key(|f| f.witness);
     }
 
-    /// Like [`RoutingTables::route_publication`] but rebuilds the match
-    /// index in place when stale — the broker hot path.
+    /// The distinct last hops of matching subscriptions, excluding the
+    /// hop the publication arrived from, in [`RoutingTables::route_into`]
+    /// order. Rebuilds the match index in place when stale.
     pub fn route_publication_mut(&mut self, publication: &Publication, from: Option<&H>) -> Vec<H> {
-        self.matcher.ensure_built();
-        self.route_publication(publication, from)
+        let mut forwards = Vec::new();
+        self.route_into(publication, from, |_| false, |_| {}, &mut forwards);
+        forwards.into_iter().map(|f| f.hop).collect()
     }
 
-    /// The subscription ids matching a publication (for delivery
-    /// accounting at edge brokers).
-    pub fn matching_subscriptions(&self, publication: &Publication) -> Vec<SubId> {
-        self.matcher.matches(publication)
-    }
-
-    /// Like [`RoutingTables::matching_subscriptions`] but rebuilds the
-    /// match index in place when stale — the broker hot path.
+    /// The ids of every subscription matching a publication, whatever
+    /// its hop, in id order. Rebuilds the match index in place when
+    /// stale.
     pub fn matching_subscriptions_mut(&mut self, publication: &Publication) -> Vec<SubId> {
-        self.matcher.ensure_built();
-        self.matcher.matches(publication)
+        self.subscriptions.ensure_built();
+        let mut out = Vec::new();
+        self.subscriptions.all_matches_into(publication, &mut out);
+        out
     }
 
     /// Looks up a stored subscription.
     pub fn subscription(&self, id: SubId) -> Option<&Subscription> {
-        self.subscriptions.get(&id).map(|(s, _)| s)
-    }
-
-    /// Last hop of a stored subscription.
-    pub fn subscription_hop(&self, id: SubId) -> Option<&H> {
-        self.subscriptions.get(&id).map(|(_, h)| h)
+        self.subscriptions.get(id).map(|(s, _)| s)
     }
 
     /// Iterates over stored advertisements with their last hops.
@@ -156,7 +216,7 @@ impl<H: Clone + Ord> RoutingTables<H> {
 
     /// Iterates over stored subscriptions with their last hops.
     pub fn subscriptions(&self) -> impl Iterator<Item = (&Subscription, &H)> {
-        self.subscriptions.values().map(|(s, h)| (s, h))
+        self.subscriptions.iter().map(|(s, h)| (s, h))
     }
 
     /// Number of stored subscriptions — the `n` fed into the broker's
@@ -310,12 +370,12 @@ mod tests {
             Subscription::new(SubId::new(3), stock_template("YHOO")),
             Hop::Client(9),
         );
-        let hops = rt.route_publication(&quote("YHOO", 17.0), Some(&Hop::Neighbor(1)));
+        let hops = rt.route_publication_mut(&quote("YHOO", 17.0), Some(&Hop::Neighbor(1)));
         assert_eq!(hops.len(), 2);
         assert!(hops.contains(&Hop::Neighbor(3)));
         assert!(hops.contains(&Hop::Client(9)));
         // Not routed back to where it came from.
-        let hops = rt.route_publication(&quote("YHOO", 17.0), Some(&Hop::Neighbor(3)));
+        let hops = rt.route_publication_mut(&quote("YHOO", 17.0), Some(&Hop::Neighbor(3)));
         assert_eq!(hops, vec![Hop::Client(9)]);
     }
 
@@ -331,7 +391,9 @@ mod tests {
             Hop::Client(9),
         );
         assert_eq!(rt.remove_subscription(SubId::new(1)), Some(Hop::Client(9)));
-        assert!(rt.route_publication(&quote("YHOO", 17.0), None).is_empty());
+        assert!(rt
+            .route_publication_mut(&quote("YHOO", 17.0), None)
+            .is_empty());
         assert_eq!(rt.subscription_count(), 0);
     }
 
@@ -386,10 +448,9 @@ mod tests {
             Hop::Client(9),
         );
         assert!(rt.subscription(SubId::new(1)).is_some());
-        assert_eq!(rt.subscription_hop(SubId::new(1)), Some(&Hop::Client(9)));
         assert_eq!(rt.subscriptions().count(), 1);
         assert_eq!(rt.advertisements().count(), 0);
         let p = quote("YHOO", 17.0);
-        assert_eq!(rt.matching_subscriptions(&p), vec![SubId::new(1)]);
+        assert_eq!(rt.matching_subscriptions_mut(&p), vec![SubId::new(1)]);
     }
 }

@@ -1,15 +1,18 @@
 //! Property-based tests of the content-based language: covering and
 //! overlap soundness against sampled publications, matcher agreement,
-//! and parser round-trips.
+//! the routing index against the naive matcher (deliveries and send
+//! order), and parser round-trips.
 
 use greenps_pubsub::filter::Filter;
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::matching::{CountingMatcher, Matcher, NaiveMatcher};
-use greenps_pubsub::message::Publication;
+use greenps_pubsub::matching::{BucketMatcher, CountingMatcher, Matcher, NaiveMatcher};
+use greenps_pubsub::message::{Publication, Subscription};
 use greenps_pubsub::parser::parse_filter;
 use greenps_pubsub::predicate::{Op, Predicate};
+use greenps_pubsub::routing::{Forward, RoutingTables};
 use greenps_pubsub::value::Value;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const ATTRS: [&str; 4] = ["w", "x", "y", "z"];
 const SYMBOLS: [&str; 3] = ["AAA", "BBB", "CCC"];
@@ -23,7 +26,24 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Numbers whose equality is not the equality of their spelling: the
+/// two zeros, and `i64::MAX` against the float it rounds to.
+fn arb_edge_number() -> impl Strategy<Value = Value> {
+    proptest::sample::select(vec![
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Int(0),
+        Value::Int(i64::MAX),
+        Value::Int(i64::MAX - 1),
+        Value::Float(i64::MAX as f64),
+    ])
+}
+
 fn arb_predicate() -> impl Strategy<Value = Predicate> {
+    arb_predicate_over(arb_value())
+}
+
+fn arb_predicate_over(value: impl Strategy<Value = Value>) -> impl Strategy<Value = Predicate> {
     (
         proptest::sample::select(ATTRS.to_vec()),
         proptest::sample::select(vec![
@@ -35,7 +55,7 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
             Op::Ge,
             Op::Present,
         ]),
-        arb_value(),
+        value,
     )
         .prop_map(|(attr, op, value)| Predicate {
             attr: attr.to_string(),
@@ -49,17 +69,54 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
 }
 
 fn arb_publication() -> impl Strategy<Value = Publication> {
-    proptest::collection::vec(
-        (proptest::sample::select(ATTRS.to_vec()), arb_value()),
-        0..5,
+    arb_publication_over(arb_value())
+}
+
+fn arb_publication_over(value: impl Strategy<Value = Value>) -> impl Strategy<Value = Publication> {
+    proptest::collection::vec((proptest::sample::select(ATTRS.to_vec()), value), 0..5).prop_map(
+        |attrs| {
+            let mut b = Publication::builder(AdvId::new(1), MsgId::new(0));
+            for (a, v) in attrs {
+                b = b.attr(a, v);
+            }
+            b.build()
+        },
     )
-    .prop_map(|attrs| {
-        let mut b = Publication::builder(AdvId::new(1), MsgId::new(0));
-        for (a, v) in attrs {
-            b = b.attr(a, v);
-        }
-        b.build()
-    })
+}
+
+/// One step against a broker's routing tables.
+#[derive(Debug, Clone)]
+enum Step {
+    /// (Re-)insert subscription `id` arriving from `hop`.
+    Insert {
+        id: u64,
+        filter: Filter,
+        hop: u8,
+    },
+    Remove {
+        id: u64,
+    },
+    /// Route a publication arriving from `from` (`None`: from nowhere).
+    Route {
+        publication: Publication,
+        from: Option<u8>,
+    },
+}
+
+const HOPS: u8 = 5;
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let value = || prop_oneof![arb_value(), arb_edge_number()];
+    let filter = proptest::collection::vec(arb_predicate_over(value()), 0..4)
+        .prop_map(Filter::from_predicates);
+    prop_oneof![
+        (0u64..12, filter, 0..HOPS).prop_map(|(id, filter, hop)| Step::Insert { id, filter, hop }),
+        (0u64..12).prop_map(|id| Step::Remove { id }),
+        (arb_publication_over(value()), 0..HOPS + 1).prop_map(|(publication, from)| Step::Route {
+            publication,
+            from: (from < HOPS).then_some(from),
+        }),
+    ]
 }
 
 proptest! {
@@ -135,6 +192,73 @@ proptest! {
         prop_assert_eq!(naive.len(), counting.len());
         for p in &pubs {
             prop_assert_eq!(naive.matches(p), counting.matches(p), "on {}", p);
+        }
+    }
+
+    /// The routing index against the naive matcher, through any
+    /// interleaving of inserts, re-inserts (new filter, new hop),
+    /// removals and publications: client hops are told exactly the
+    /// naive match set of their subscriptions, and the forward list is
+    /// — in order — the distinct hops other than `from` by ascending
+    /// lowest matching `SubId`, which is the order a broker that fully
+    /// matched and walked the matches by id would send in.
+    #[test]
+    fn routing_index_delivers_and_orders_like_a_full_match(
+        steps in proptest::collection::vec(arb_step(), 0..60),
+        clients in 0u8..32,
+    ) {
+        let is_client = |hop: &u8| clients & (1 << hop) != 0;
+        let mut tables: RoutingTables<u8> = RoutingTables::new();
+        let mut bucket = BucketMatcher::new();
+        let mut naive = NaiveMatcher::new();
+        let mut hop_of: BTreeMap<SubId, u8> = BTreeMap::new();
+        let mut forwards = Vec::new();
+        for step in steps {
+            match step {
+                Step::Insert { id, filter, hop } => {
+                    let id = SubId::new(id);
+                    tables.insert_subscription(Subscription::new(id, filter.clone()), hop);
+                    bucket.insert(id, filter.clone());
+                    naive.insert(id, filter);
+                    hop_of.insert(id, hop);
+                }
+                Step::Remove { id } => {
+                    let id = SubId::new(id);
+                    prop_assert_eq!(tables.remove_subscription(id), hop_of.remove(&id));
+                    prop_assert_eq!(bucket.remove(id), naive.remove(id));
+                }
+                Step::Route { publication, from } => {
+                    let matching = naive.matches(&publication);
+                    prop_assert_eq!(&bucket.matches(&publication), &matching, "stale, on {}", publication);
+                    prop_assert_eq!(&bucket.matches_mut(&publication), &matching, "on {}", publication);
+                    let mut want_told = Vec::new();
+                    let mut want: Vec<Forward<u8>> = Vec::new();
+                    for &witness in &matching {
+                        let hop = hop_of[&witness];
+                        if Some(hop) == from {
+                            continue;
+                        }
+                        let client = is_client(&hop);
+                        if client {
+                            want_told.push(witness);
+                        }
+                        if want.iter().all(|f| f.hop != hop) {
+                            want.push(Forward { hop, witness, client });
+                        }
+                    }
+                    let mut told = Vec::new();
+                    tables.route_into(
+                        &publication,
+                        from.as_ref(),
+                        is_client,
+                        |id| told.push(id),
+                        &mut forwards,
+                    );
+                    told.sort_unstable();
+                    prop_assert_eq!(&told, &want_told, "client matches on {}", publication);
+                    prop_assert_eq!(&forwards, &want, "forwards on {} from {:?}", publication, from);
+                }
+            }
         }
     }
 
