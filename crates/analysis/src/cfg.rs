@@ -1,5 +1,4 @@
-//! Intraprocedural control-flow graphs and forward dataflow
-//! (DESIGN.md §9.3).
+//! Intraprocedural control-flow graphs (DESIGN.md §9.3).
 //!
 //! Built from the same code-token stream the item [`crate::parser`]
 //! consumes, [`Cfg::build`] recovers basic blocks for one function
@@ -12,13 +11,8 @@
 //! every real execution path is covered by some CFG path (extra paths
 //! are possible, missing paths are not). That bias is deliberate —
 //! the lints built on top ([`crate::cancel_responsive`],
-//! [`crate::guard_scope`]) are *may*-analyses where a spurious path
+//! [`crate::loop_growth`]) are *may*-analyses where a spurious path
 //! costs precision, never soundness.
-//!
-//! [`forward_fixpoint`] runs a caller-supplied transfer/join over the
-//! blocks to a fixpoint with a worklist, with a hard iteration bound
-//! so pathological inputs terminate even under a non-monotone (buggy)
-//! transfer function.
 
 use crate::lexer::{Token, TokenKind};
 use crate::line_of;
@@ -108,14 +102,6 @@ impl Cfg {
             exit: 1,
             loops: b.loops,
         }
-    }
-
-    /// All token indices of block `block`, flattened in flow order.
-    pub fn block_tokens(&self, block: usize) -> impl Iterator<Item = usize> + '_ {
-        self.blocks[block]
-            .ranges
-            .iter()
-            .flat_map(|&(lo, hi)| lo..hi)
     }
 }
 
@@ -471,73 +457,6 @@ impl<'a> Builder<'a, '_> {
     }
 }
 
-/// A forward dataflow problem over a [`Cfg`].
-///
-/// Facts must form a join-semilattice under [`Forward::join`] and the
-/// transfer function should be monotone; [`forward_fixpoint`] bounds
-/// iteration regardless, so a buggy instance degrades to a truncated
-/// (still over-approximate for may-analyses seeded at top) result
-/// instead of hanging.
-pub trait Forward {
-    /// The per-block fact.
-    type Fact: Clone + PartialEq;
-    /// Fact at the function entry.
-    fn entry(&self) -> Self::Fact;
-    /// Least upper bound of two facts at a join point.
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact;
-    /// Applies block `block`'s effect to the incoming fact.
-    fn transfer(&self, cfg: &Cfg, block: usize, input: &Self::Fact) -> Self::Fact;
-}
-
-/// Runs `analysis` to a fixpoint over `cfg` with a worklist. Returns
-/// `(in, out)` facts per block; `None` marks unreachable blocks.
-/// Iteration is capped at `64 * (blocks + 1)` block visits.
-pub fn forward_fixpoint<A: Forward>(cfg: &Cfg, analysis: &A) -> Vec<Option<(A::Fact, A::Fact)>> {
-    let n = cfg.blocks.len();
-    let mut ins: Vec<Option<A::Fact>> = vec![None; n];
-    let mut outs: Vec<Option<A::Fact>> = vec![None; n];
-    ins[0] = Some(analysis.entry());
-    let mut work: Vec<usize> = vec![0];
-    let mut budget = 64usize.saturating_mul(n + 1);
-    while let Some(b) = work.pop() {
-        if budget == 0 {
-            break;
-        }
-        budget -= 1;
-        let Some(input) = ins[b].clone() else {
-            continue;
-        };
-        let out = analysis.transfer(cfg, b, &input);
-        if outs[b].as_ref() == Some(&out) {
-            continue;
-        }
-        outs[b] = Some(out.clone());
-        for &s in &cfg.blocks[b].succs {
-            let joined = match &ins[s] {
-                Some(prev) => analysis.join(prev, &out),
-                None => out.clone(),
-            };
-            if ins[s].as_ref() != Some(&joined) {
-                ins[s] = Some(joined);
-                if !work.contains(&s) {
-                    work.push(s);
-                }
-            }
-        }
-    }
-    ins.into_iter()
-        .zip(outs)
-        .map(|(i, o)| match (i, o) {
-            (Some(i), Some(o)) => Some((i, o)),
-            (Some(i), None) => {
-                let o = i.clone();
-                Some((i, o))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,85 +605,5 @@ mod tests {
         let cfg = cfg_of("fn f() { fn inner() { loop { spin(); } } tick(); }", "f");
         assert!(cfg.loops.is_empty());
         assert!(reachable(&cfg, cfg.exit));
-    }
-
-    /// Gen/kill reaching analysis over ident sets, used to exercise
-    /// the fixpoint engine.
-    struct SeenCalls<'a> {
-        code: &'a [&'a Token<'a>],
-    }
-
-    impl Forward for SeenCalls<'_> {
-        type Fact = std::collections::BTreeSet<String>;
-        fn entry(&self) -> Self::Fact {
-            Default::default()
-        }
-        fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-            a.union(b).cloned().collect()
-        }
-        fn transfer(&self, cfg: &Cfg, block: usize, input: &Self::Fact) -> Self::Fact {
-            let mut out = input.clone();
-            for i in cfg.block_tokens(block) {
-                let t = self.code[i];
-                if t.kind == TokenKind::Ident
-                    && self.code.get(i + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    out.insert(t.text.to_string());
-                }
-            }
-            out
-        }
-    }
-
-    fn seen_at_exit(src: &str, name: &str) -> std::collections::BTreeSet<String> {
-        let file = SourceFile::new("crates/core/src/x.rs", src);
-        let parsed = parse_file(&file);
-        let item = parsed.fns.iter().find(|f| f.name == name).expect("fn");
-        let toks = lexer::tokenize(&file.content);
-        let code = lexer::code(&toks);
-        let cfg = Cfg::build(&code, item.body.expect("body"), &file.content);
-        let facts = forward_fixpoint(&cfg, &SeenCalls { code: &code });
-        facts[cfg.exit].clone().map(|(i, _)| i).unwrap_or_default()
-    }
-
-    #[test]
-    fn fixpoint_propagates_through_branches_and_loops() {
-        let got = seen_at_exit(
-            "fn f(c: bool) { if c { a(); } else { b(); } while c { l(); } t(); }",
-            "f",
-        );
-        for name in ["a", "b", "l", "t"] {
-            assert!(got.contains(name), "missing {name} in {got:?}");
-        }
-    }
-
-    #[test]
-    fn fixpoint_terminates_on_pathological_nesting() {
-        // 12 nested loops with branches and labeled breaks: the
-        // worklist must converge well inside the iteration budget.
-        let mut body = String::from("step0();");
-        for d in 1..=12 {
-            body = format!(
-                "'l{d}: loop {{ if c{d}() {{ break 'l{d}; }} while p{d}() {{ {body} }} continue; }}"
-            );
-        }
-        let src = format!("fn f() {{ {body} done(); }}");
-        let got = seen_at_exit(&src, "f");
-        assert!(got.contains("done"));
-        // Every branch-condition call is observed somewhere on a path.
-        assert!(got.contains("c1") && got.contains("c12"), "{got:?}");
-    }
-
-    #[test]
-    fn fixpoint_terminates_on_wide_match_ladders() {
-        let arms: String = (0..40)
-            .map(|i| format!("{i} => h{i}(),"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let src =
-            format!("fn f(x: u32) {{ loop {{ match x {{ {arms} _ => {{ break; }} }} }} end(); }}");
-        let got = seen_at_exit(&src, "f");
-        assert!(got.contains("end"));
-        assert!(got.contains("h0") && got.contains("h39"));
     }
 }

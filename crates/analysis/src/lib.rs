@@ -10,7 +10,7 @@
 //!   from both `Cargo.toml` declarations and `use greenps_*` imports.
 //! - [`lock_hygiene`] — forbids `std::sync::Mutex`/`RwLock` (the
 //!   workspace standardizes on `parking_lot`) and flags lock guards
-//!   held across crossbeam channel `send`/`recv` in the broker crate.
+//!   held across crossbeam channel `send`/`recv` in the net crate.
 //! - [`attributes`] — requires `#![forbid(unsafe_code)]` and
 //!   `#![deny(missing_docs)]` on every first-party crate root.
 //! - [`determinism`] — forbids unordered `HashMap`/`HashSet` iteration
@@ -53,7 +53,6 @@ pub mod cancel_responsive;
 pub mod cast_safety;
 pub mod cfg;
 pub mod determinism;
-pub mod guard_scope;
 pub mod hot_path_alloc;
 pub mod layering;
 pub mod lexer;

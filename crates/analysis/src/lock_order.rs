@@ -1,14 +1,12 @@
 //! Lint 7: static lock-acquisition-order graph.
 //!
-//! The runtime `TrackedMutex`/`TrackedRwLock` audit (PR 1) catches lock
-//! inversions on paths that tests actually execute. This lint covers
-//! the rest at analysis time: it walks each file's token stream,
-//! tracks `let g = <recv>.lock()/.read()/.write()` guard bindings per
-//! brace depth (the same lexical discipline as the lock-hygiene lint),
-//! and records an edge `A → B` whenever lock `B` is acquired while a
-//! guard on `A` is still live. Cycles in the accumulated graph are
-//! ordering violations: two threads taking the locks in opposite
-//! orders can deadlock.
+//! Walks each file's token stream, tracks
+//! `let g = <recv>.lock()/.read()/.write()` guard bindings per brace
+//! depth (the same lexical discipline as the lock-hygiene lint), and
+//! records an edge `A → B` whenever lock `B` is acquired while a guard
+//! on `A` is still live. Cycles in the accumulated graph are ordering
+//! violations: two threads taking the locks in opposite orders can
+//! deadlock.
 //!
 //! Lock identity is the receiver chain with a leading `self` dropped
 //! (`self.peers.lock()` → `peers`), scoped per crate. Only zero-arg
@@ -20,7 +18,7 @@ use crate::{line_of, Finding, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code feeds the graph (the parking_lot users).
-pub const CHECKED_CRATES: [&str; 2] = ["broker", "telemetry"];
+pub const CHECKED_CRATES: [&str; 2] = ["net", "telemetry"];
 
 const ACQUIRE: [&str; 3] = ["lock", "read", "write"];
 
@@ -135,7 +133,7 @@ pub fn extract_edges(krate: &str, path: &str, content: &str) -> Vec<Edge> {
 
 /// Number of `ident .` pairs in the receiver chain ending at the `.`
 /// at `dot` (counting the `self` segment if present).
-pub(crate) fn chain_len(code: &[&Token<'_>], dot: usize) -> usize {
+fn chain_len(code: &[&Token<'_>], dot: usize) -> usize {
     let mut n = 0;
     let mut k = dot;
     loop {
@@ -153,11 +151,7 @@ pub(crate) fn chain_len(code: &[&Token<'_>], dot: usize) -> usize {
 
 /// When the tokens from `stmt_start` to `recv_start` are exactly
 /// `let [mut] name =`, returns `name`.
-pub(crate) fn let_binding(
-    code: &[&Token<'_>],
-    stmt_start: usize,
-    recv_start: usize,
-) -> Option<String> {
+fn let_binding(code: &[&Token<'_>], stmt_start: usize, recv_start: usize) -> Option<String> {
     let head: Vec<&&Token<'_>> = code.get(stmt_start..recv_start)?.iter().collect();
     match head.as_slice() {
         [l, n, eq] if l.is_ident("let") && n.kind == TokenKind::Ident && eq.is_punct('=') => {
@@ -256,7 +250,7 @@ mod tests {
     use super::*;
 
     fn edges(src: &str) -> Vec<(String, String)> {
-        extract_edges("broker", "crates/broker/src/x.rs", src)
+        extract_edges("net", "crates/net/src/tcp.rs", src)
             .into_iter()
             .map(|e| (e.from, e.to))
             .collect()
@@ -267,7 +261,7 @@ mod tests {
         let src = "fn f(&self) {\n    let a = self.peers.lock();\n    let b = self.stats.lock();\n    drop(b);\n    drop(a);\n}\n";
         assert_eq!(
             edges(src),
-            vec![("broker:peers".to_string(), "broker:stats".to_string())]
+            vec![("net:peers".to_string(), "net:stats".to_string())]
         );
     }
 
@@ -287,20 +281,20 @@ mod tests {
     fn consistent_order_is_clean_inverted_order_cycles() {
         let consistent = vec![
             Edge {
-                from: "broker:a".into(),
-                to: "broker:b".into(),
+                from: "net:a".into(),
+                to: "net:b".into(),
                 path: "p.rs".into(),
                 line: 1,
             },
             Edge {
-                from: "broker:b".into(),
-                to: "broker:c".into(),
+                from: "net:b".into(),
+                to: "net:c".into(),
                 path: "p.rs".into(),
                 line: 2,
             },
             Edge {
-                from: "broker:a".into(),
-                to: "broker:c".into(),
+                from: "net:a".into(),
+                to: "net:c".into(),
                 path: "p.rs".into(),
                 line: 3,
             },
@@ -309,14 +303,14 @@ mod tests {
 
         let inverted = vec![
             Edge {
-                from: "broker:a".into(),
-                to: "broker:b".into(),
+                from: "net:a".into(),
+                to: "net:b".into(),
                 path: "p.rs".into(),
                 line: 1,
             },
             Edge {
-                from: "broker:b".into(),
-                to: "broker:a".into(),
+                from: "net:b".into(),
+                to: "net:a".into(),
                 path: "q.rs".into(),
                 line: 9,
             },
@@ -324,24 +318,23 @@ mod tests {
         let got = findings_from_edges(&inverted);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].message.contains("cycle"));
-        assert!(got[0].message.contains("broker:a"));
+        assert!(got[0].message.contains("net:a"));
     }
 
     #[test]
     fn end_to_end_cycle_from_source() {
-        let files = vec![SourceFile::new(
-            "crates/broker/src/x.rs",
-            "fn f(&self) {\n    let a = self.peers.lock();\n    let b = self.stats.lock();\n    drop(b); drop(a);\n}\nfn g(&self) {\n    let b = self.stats.lock();\n    let a = self.peers.lock();\n    drop(a); drop(b);\n}\n",
-        )];
-        let got = run(&files);
+        let src = "fn f(&self) {\n    let a = self.peers.lock();\n    let b = self.stats.lock();\n    drop(b); drop(a);\n}\nfn g(&self) {\n    let b = self.stats.lock();\n    let a = self.peers.lock();\n    drop(a); drop(b);\n}\n";
+        let got = run(&[SourceFile::new("crates/net/src/tcp.rs", src)]);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].message.contains("lock-order cycle"));
+        // The broker crate holds no lock and is not scanned.
+        assert!(run(&[SourceFile::new("crates/broker/src/x.rs", src)]).is_empty());
     }
 
     #[test]
     fn test_code_is_exempt() {
         let files = vec![SourceFile::new(
-            "crates/broker/src/x.rs",
+            "crates/net/src/tcp.rs",
             "#[cfg(test)]\nmod tests {\n    fn t(&self) {\n        let b = self.stats.lock();\n        let a = self.peers.lock();\n        drop(a); drop(b);\n        let a2 = self.peers.lock();\n        let b2 = self.stats.lock();\n        drop(b2); drop(a2);\n    }\n}\n",
         )];
         assert!(run(&files).is_empty());

@@ -20,9 +20,9 @@ use greenps_analysis::cast_safety::CAST_SPEC;
 use greenps_analysis::hot_path_alloc::HOT_PATH_SPEC;
 use greenps_analysis::telemetry_schema::Schema;
 use greenps_analysis::{
-    attributes, baseline, cancel_responsive, cast_safety, determinism, guard_scope, hot_path_alloc,
-    layering, load_sources, lock_hygiene, lock_order, loop_growth, panic_freedom, panic_reach,
-    sarif, telemetry_schema, workspace_root, Finding, SourceFile,
+    attributes, baseline, cancel_responsive, cast_safety, determinism, hot_path_alloc, layering,
+    load_sources, lock_hygiene, lock_order, loop_growth, panic_freedom, panic_reach, sarif,
+    telemetry_schema, workspace_root, Finding, SourceFile,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -49,7 +49,7 @@ const LINTS: [&str; 7] = [
     "telemetry-schema",
 ];
 
-const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  panic-freedom     unwrap/expect/panic!/indexing in runtime library code\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across channel ops\n  attributes        forbid(unsafe_code) + deny(missing_docs) on crate roots\n  determinism       HashMap/HashSet iteration + wall clocks in deterministic crates\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  panic-reach       pub APIs that can transitively reach a panic site (tracked)\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cast-safety       potentially truncating/wrapping `as` casts in library code\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  guard-scope       Tracked guards held across kernel/export/delivery calls\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default), json, or sarif";
+const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  panic-freedom     unwrap/expect/panic!/indexing in runtime library code\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across channel ops\n  attributes        forbid(unsafe_code) + deny(missing_docs) on crate roots\n  determinism       HashMap/HashSet iteration + wall clocks in deterministic crates\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  panic-reach       pub APIs that can transitively reach a panic site (tracked)\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cast-safety       potentially truncating/wrapping `as` casts in library code\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default), json, or sarif";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -247,12 +247,7 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
         .collect();
     let needs_graph = matches!(
         check,
-        "panic-reach"
-            | "hot-path-alloc"
-            | "cast-safety"
-            | "cancel-responsive"
-            | "guard-scope"
-            | "all"
+        "panic-reach" | "hot-path-alloc" | "cast-safety" | "cancel-responsive" | "all"
     );
     let graph = needs_graph.then(|| CallGraph::build(&first_party));
 
@@ -379,14 +374,6 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
             findings.extend(got);
         }
     }
-    if matches!(check, "guard-scope" | "all") {
-        known = true;
-        if let Some(graph) = &graph {
-            let got = guard_scope::run(&first_party, graph);
-            extra_counts.insert("guard.findings".to_string(), got.len());
-            findings.extend(got);
-        }
-    }
     if matches!(check, "loop-growth" | "all") {
         known = true;
         let got = loop_growth::run(&first_party);
@@ -409,7 +396,6 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
         "hot-path-alloc",
         "cast-safety",
         "cancel-responsive",
-        "guard-scope",
         "loop-growth",
     ] {
         counts.remove(lint);

@@ -6,18 +6,19 @@
 //! profiling, local publisher profiling, and the BIR/BIA information-
 //! gathering protocol of Phase 1.
 //!
-//! The [`deploy`] module provides the PANDA-style deployment harness the
-//! evaluation uses: build a topology, attach publishers/subscribers,
-//! warm up, gather, and measure.
+//! Two harnesses run the same transport-agnostic [`BrokerCore`]: the
+//! [`deploy`] module is the PANDA-style simnet harness the evaluation
+//! uses (build a topology, attach publishers/subscribers, warm up,
+//! gather, and measure), and [`netdeploy`] materializes an overlay over
+//! any `greenps_net::Transport` — the deterministic simulator or real
+//! loopback TCP sockets and OS threads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod audit;
 pub mod broker;
 pub mod client;
 pub mod deploy;
-pub mod live;
 pub mod logic;
 pub mod messages;
 pub mod netdeploy;

@@ -4,9 +4,9 @@
 //! transport backend (DESIGN.md §13).
 //!
 //! [`BrokerCore`] is generic over the peer handle `P` — a simnet
-//! `NodeId`, a live-thread endpoint id, or a `greenps_net` node name —
-//! and performs all I/O through a [`BrokerSink`], the minimal clocked
-//! send interface each runtime implements. The simnet wrapper in
+//! `NodeId` or a `greenps_net` node name — and performs all I/O through
+//! a [`BrokerSink`], the minimal clocked send interface each runtime
+//! implements. The simnet wrapper in
 //! [`crate::broker`] adapts a `Context` to the sink, so the discrete-
 //! event semantics (and every existing test) are bit-identical to the
 //! pre-refactor broker.
@@ -25,7 +25,7 @@ use crate::broker::BrokerConfig;
 /// way to send (possibly delayed) messages to peers.
 ///
 /// `send_after` models the broker's service delay. Backends without a
-/// scheduler (live threads, TCP) may send immediately; the simnet
+/// scheduler (TCP) may send immediately; the simnet
 /// backend maps it onto `Context::send_after` so queueing delays stay
 /// bit-identical with the original in-process broker.
 pub trait BrokerSink<P> {

@@ -1,14 +1,14 @@
 //! Transport-generic deployment: the broker overlay running over any
 //! [`greenps_net::Transport`] backend (DESIGN.md §13).
 //!
-//! Where [`crate::deploy`] wires brokers directly into the simnet
-//! event loop, this harness speaks only the [`Endpoint`] contract:
-//! the same scenario runs bit-for-bit over [`greenps_net::SimTransport`]
+//! This harness speaks only the [`Endpoint`] contract: the same
+//! scenario runs bit-for-bit over [`greenps_net::SimTransport`]
 //! (deterministic, single-threaded) and over
 //! [`greenps_net::TcpTransport`] (real loopback sockets, one accept
-//! loop plus one reader thread per connection). The equivalence test in
-//! `tests/transport_equivalence.rs` holds the two backends to the same
-//! delivery multiset.
+//! loop plus one reader thread per connection) — the latter is how a
+//! planned overlay is executed on OS threads and sockets. The
+//! equivalence test in `tests/transport_equivalence.rs` holds the two
+//! backends to the same delivery multiset.
 //!
 //! The driver is cooperative: one sweep polls every endpoint in a
 //! fixed order, feeding broker messages to each broker's
@@ -29,7 +29,7 @@ use greenps_pubsub::filter::{stock_advertisement, stock_template};
 use greenps_pubsub::ids::{AdvId, BrokerId, ClientId, MsgId, SubId};
 use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_simnet::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -46,8 +46,8 @@ const SWEEP_WAIT: Duration = Duration::from_millis(2);
 /// Errors surfaced by the transport deployment harness.
 #[derive(Debug)]
 pub enum NetDeployError {
-    /// The scenario referenced an unknown broker or used a broker id
-    /// that collides with the client name range.
+    /// The scenario referenced an unknown broker, listed a broker id
+    /// twice, or used one that collides with the client name range.
     BadScenario(String),
     /// A transport operation failed while building the overlay.
     Net(NetError),
@@ -293,17 +293,28 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
     where
         T: Transport<BrokerMsg, Endpoint = E>,
     {
-        let mut brokers = Vec::with_capacity(scenario.brokers.len());
-        let mut addrs: BTreeMap<BrokerId, EndpointAddr> = BTreeMap::new();
+        // Broker ids are checked before any endpoint is opened: a
+        // transport may accept a name twice (TCP reopens it under a
+        // newer epoch), which would wire edges to the wrong endpoint.
+        let mut ids = BTreeSet::new();
         for cfg in &scenario.brokers {
-            let name = cfg.id.raw();
-            if name >= CLIENT_BASE {
+            if cfg.id.raw() >= CLIENT_BASE {
                 return Err(NetDeployError::BadScenario(format!(
                     "broker id {} collides with the client name range",
                     cfg.id
                 )));
             }
-            let ep = transport.open(name)?;
+            if !ids.insert(cfg.id) {
+                return Err(NetDeployError::BadScenario(format!(
+                    "duplicate broker id {}",
+                    cfg.id
+                )));
+            }
+        }
+        let mut brokers = Vec::with_capacity(scenario.brokers.len());
+        let mut addrs: BTreeMap<BrokerId, EndpointAddr> = BTreeMap::new();
+        for cfg in &scenario.brokers {
+            let ep = transport.open(cfg.id.raw())?;
             addrs.insert(cfg.id, ep.addr());
             brokers.push(BrokerNode {
                 id: cfg.id,
@@ -602,7 +613,7 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenps_net::SimTransport;
+    use greenps_net::{SimTransport, TcpTransport};
 
     #[test]
     fn stock_chain_delivers_over_sim_transport() {
@@ -633,14 +644,40 @@ mod tests {
         ));
     }
 
+    fn is_bad_scenario<T: Transport<BrokerMsg>>(mut transport: T, scenario: &NetScenario) -> bool {
+        matches!(
+            NetDeployment::build(&mut transport, scenario),
+            Err(NetDeployError::BadScenario(_))
+        )
+    }
+
     #[test]
     fn bad_broker_id_is_rejected() {
         let mut scenario = NetScenario::stock_chain(1, 1);
         scenario.brokers[0].id = BrokerId::new(1 << 33);
-        let mut transport: SimTransport<BrokerMsg> = SimTransport::new();
-        assert!(matches!(
-            NetDeployment::build(&mut transport, &scenario),
-            Err(NetDeployError::BadScenario(_))
-        ));
+        assert!(is_bad_scenario(SimTransport::new(), &scenario));
+    }
+
+    #[test]
+    fn duplicate_broker_id_is_rejected_on_both_transports() {
+        // Otherwise valid: every edge and client home still resolves.
+        let mut scenario = NetScenario::stock_chain(2, 1);
+        scenario.brokers.push(scenario.brokers[0].clone());
+        assert!(is_bad_scenario(SimTransport::new(), &scenario));
+        assert!(is_bad_scenario(TcpTransport::new(), &scenario));
+    }
+
+    #[test]
+    fn references_to_unknown_brokers_are_rejected() {
+        let ghost = BrokerId::new(77);
+        let mut edge = NetScenario::stock_chain(2, 1);
+        edge.edges.push((BrokerId::new(1), ghost));
+        assert!(is_bad_scenario(SimTransport::new(), &edge));
+        let mut subscriber = NetScenario::stock_chain(2, 1);
+        subscriber.subscribers[1].broker = ghost;
+        assert!(is_bad_scenario(SimTransport::new(), &subscriber));
+        let mut publisher = NetScenario::stock_chain(2, 1);
+        publisher.publishers[0].broker = ghost;
+        assert!(is_bad_scenario(SimTransport::new(), &publisher));
     }
 }

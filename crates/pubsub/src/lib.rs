@@ -8,8 +8,8 @@
 //! filter-based content-based pub/sub system the resource-allocation
 //! algorithms are built on. It is deliberately free of any networking or
 //! timing concerns: brokers (in `greenps-broker`) compose these tables
-//! with the `greenps-simnet` discrete-event runtime or the live threaded
-//! runtime.
+//! with the `greenps-simnet` discrete-event runtime or a `greenps-net`
+//! transport.
 //!
 //! ## Example
 //!

@@ -23,5 +23,7 @@ pub use pipeline::ReconfigPipeline;
 pub use runner::{run_approach, Approach, Outcome, RunConfig};
 pub use scenario::{Scenario, ScenarioBuilder, Topology};
 pub use stock::{symbols, StockSeries};
-pub use topology::{automatic, deploy, from_allocation, from_plan, manual, Placement};
+pub use topology::{
+    automatic, deploy, from_allocation, from_plan, manual, net_scenario, Placement,
+};
 pub use zones::{ZonedSpec, ZonedStreamFeed, DEFAULT_PUBS_PER_ZONE};

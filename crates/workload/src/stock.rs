@@ -65,7 +65,12 @@ impl StockSeries {
         let base_volume = rng.gen_range(1_000..500_000i64);
 
         let mut out = Vec::with_capacity(days);
-        for d in 0..days {
+        // One month name per 28-day block, cycling through the year.
+        let months = MONTHS
+            .iter()
+            .cycle()
+            .flat_map(|m| std::iter::repeat_n(m, 28));
+        for (d, month) in (0..days).zip(months) {
             let z: f64 = {
                 // Box–Muller from two uniforms.
                 let u1: f64 = rng.gen_range(1e-9..1.0);
@@ -81,7 +86,7 @@ impl StockSeries {
             let burst = 1.0 + 8.0 * ((close - open).abs() / open);
             let volume = ((base_volume as f64) * burst * rng.gen_range(0.5..2.0)) as i64;
             let year = 96 + (d / 252) % 30;
-            let date = format!("{}-{}-{}", 1 + d % 28, MONTHS[(d / 28) % 12], year);
+            let date = format!("{}-{}-{}", 1 + d % 28, month, year);
             out.push(DailyQuote {
                 open: round2(open),
                 high: round2(high),

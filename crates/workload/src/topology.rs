@@ -235,7 +235,7 @@ pub fn deploy(scenario: &Scenario, placement: &Placement) -> Deployment {
 /// client homes, with each publisher's stream materialized up front
 /// (`per_publisher` publications from its stock series) so the run can
 /// be replayed identically over any transport backend.
-pub(crate) fn net_scenario(
+pub fn net_scenario(
     scenario: &Scenario,
     placement: &Placement,
     per_publisher: usize,
@@ -243,12 +243,13 @@ pub(crate) fn net_scenario(
     let publishers = scenario
         .stocks
         .iter()
+        .zip(&placement.publisher_homes)
         .enumerate()
-        .map(|(i, stock)| {
+        .map(|(i, (stock, &broker))| {
             let adv = AdvId::new(i as u64 + 1);
             NetPublisher {
                 client: ClientId::new(1_000_000 + i as u64),
-                broker: placement.publisher_homes[i],
+                broker,
                 advertisement: Advertisement::new(adv, stock_advertisement(&stock.symbol)),
                 publications: (0..per_publisher as u64)
                     .map(|m| stock.publication(adv, MsgId::new(m)))
@@ -259,10 +260,10 @@ pub(crate) fn net_scenario(
     let subscribers = scenario
         .subs
         .iter()
-        .enumerate()
-        .map(|(i, sub)| NetSubscriber {
+        .zip(&placement.subscriber_homes)
+        .map(|(sub, &broker)| NetSubscriber {
             client: ClientId::new(2_000_000 + sub.id.raw()),
-            broker: placement.subscriber_homes[i],
+            broker,
             subscription: Subscription::new(sub.id, sub.filter.clone()),
         })
         .collect();
