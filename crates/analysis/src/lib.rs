@@ -10,7 +10,7 @@
 //!   from both `Cargo.toml` declarations and `use greenps_*` imports.
 //! - [`lock_hygiene`] — forbids `std::sync::Mutex`/`RwLock` (the
 //!   workspace standardizes on `parking_lot`) and flags lock guards
-//!   held across crossbeam channel `send`/`recv` in the net crate.
+//!   held across a doorbell `ring` or channel `send`/`recv` in `net`.
 //! - [`attributes`] — requires `#![forbid(unsafe_code)]` and
 //!   `#![deny(missing_docs)]` on every first-party crate root.
 //! - [`determinism`] — forbids unordered `HashMap`/`HashSet` iteration

@@ -5,14 +5,16 @@
 //! 1. First-party crates must use `parking_lot::{Mutex, RwLock}`, never
 //!    `std::sync::{Mutex, RwLock}` — the std variants poison.
 //! 2. In the net crate (the TCP backend's accept/reader threads), a
-//!    lock guard must not be held across a crossbeam channel
-//!    `send`/`recv`: channel peers may block on the same lock, which
-//!    turns a slow consumer into a deadlock.
+//!    lock guard must not be held while waking or waiting for another
+//!    thread: across a doorbell `ring` (the woken driver's first act is
+//!    to take the inbox lock the ringer would still hold) or a channel
+//!    `send`/`recv` (channel peers may block on the same lock, which
+//!    turns a slow consumer into a deadlock).
 //!
 //! Rule 2 is a lexical heuristic: it tracks `let g = ...lock()/read()/
-//! write()...;` bindings per brace depth and flags any `.send(`/
-//! `.recv(`/`.recv_timeout(`/`.try_recv(` before the guard's scope ends
-//! or an explicit `drop(g)`.
+//! write()...;` bindings per brace depth and flags any `.ring(`/
+//! `.send(`/`.recv(`/`.recv_timeout(`/`.try_recv(` before the guard's
+//! scope ends or an explicit `drop(g)`.
 
 use crate::source::{mask, match_brace};
 use crate::{line_of, Finding, SourceFile};
@@ -76,7 +78,7 @@ struct Guard {
 }
 
 const ACQUIRE: [&str; 3] = [".lock", ".read", ".write"];
-const CHANNEL_OPS: [&str; 4] = [".send", ".recv", ".recv_timeout", ".try_recv"];
+const CHANNEL_OPS: [&str; 5] = [".ring", ".send", ".recv", ".recv_timeout", ".try_recv"];
 
 /// True when `masked[at..]` starts a call of `needle` as a full method
 /// name (e.g. `.read()` but not `.read_volatile()`).
@@ -102,7 +104,7 @@ fn method_call_at(masked: &str, at: usize, needle: &str) -> bool {
     bytes.get(j) == Some(&b'(')
 }
 
-/// Rule 2: guard held across a channel operation, per file.
+/// Rule 2: guard held across a doorbell or channel operation, per file.
 ///
 /// Scans net-crate library code. Returns `(guard, channel op)`
 /// findings.
@@ -197,7 +199,7 @@ pub fn scan_file(path: &str, content: &str) -> Vec<Finding> {
                                 path: path.to_string(),
                                 line: line_of(content, i),
                                 message: format!(
-                                    "lock guard `{}` (acquired line {}) held across `{}` — drop it before touching the channel",
+                                    "lock guard `{}` (acquired line {}) held across `{}` — drop it first",
                                     g.name, g.line, &op[1..]
                                 ),
                             });
@@ -299,6 +301,16 @@ mod tests {
         // The broker crate holds no lock and no channel; it is not scanned.
         let files = [SourceFile::new("crates/broker/src/netdeploy.rs", src)];
         assert!(check_guard_across_channel(&files).is_empty());
+    }
+
+    #[test]
+    fn ringing_the_doorbell_under_the_inbox_lock_fires() {
+        let held = "fn deliver(&self) {\n    let mut events = self.events.lock();\n    events.append(batch);\n    self.bell.ring();\n}\n";
+        let got = scan_file("crates/net/src/tcp.rs", held);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].message.contains("`events`") && got[0].message.contains("`ring`"));
+        let released = "fn deliver(&self) {\n    let was_empty = {\n        let mut events = self.events.lock();\n        events.is_empty()\n    };\n    self.bell.ring();\n}\n";
+        assert!(scan_file("crates/net/src/tcp.rs", released).is_empty());
     }
 
     #[test]

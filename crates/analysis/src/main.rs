@@ -49,7 +49,7 @@ const LINTS: [&str; 7] = [
     "telemetry-schema",
 ];
 
-const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  panic-freedom     unwrap/expect/panic!/indexing in runtime library code\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across channel ops\n  attributes        forbid(unsafe_code) + deny(missing_docs) on crate roots\n  determinism       HashMap/HashSet iteration + wall clocks in deterministic crates\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  panic-reach       pub APIs that can transitively reach a panic site (tracked)\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cast-safety       potentially truncating/wrapping `as` casts in library code\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default), json, or sarif";
+const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  panic-freedom     unwrap/expect/panic!/indexing in runtime library code\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across doorbell/channel ops\n  attributes        forbid(unsafe_code) + deny(missing_docs) on crate roots\n  determinism       HashMap/HashSet iteration + wall clocks in deterministic crates\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  panic-reach       pub APIs that can transitively reach a panic site (tracked)\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cast-safety       potentially truncating/wrapping `as` casts in library code\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default), json, or sarif";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {

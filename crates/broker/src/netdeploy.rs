@@ -10,15 +10,23 @@
 //! equivalence test in `tests/transport_equivalence.rs` holds the two
 //! backends to the same delivery multiset.
 //!
-//! The driver is cooperative: one sweep polls every endpoint in a
-//! fixed order, feeding broker messages to each broker's
-//! [`BrokerCore`] through a [`BrokerSink`] that sends over the
-//! endpoint. Service delays (`send_after`) are collapsed to immediate
-//! sends — on a real transport the queueing happens in the kernel and
-//! the reader threads, not in a simulated service queue. The run polls
-//! a [`CancelToken`] between sweeps so a cancelled reconfiguration
-//! tears the overlay down within one sweep plus the transport's
-//! internal poll interval.
+//! The driver is cooperative and single-threaded on both backends. One
+//! *sweep* gives every endpoint a turn in a fixed order — the brokers,
+//! round after round until none of them has input, then the clients —
+//! feeding each broker's [`BrokerCore`] through a [`BrokerSink`] that
+//! enqueues on the endpoint, and flushing a broker once per turn, so
+//! what it produced for one peer goes out as one run of frames. Service
+//! delays (`send_after`) are collapsed to immediate sends: on a real
+//! transport the queueing happens in the kernel and the reader threads.
+//!
+//! It is a closed loop bounded by a window (DESIGN.md §13.5). The
+//! driver counts frames in flight: plus one per message an endpoint
+//! accepted (from `build`'s hellos on), minus one per message `poll`
+//! handed back. Publishers take turns publishing while fewer than
+//! `WINDOW` are in flight; the overlay is quiescent when none are, so
+//! no timer is waited out. Frames still in flight after `STALL_SWEEPS`
+//! silent sweeps were written to a session that died and are reported
+//! as failed sends. A [`CancelToken`] is polled between sweeps.
 
 use crate::broker::BrokerConfig;
 use crate::logic::{BrokerCore, BrokerSink};
@@ -36,12 +44,26 @@ use std::time::{Duration, Instant};
 /// Client endpoint names start here; broker names are their raw ids.
 const CLIENT_BASE: NodeName = 1 << 32;
 
-/// How many consecutive event-free sweeps mean "the overlay is idle".
-const IDLE_SWEEPS: u32 = 8;
+/// Publishers publish while fewer frames than this are in flight: big
+/// enough that every socket write and read carries a run of frames,
+/// small enough that sockets and inboxes hold a few kilobytes. Measured
+/// on `tcp_chain` (deliveries/s): 1 → 56k, 8 → 179k, 32 → 237k, 64 →
+/// 256k, 256 → 254k, 1 024 → 247k (peak RSS 68 → 79 MiB): flat from 64.
+const WINDOW: u64 = 64;
 
-/// Per-endpoint poll wait during a drain sweep. Zero would busy-spin
-/// on threaded transports; the sim backend ignores it entirely.
-const SWEEP_WAIT: Duration = Duration::from_millis(2);
+/// How long the one blocking `poll` of a sweep may wait. The transport
+/// ends the wait when any endpoint has input, so this only sets how
+/// soon a silent overlay looks at the cancel token again (the sim
+/// backend ignores it). Measured on `tcp_chain`: 20 ms and 200 ms are
+/// the same, 2 ms is 5 % and 1 ms 8 % slower — a timer due before the
+/// next scheduler tick costs more to arm and disarm.
+const SWEEP_WAIT: Duration = Duration::from_millis(20);
+
+/// This many sweeps in a row that waited and got nothing, with frames
+/// in flight, end the drain: on loopback a frame arrives in
+/// microseconds, so half a second of silence means a dead session. A
+/// healthy overlay never gets to the second such sweep.
+const STALL_SWEEPS: u32 = 25;
 
 /// Errors surfaced by the transport deployment harness.
 #[derive(Debug)]
@@ -81,7 +103,7 @@ impl From<NetError> for NetDeployError {
 }
 
 /// A publisher in a [`NetScenario`]: attaches at `broker`, advertises
-/// once, then publishes its pre-generated publications in rounds.
+/// once, then publishes its pre-generated publications in turns.
 #[derive(Debug, Clone)]
 pub struct NetPublisher {
     /// Client identity sent in the hello.
@@ -90,7 +112,7 @@ pub struct NetPublisher {
     pub broker: BrokerId,
     /// The advertisement registered before publishing.
     pub advertisement: Advertisement,
-    /// Publications, published one per round in order.
+    /// Publications, published in order, one per turn.
     pub publications: Vec<Publication>,
 }
 
@@ -192,8 +214,14 @@ pub struct NetDeployReport {
     pub mean_hops: Option<f64>,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
-    /// Sends that failed because a session was lost mid-run.
+    /// Sends that failed because a session was lost mid-run: refused
+    /// by a broker's or a publisher's endpoint, failed at a flush, or
+    /// accepted and still in flight when the drain gave up on them.
     pub send_errors: u64,
+    /// The most frames in flight at once. While publishing, at most the
+    /// window times the widest front of frames one publication has in
+    /// the overlay at a time, whatever the number of publications.
+    pub max_in_flight: u64,
 }
 
 impl NetDeployReport {
@@ -217,7 +245,31 @@ struct BrokerNode<E> {
     id: BrokerId,
     ep: E,
     core: BrokerCore<NodeName>,
+}
+
+/// The deployment's count of frames on their way.
+#[derive(Default)]
+struct Traffic {
+    in_flight: u64,
+    max_in_flight: u64,
     send_errors: u64,
+}
+
+impl Traffic {
+    /// The outcome of one `enqueue`/`send`.
+    fn sent<T>(&mut self, outcome: &Result<T, NetError>) {
+        if outcome.is_ok() {
+            self.in_flight += 1;
+            self.max_in_flight = self.max_in_flight.max(self.in_flight);
+        } else {
+            self.send_errors += 1;
+        }
+    }
+
+    /// One `NetEvent::Msg` came out of a `poll`.
+    fn received(&mut self) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+    }
 }
 
 struct SubscriberNode<E> {
@@ -242,14 +294,14 @@ struct PublisherNode<E> {
     next: usize,
 }
 
-/// Sink mapping [`BrokerCore`] output onto a transport endpoint.
-///
+/// Sink mapping [`BrokerCore`] output onto a transport endpoint: `send`
+/// enqueues and the sweep flushes once the broker's turn is over.
 /// `send_after` sends immediately: service-queue modelling belongs to
 /// the simulator; on a live transport the only delays are real ones.
 struct NetSink<'a, E> {
     ep: &'a mut E,
     now: SimTime,
-    send_errors: &'a mut u64,
+    traffic: &'a mut Traffic,
 }
 
 impl<E: Endpoint<BrokerMsg>> BrokerSink<NodeName> for NetSink<'_, E> {
@@ -258,14 +310,17 @@ impl<E: Endpoint<BrokerMsg>> BrokerSink<NodeName> for NetSink<'_, E> {
     }
 
     fn send(&mut self, to: NodeName, msg: BrokerMsg) {
-        if self.ep.send(to, &msg).is_err() {
-            *self.send_errors += 1;
-        }
+        self.traffic.sent(&self.ep.enqueue(to, &msg));
     }
 
     fn send_after(&mut self, _delay: greenps_simnet::SimDuration, to: NodeName, msg: BrokerMsg) {
         self.send(to, msg);
     }
+}
+
+/// Microseconds since `start`, as the driver's clock.
+fn clock(start: Instant) -> SimTime {
+    SimTime::from_micros(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX))
 }
 
 /// A broker overlay deployed over an arbitrary transport backend.
@@ -282,6 +337,9 @@ pub struct NetDeployment<E> {
     hops_sum: u64,
     start: Instant,
     published: u64,
+    traffic: Traffic,
+    /// Whose turn it is to publish.
+    turn: usize,
 }
 
 impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
@@ -320,7 +378,6 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                 id: cfg.id,
                 ep,
                 core: BrokerCore::new(cfg.clone()),
-                send_errors: 0,
             });
         }
         let addr_of = |id: BrokerId| {
@@ -348,40 +405,35 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
             let peer_a = node.ep.connect(&addr_a)?;
             node.core.add_broker_neighbor(peer_a);
         }
+        // A client: a fresh endpoint dialed into its home broker, its
+        // two hellos sent — frames in flight until the broker polls them.
         let mut next_client = CLIENT_BASE;
-        let mut fresh = || {
-            let name = next_client;
+        let mut traffic = Traffic::default();
+        let mut attach = |home: BrokerId, client: ClientId, request: BrokerMsg| {
+            let addr = addr_of(home)?;
+            let mut ep = transport.open(next_client)?;
             next_client += 1;
-            name
+            let broker_name = ep.connect(&addr)?;
+            for msg in [BrokerMsg::ClientHello { client }, request] {
+                let sent = ep.send(broker_name, &msg);
+                traffic.sent(&sent);
+                sent?;
+            }
+            Ok::<_, NetDeployError>((ep, broker_name))
         };
         let mut subscribers = Vec::with_capacity(scenario.subscribers.len());
         for sub in &scenario.subscribers {
-            let addr = addr_of(sub.broker)?;
-            let mut ep = transport.open(fresh())?;
-            let broker_name = ep.connect(&addr)?;
-            ep.send(broker_name, &BrokerMsg::ClientHello { client: sub.client })?;
-            ep.send(broker_name, &BrokerMsg::Subscribe(sub.subscription.clone()))?;
+            let request = BrokerMsg::Subscribe(sub.subscription.clone());
             subscribers.push(SubscriberNode {
                 client: sub.client,
                 broker: sub.broker,
-                ep,
+                ep: attach(sub.broker, sub.client, request)?.0,
             });
         }
         let mut publishers = Vec::with_capacity(scenario.publishers.len());
         for publisher in &scenario.publishers {
-            let addr = addr_of(publisher.broker)?;
-            let mut ep = transport.open(fresh())?;
-            let broker_name = ep.connect(&addr)?;
-            ep.send(
-                broker_name,
-                &BrokerMsg::ClientHello {
-                    client: publisher.client,
-                },
-            )?;
-            ep.send(
-                broker_name,
-                &BrokerMsg::Advertise(publisher.advertisement.clone()),
-            )?;
+            let request = BrokerMsg::Advertise(publisher.advertisement.clone());
+            let (ep, broker_name) = attach(publisher.broker, publisher.client, request)?;
             publishers.push(PublisherNode {
                 broker_name,
                 ep,
@@ -397,135 +449,158 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
             hops_sum: 0,
             start: Instant::now(),
             published: 0,
+            traffic,
+            turn: 0,
         })
     }
 
-    /// Driver-clock "now": microseconds since the deployment was built.
-    fn now(&self) -> SimTime {
-        let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        SimTime::from_micros(us)
-    }
-
-    /// Polls every endpoint once, dispatching what arrives. Returns
-    /// the number of events processed.
-    fn sweep(&mut self, wait: Duration) -> usize {
-        let now = {
-            let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            SimTime::from_micros(us)
-        };
+    /// Dispatches what has arrived, in a fixed order: the brokers take
+    /// turns, each flushed after its turn, until a whole round of them
+    /// finds nothing (so a frame one broker sends another is handled in
+    /// this sweep whichever of them comes first); then the subscribers,
+    /// then the publishers. Only the first `poll` may block, for up to
+    /// `wait`. Returns the number of events processed.
+    fn sweep(&mut self, mut wait: Duration) -> usize {
+        let now = clock(self.start);
         let mut processed = 0;
-        for node in &mut self.brokers {
-            while let Some(ev) = node
-                .ep
-                .poll(if processed == 0 { wait } else { Duration::ZERO })
-            {
-                processed += 1;
-                match ev {
+        loop {
+            let before = processed;
+            for node in &mut self.brokers {
+                while let Some(ev) = node.ep.poll(std::mem::take(&mut wait)) {
+                    processed += 1;
                     // Accepted sessions and closes only adjust the
                     // endpoint's internal session table.
-                    NetEvent::Session { .. } | NetEvent::Closed { .. } => {}
-                    NetEvent::Msg { from, msg } => {
-                        let mut sink = NetSink {
-                            ep: &mut node.ep,
-                            now,
-                            send_errors: &mut node.send_errors,
-                        };
-                        node.core.on_message(&mut sink, from, msg);
-                    }
+                    let NetEvent::Msg { from, msg } = ev else {
+                        continue;
+                    };
+                    self.traffic.received();
+                    let mut sink = NetSink {
+                        ep: &mut node.ep,
+                        now,
+                        traffic: &mut self.traffic,
+                    };
+                    node.core.on_message(&mut sink, from, msg);
+                }
+                if node.ep.flush().is_err() {
+                    self.traffic.send_errors += 1;
                 }
             }
+            if processed == before {
+                break;
+            }
         }
+        // Receipts are stamped after the brokers' work, not when the
+        // sweep began: what a subscriber finds now was routed since.
+        let received_at = clock(self.start).as_micros();
         // Room for one delivery per subscriber per sweep; beyond that the
         // log grows amortised.
         self.deliveries.reserve(self.subscribers.len());
         for (subscriber, sub) in self.subscribers.iter_mut().enumerate() {
             while let Some(ev) = sub.ep.poll(Duration::ZERO) {
                 processed += 1;
-                if let NetEvent::Msg {
-                    msg: BrokerMsg::Publication(env),
-                    ..
-                } = ev
-                {
+                let NetEvent::Msg { msg, .. } = ev else {
+                    continue;
+                };
+                self.traffic.received();
+                if let BrokerMsg::Publication(env) = msg {
                     self.deliveries.push(Delivery {
                         subscriber,
                         adv: env.publication.adv_id.raw(),
                         msg: env.publication.msg_id.raw(),
-                        latency_us: now.as_micros().saturating_sub(env.published_at.as_micros()),
+                        latency_us: received_at.saturating_sub(env.published_at.as_micros()),
                     });
                     self.hops_sum += u64::from(env.hops);
                 }
             }
         }
         for publisher in &mut self.publishers {
-            while publisher.ep.poll(Duration::ZERO).is_some() {
+            while let Some(ev) = publisher.ep.poll(Duration::ZERO) {
                 processed += 1;
+                if matches!(ev, NetEvent::Msg { .. }) {
+                    self.traffic.received();
+                }
             }
         }
         processed
     }
 
-    /// Sweeps until `IDLE_SWEEPS` consecutive sweeps observe nothing,
-    /// honoring cancellation between sweeps.
-    fn drain(&mut self, cancel: &CancelToken) -> Result<(), NetDeployError> {
-        let mut idle = 0;
-        while idle < IDLE_SWEEPS {
+    /// Publishers publish one publication each in turn until the window
+    /// is full or every stream is exhausted, then flush. A publication
+    /// the endpoint refuses is spent: a send error, not `published`.
+    fn publish(&mut self) {
+        let mut exhausted = 0;
+        while self.traffic.in_flight < WINDOW && exhausted < self.publishers.len() {
+            let turn = self.turn;
+            self.turn = (turn + 1) % self.publishers.len();
+            let Some(publisher) = self.publishers.get_mut(turn) else {
+                break;
+            };
+            let Some(p) = publisher.publications.get(publisher.next) else {
+                exhausted += 1;
+                continue;
+            };
+            exhausted = 0;
+            publisher.next += 1;
+            let env = PubEnvelope::new(p.clone(), clock(self.start));
+            let sent = publisher
+                .ep
+                .enqueue(publisher.broker_name, &BrokerMsg::Publication(env));
+            self.published += u64::from(sent.is_ok());
+            self.traffic.sent(&sent);
+        }
+        for publisher in &mut self.publishers {
+            if publisher.ep.flush().is_err() {
+                self.traffic.send_errors += 1;
+            }
+        }
+    }
+
+    /// Sweeps until nothing is in flight — with `publishing`, topping the
+    /// window up before every sweep, so until every publication has been
+    /// published and has arrived. Polls `cancel` between sweeps; frames
+    /// silent for `STALL_SWEEPS` sweeps are written off as send errors.
+    fn drain(&mut self, cancel: &CancelToken, publishing: bool) -> Result<(), NetDeployError> {
+        let mut silent = 0;
+        loop {
             if cancel.is_cancelled_hot() {
                 return Err(NetDeployError::Cancelled);
             }
-            if self.sweep(SWEEP_WAIT) == 0 {
-                idle += 1;
-            } else {
-                idle = 0;
+            if publishing {
+                self.publish();
+            }
+            if self.traffic.in_flight == 0 {
+                return Ok(());
+            }
+            if self.sweep(SWEEP_WAIT) > 0 {
+                silent = 0;
+                continue;
+            }
+            silent += 1;
+            if silent == STALL_SWEEPS {
+                self.traffic.send_errors += std::mem::take(&mut self.traffic.in_flight);
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     /// Runs the scenario to completion: settles the control plane,
-    /// publishes every publication in rounds (one per publisher per
-    /// sweep), drains the overlay and tears it down.
+    /// publishes every publication under the window, drains the overlay
+    /// and tears it down.
     ///
     /// Fails with [`NetDeployError::Cancelled`] as soon as `cancel`
     /// trips; endpoints are shut down before returning either way.
     pub fn run(mut self, cancel: &CancelToken) -> Result<NetDeployReport, NetDeployError> {
         let outcome = self.run_inner(cancel);
         self.shutdown();
-        let report = outcome?;
-        Ok(report)
+        outcome
     }
 
     fn run_inner(&mut self, cancel: &CancelToken) -> Result<NetDeployReport, NetDeployError> {
         // Control plane: hellos, subscriptions and advertisements are
         // already in flight from `build`; let them propagate fully so
         // routing state is identical on every backend before traffic.
-        self.drain(cancel)?;
-        loop {
-            if cancel.is_cancelled_hot() {
-                return Err(NetDeployError::Cancelled);
-            }
-            let mut sent_any = false;
-            let now = self.now();
-            for publisher in &mut self.publishers {
-                let Some(p) = publisher.publications.get(publisher.next) else {
-                    continue;
-                };
-                let env = PubEnvelope::new(p.clone(), now);
-                if publisher
-                    .ep
-                    .send(publisher.broker_name, &BrokerMsg::Publication(env))
-                    .is_ok()
-                {
-                    self.published += 1;
-                }
-                publisher.next += 1;
-                sent_any = true;
-            }
-            if !sent_any {
-                break;
-            }
-            self.sweep(Duration::ZERO);
-        }
-        self.drain(cancel)?;
+        self.drain(cancel, false)?;
+        self.drain(cancel, true)?;
         Ok(self.report())
     }
 
@@ -593,7 +668,8 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                 Some(hops_sum as f64 / delivered as f64)
             },
             elapsed: self.start.elapsed(),
-            send_errors: self.brokers.iter().map(|b| b.send_errors).sum(),
+            send_errors: self.traffic.send_errors,
+            max_in_flight: self.traffic.max_in_flight,
         }
     }
 
@@ -614,6 +690,8 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
 mod tests {
     use super::*;
     use greenps_net::{SimTransport, TcpTransport};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn stock_chain_delivers_over_sim_transport() {
@@ -642,6 +720,215 @@ mod tests {
             deployment.run(&cancel),
             Err(NetDeployError::Cancelled)
         ));
+    }
+
+    #[test]
+    fn a_publisher_whose_sends_fail_reports_every_one_of_them() {
+        let scenario = NetScenario::stock_chain(2, 30);
+        let mut transport: SimTransport<BrokerMsg> = SimTransport::new();
+        let mut deployment = NetDeployment::build(&mut transport, &scenario).expect("build");
+        let cancel = CancelToken::new();
+        deployment.drain(&cancel, false).expect("control plane");
+        // The publisher's session to its home broker is gone.
+        deployment.publishers[0].ep.shutdown();
+        deployment.drain(&cancel, true).expect("publishing");
+        let report = deployment.report();
+        assert_eq!(report.published, 0);
+        assert_eq!(report.send_errors, 30);
+        assert_eq!(report.total_delivered(), 0);
+    }
+
+    /// What the probe endpoints of one deployment saw.
+    #[derive(Default)]
+    struct ProbeLog {
+        /// When a broker endpoint was last polled.
+        last_broker_poll: Option<Instant>,
+        /// For every publication a client endpoint handed over, in
+        /// order: its publisher's stamp, and `last_broker_poll` then.
+        receipts: Vec<(SimTime, Instant)>,
+    }
+
+    /// An endpoint that logs when it is polled and can be told to shut
+    /// down in the middle of a run.
+    struct Probe<E> {
+        inner: E,
+        log: Rc<RefCell<ProbeLog>>,
+        /// Shuts down when asked for the publication after this many.
+        quits_after: Option<usize>,
+        publications: usize,
+    }
+
+    impl<E: Endpoint<BrokerMsg>> Endpoint<BrokerMsg> for Probe<E> {
+        fn node(&self) -> NodeName {
+            self.inner.node()
+        }
+        fn addr(&self) -> EndpointAddr {
+            self.inner.addr()
+        }
+        fn connect(&mut self, addr: &EndpointAddr) -> Result<NodeName, NetError> {
+            self.inner.connect(addr)
+        }
+        fn enqueue(&mut self, peer: NodeName, msg: &BrokerMsg) -> Result<(), NetError> {
+            self.inner.enqueue(peer, msg)
+        }
+        fn flush(&mut self) -> Result<(), NetError> {
+            self.inner.flush()
+        }
+        fn poll(&mut self, wait: Duration) -> Option<NetEvent<BrokerMsg>> {
+            let is_broker = self.node() < CLIENT_BASE;
+            if is_broker {
+                self.log.borrow_mut().last_broker_poll = Some(Instant::now());
+            }
+            if self.quits_after == Some(self.publications) {
+                self.inner.shutdown();
+            }
+            let ev = self.inner.poll(wait)?;
+            if let NetEvent::Msg {
+                msg: BrokerMsg::Publication(env),
+                ..
+            } = &ev
+            {
+                self.publications += 1;
+                let mut log = self.log.borrow_mut();
+                if let (false, Some(at)) = (is_broker, log.last_broker_poll) {
+                    log.receipts.push((env.published_at, at));
+                }
+            }
+            Some(ev)
+        }
+        fn shutdown(&mut self) {
+            self.inner.shutdown();
+        }
+    }
+
+    /// Opens [`Probe`]s over the endpoints of `inner`; the endpoint
+    /// named `doomed.0` quits after `doomed.1` publications.
+    struct Probed<T> {
+        inner: T,
+        log: Rc<RefCell<ProbeLog>>,
+        doomed: Option<(NodeName, usize)>,
+    }
+
+    impl<T> Probed<T> {
+        fn new(inner: T) -> Self {
+            Self {
+                inner,
+                log: Rc::default(),
+                doomed: None,
+            }
+        }
+    }
+
+    impl<T: Transport<BrokerMsg>> Transport<BrokerMsg> for Probed<T> {
+        type Endpoint = Probe<T::Endpoint>;
+
+        fn open(&mut self, node: NodeName) -> Result<Self::Endpoint, NetError> {
+            Ok(Probe {
+                inner: self.inner.open(node)?,
+                log: Rc::clone(&self.log),
+                quits_after: self.doomed.filter(|d| d.0 == node).map(|d| d.1),
+                publications: 0,
+            })
+        }
+    }
+
+    /// Over the sim transport a publication is published, routed down
+    /// the chain and received inside one sweep, so a receipt stamped
+    /// with the time the sweep began would precede the routing.
+    #[test]
+    fn receipts_are_stamped_after_the_brokers_have_worked() {
+        let scenario = NetScenario::stock_chain(3, 40);
+        let mut transport = Probed::new(SimTransport::new());
+        let mut deployment = NetDeployment::build(&mut transport, &scenario).expect("build");
+        let start = deployment.start;
+        deployment.run_inner(&CancelToken::new()).expect("run");
+        let log = transport.log.borrow();
+        assert_eq!(deployment.deliveries.len(), 120);
+        assert_eq!(log.receipts.len(), 120);
+        // The deployment's log and the probes' are in the same order.
+        for (delivery, (published_at, brokers_polled)) in
+            deployment.deliveries.iter().zip(&log.receipts)
+        {
+            let published_at = published_at.as_micros();
+            let brokers_polled = brokers_polled.duration_since(start).as_micros() as u64;
+            let received_at = published_at + delivery.latency_us;
+            assert!(published_at <= brokers_polled);
+            assert!(
+                received_at >= brokers_polled,
+                "received at {received_at} us, brokers still at work at {brokers_polled} us"
+            );
+        }
+    }
+
+    #[test]
+    fn an_idle_overlay_over_tcp_settles_by_count() {
+        let scenario = NetScenario::stock_chain(4, 0);
+        let mut deployment =
+            NetDeployment::build(&mut TcpTransport::new(), &scenario).expect("build");
+        // Two hellos per client are on their way already.
+        assert_eq!(deployment.traffic.in_flight, 10);
+        let report = deployment.run_inner(&CancelToken::new()).expect("run");
+        assert_eq!(deployment.traffic.in_flight, 0);
+        assert_eq!((report.published, report.send_errors), (0, 0));
+        assert!(report.max_in_flight >= 10);
+        // Counted quiescent, neither slept through idle sweeps nor
+        // given up on.
+        assert!(report.elapsed < SWEEP_WAIT * STALL_SWEEPS);
+    }
+
+    /// The subscriber at the head broker goes away after its tenth
+    /// publication with more already on their way to it: the run must
+    /// end, and every publication it did not get must be accounted for.
+    fn lose_a_subscriber_mid_run<T: Transport<BrokerMsg>>(inner: T) -> (NetDeployReport, u64) {
+        let scenario = NetScenario::stock_chain(3, 300);
+        let mut transport = Probed::new(inner);
+        transport.doomed = Some((CLIENT_BASE, 10));
+        let deployment = NetDeployment::build(&mut transport, &scenario).expect("build");
+        let report = deployment.run(&CancelToken::new()).expect("run");
+        assert_eq!(report.published, 300);
+        let doomed = scenario.subscribers[0].client;
+        for (client, got) in &report.deliveries {
+            assert_eq!(got.len(), if *client == doomed { 10 } else { 300 });
+        }
+        let unaccounted = 290u64.saturating_sub(report.send_errors);
+        (report, unaccounted)
+    }
+
+    #[test]
+    fn a_subscriber_lost_mid_run_ends_the_drain_through_the_stall_bound() {
+        // Sim: the rest of the window is in its mailbox when it quits
+        // (written off when the drain gives up), everything later is
+        // refused at `enqueue`. Exactly one send error per publication.
+        let (report, unaccounted) = lose_a_subscriber_mid_run(SimTransport::new());
+        assert_eq!(report.send_errors, 290);
+        assert_eq!(unaccounted, 0);
+        // TCP: the same, except that a write to the dead session may
+        // fail as well as its frames going missing.
+        let (_, unaccounted) = lose_a_subscriber_mid_run(TcpTransport::new());
+        assert_eq!(unaccounted, 0);
+    }
+
+    fn window_bounds_in_flight<T: Transport<BrokerMsg>>(mut transport: T) {
+        let scenario = NetScenario::stock_chain(4, 2_000);
+        let report = NetDeployment::build(&mut transport, &scenario)
+            .and_then(|d| d.run(&CancelToken::new()))
+            .expect("build and run");
+        assert_eq!(report.total_delivered(), 8_000);
+        // A publication has at most four frames in the chain at once:
+        // one per subscriber it has reached and not yet been polled by,
+        // plus the one still travelling down.
+        assert!(report.max_in_flight >= WINDOW);
+        assert!(
+            report.max_in_flight <= WINDOW * 4,
+            "{} frames in flight",
+            report.max_in_flight
+        );
+    }
+
+    #[test]
+    fn in_flight_stays_within_the_window_times_one_publications_front() {
+        window_bounds_in_flight(SimTransport::new());
+        window_bounds_in_flight(TcpTransport::new());
     }
 
     fn is_bad_scenario<T: Transport<BrokerMsg>>(mut transport: T, scenario: &NetScenario) -> bool {

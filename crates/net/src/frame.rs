@@ -19,15 +19,34 @@
 //! from the older session (DESIGN.md §13.3). Frames larger than
 //! [`MAX_FRAME_LEN`] are rejected before any buffer grows, so a
 //! corrupt or hostile length prefix cannot balloon memory.
+//!
+//! Frames move in runs: a sender appends frame after frame to one
+//! buffer ([`begin_frame`]/[`end_frame`]) and writes the run at once; a
+//! `Reassembler` cuts every complete frame out of whatever one read
+//! brought. Neither needs a socket to be tested.
 
 use std::io::{self, Read, Write};
 
 /// Protocol magic: "GPN1" — greenps net, wire format 1.
 pub const MAGIC: [u8; 4] = *b"GPN1";
 
-/// Hard ceiling on one frame's payload. The largest legitimate frame
-/// is a full-overlay BIA aggregate, far below this bound.
-pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+/// Hard ceiling on one frame's payload, and so on every receiver's
+/// reassembly buffer. The largest frame the workspace encodes is the
+/// root BIA of a gather: 2 039 707 bytes for the 4 000 subscriptions
+/// and 80 brokers of the benchmark's `reconfigure` workload (≈ 510
+/// bytes per profiled subscription; the zoned tests gather a few
+/// hundred). 16 MiB is the next power of two with at least 4× headroom
+/// over that (8.2×).
+pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+
+/// Size of a frame's length prefix, in bytes.
+const PREFIX_LEN: usize = 4;
+
+/// What a [`Reassembler`] reads at a time: room for the run of frames
+/// one window of the deployment driver puts on a connection (≈ 17 KiB).
+/// Measured on `tcp_chain`: 64 KiB and 256 KiB give the same
+/// throughput, 16 KiB and 4 KiB cut a run in two and are 5–6 % slower.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Size of the fixed hello exchanged on connect, in bytes.
 pub const HELLO_LEN: usize = 17;
@@ -109,71 +128,118 @@ pub fn read_hello(r: &mut impl Read) -> Result<Hello, FrameError> {
     Ok(Hello { node, epoch })
 }
 
-/// Writes one `[u32 length][payload]` frame from an already-encoded
-/// scratch buffer. The scratch buffer must start with four reserved
-/// bytes (see [`begin_frame`]) which this call patches with the
-/// payload length — the whole frame then goes out in a single
-/// `write_all`, and the steady-state send path performs no allocation.
-pub fn write_frame(w: &mut impl Write, scratch: &mut [u8]) -> Result<(), FrameError> {
-    let payload = scratch.len().saturating_sub(4);
-    if payload > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(
-            u32::try_from(payload).unwrap_or(u32::MAX),
-        ));
-    }
+/// Opens a frame at the end of `out`: reserves the four length-prefix
+/// bytes that [`end_frame`] patches and returns where the frame starts.
+/// The payload is then encoded straight into `out`, behind any frames
+/// already waiting there, so the send path performs no allocation.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0]);
+    start
+}
+
+/// Closes the frame opened at `start` by patching its length prefix.
+/// A payload over [`MAX_FRAME_LEN`] is refused, not truncated: the
+/// frame is cut back out of `out` and what was there before stays.
+pub fn end_frame(out: &mut Vec<u8>, start: usize) -> Result<(), FrameError> {
+    let payload = out.len().saturating_sub(start.saturating_add(PREFIX_LEN));
     let len = u32::try_from(payload).unwrap_or(u32::MAX);
-    if let Some(prefix) = scratch.get_mut(..4) {
+    if payload > MAX_FRAME_LEN {
+        out.truncate(start);
+        return Err(FrameError::Oversized(len));
+    }
+    if let Some(prefix) = out.get_mut(start..start.saturating_add(PREFIX_LEN)) {
         prefix.copy_from_slice(&len.to_le_bytes());
     }
-    w.write_all(scratch)?;
     Ok(())
 }
 
-/// Resets a scratch buffer for frame encoding: clears it and reserves
-/// the four length-prefix bytes that [`write_frame`] patches.
-pub fn begin_frame(scratch: &mut Vec<u8>) {
-    scratch.clear();
-    scratch.extend_from_slice(&[0, 0, 0, 0]);
+/// Cuts frames out of a byte stream that arrives in arbitrary pieces:
+/// `fill` reads whatever the stream has into the free tail of one
+/// buffer, `next_frame` hands out every complete payload in it as a
+/// slice of that buffer. The buffer starts at [`READ_BUF_LEN`], grows
+/// only to hold one frame whose length prefix has passed the
+/// [`MAX_FRAME_LEN`] check, and shrinks back once that frame is consumed.
+pub(crate) struct Reassembler {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
 }
 
-/// Reads one frame payload into `buf` (cleared and resized in place).
-/// Returns `Ok(false)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameError> {
-    let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes)? {
-        return Ok(false);
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    let n = usize::try_from(len).unwrap_or(usize::MAX);
-    if n > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    buf.clear();
-    buf.resize(n, 0);
-    r.read_exact(buf)?;
-    Ok(true)
-}
-
-/// Like `read_exact`, but a clean EOF before the first byte returns
-/// `Ok(false)` instead of an error.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let slot = buf.get_mut(filled..).unwrap_or(&mut []);
-        match r.read(slot) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+impl Reassembler {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; READ_BUF_LEN],
+            head: 0,
+            tail: 0,
         }
     }
-    Ok(true)
+
+    /// The payload length announced by the prefix at `head`, once all
+    /// four of its bytes have arrived.
+    fn announced(&self) -> Result<Option<usize>, FrameError> {
+        let prefix = self
+            .buf
+            .get(self.head..self.tail)
+            .and_then(|b| b.first_chunk::<PREFIX_LEN>());
+        let Some(prefix) = prefix else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        match usize::try_from(len) {
+            Ok(n) if n <= MAX_FRAME_LEN => Ok(Some(n)),
+            _ => Err(FrameError::Oversized(len)),
+        }
+    }
+
+    /// One `read` from `r` into the free tail of the buffer; `Ok(0)` is
+    /// end of stream. Call it when `next_frame` has returned `Ok(None)`.
+    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        // Make room: whatever is left is one partial frame.
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        // An oversized prefix is `next_frame`'s to report: never grow.
+        let need = match self.announced() {
+            Ok(Some(n)) => n.saturating_add(PREFIX_LEN),
+            Ok(None) | Err(_) => 0,
+        };
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
+        } else if self.tail == 0 && self.buf.len() > READ_BUF_LEN {
+            self.buf.truncate(READ_BUF_LEN);
+            self.buf.shrink_to_fit();
+        }
+        let n = match self.buf.get_mut(self.tail..) {
+            Some(free) => r.read(free)?,
+            None => 0,
+        };
+        self.tail = self.tail.saturating_add(n).min(self.buf.len());
+        Ok(n)
+    }
+
+    /// The next complete payload, `Ok(None)` when the buffer holds only
+    /// part of a frame, or [`FrameError::Oversized`] as soon as a length
+    /// prefix over [`MAX_FRAME_LEN`] is seen.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        let Some(len) = self.announced()? else {
+            return Ok(None);
+        };
+        let start = self.head.saturating_add(PREFIX_LEN);
+        let end = start.saturating_add(len);
+        if end > self.tail {
+            return Ok(None);
+        }
+        self.head = end;
+        Ok(self.buf.get(start..end))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hello_round_trips() {
@@ -196,49 +262,150 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn frames_round_trip_and_eof_is_clean() {
+    /// The frames as one byte stream.
+    fn stream_of(payloads: &[Vec<u8>]) -> Vec<u8> {
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        for payload in [&b"hello"[..], b"", b"greenps"] {
-            begin_frame(&mut scratch);
-            scratch.extend_from_slice(payload);
-            write_frame(&mut wire, &mut scratch).unwrap();
+        for payload in payloads {
+            let start = begin_frame(&mut wire);
+            wire.extend_from_slice(payload);
+            end_frame(&mut wire, start).unwrap();
         }
-        let mut r = wire.as_slice();
-        let mut buf = Vec::new();
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"hello");
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"");
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"greenps");
-        assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF");
+        wire
+    }
+
+    /// Hands a stream out at most `chunk` bytes per `read`, cycling
+    /// through `chunks`.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        chunks: &'a [usize],
+        turn: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.chunks[self.turn % self.chunks.len()];
+            self.turn += 1;
+            let n = chunk.min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// Everything a reassembler cuts out of `wire` read in `chunks`,
+    /// the error that ended it if one did, and the largest buffer it
+    /// ever held.
+    fn reassemble(wire: &[u8], chunks: &[usize]) -> (Vec<Vec<u8>>, Option<FrameError>, usize) {
+        let mut r = Chunked {
+            rest: wire,
+            chunks,
+            turn: 0,
+        };
+        let mut frames = Reassembler::new();
+        let (mut got, mut largest) = (Vec::new(), frames.buf.len());
+        loop {
+            loop {
+                match frames.next_frame() {
+                    Ok(Some(payload)) => got.push(payload.to_vec()),
+                    Ok(None) => break,
+                    Err(e) => return (got, Some(e), largest),
+                }
+            }
+            let n = frames.fill(&mut r).unwrap();
+            largest = largest.max(frames.buf.len());
+            if n == 0 {
+                return (got, None, largest);
+            }
+        }
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_before_allocating() {
-        let wire = u32::MAX.to_le_bytes();
-        let mut buf = Vec::new();
+    fn frames_round_trip_through_one_read() {
+        let payloads = vec![b"hello".to_vec(), Vec::new(), b"greenps".to_vec()];
+        let (got, err, _) = reassemble(&stream_of(&payloads), &[usize::MAX]);
+        assert_eq!(got, payloads);
+        assert!(err.is_none());
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_grows_it_once_and_gives_it_back() {
+        let big = vec![7u8; 3 * READ_BUF_LEN + 5];
+        let payloads = vec![b"before".to_vec(), big, b"after".to_vec()];
+        let wire = stream_of(&payloads);
+        let (got, err, largest) = reassemble(&wire, &[1000]);
+        assert_eq!(got, payloads);
+        assert!(err.is_none());
+        assert_eq!(largest, 3 * READ_BUF_LEN + 5 + PREFIX_LEN);
+        // And once the big frame is consumed the buffer is small again.
+        let mut frames = Reassembler::new();
+        let mut r = wire.as_slice();
+        while frames.fill(&mut r).unwrap() > 0 {
+            while frames.next_frame().unwrap().is_some() {}
+        }
+        assert_eq!(frames.buf.len(), READ_BUF_LEN);
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_rejected_before_the_buffer_grows() {
+        let mut wire = stream_of(&[b"ok".to_vec()]);
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        wire.extend_from_slice(&[0u8; 64]);
+        for chunks in [&[1usize][..], &[usize::MAX][..]] {
+            let (got, err, largest) = reassemble(&wire, chunks);
+            assert_eq!(got, vec![b"ok".to_vec()]);
+            assert!(matches!(err, Some(FrameError::Oversized(u32::MAX))));
+            assert_eq!(largest, READ_BUF_LEN);
+        }
+        // One past the cap is refused, the cap itself is a length like
+        // any other.
+        let over = u32::try_from(MAX_FRAME_LEN + 1).unwrap().to_le_bytes();
+        let (_, err, largest) = reassemble(&over, &[usize::MAX]);
+        assert!(matches!(err, Some(FrameError::Oversized(_))));
+        assert_eq!(largest, READ_BUF_LEN);
+        let at = u32::try_from(MAX_FRAME_LEN).unwrap().to_le_bytes();
+        let (got, err, largest) = reassemble(&at, &[usize::MAX]);
+        assert!(got.is_empty() && err.is_none());
+        assert_eq!(largest, MAX_FRAME_LEN + PREFIX_LEN);
+    }
+
+    #[test]
+    fn a_truncated_frame_is_never_handed_out() {
+        let mut wire = stream_of(&[b"abcdef".to_vec()]);
+        wire.truncate(wire.len() - 2);
+        let (got, err, _) = reassemble(&wire, &[usize::MAX]);
+        assert!(got.is_empty() && err.is_none());
+    }
+
+    #[test]
+    fn an_oversized_payload_is_refused_not_truncated() {
+        let mut out = b"kept".to_vec();
+        let start = begin_frame(&mut out);
+        out.resize(start + PREFIX_LEN + MAX_FRAME_LEN + 1, 0);
         assert!(matches!(
-            read_frame(&mut wire.as_slice(), &mut buf),
+            end_frame(&mut out, start),
             Err(FrameError::Oversized(_))
         ));
-        assert!(buf.is_empty());
+        assert_eq!(out, b"kept");
     }
 
-    #[test]
-    fn truncated_frame_is_an_io_error() {
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        begin_frame(&mut scratch);
-        scratch.extend_from_slice(b"abcdef");
-        write_frame(&mut wire, &mut scratch).unwrap();
-        wire.truncate(wire.len() - 2);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_frame(&mut wire.as_slice(), &mut buf),
-            Err(FrameError::Io(_))
-        ));
+    proptest! {
+        /// Any sequence of frames, split anywhere, comes back as the
+        /// same payloads in the same order.
+        #[test]
+        fn reassembly_is_independent_of_chunking(
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..300usize),
+                0..40usize,
+            ),
+            chunks in proptest::collection::vec(1usize..700, 1..8usize),
+        ) {
+            let wire = stream_of(&payloads);
+            for chunks in [&chunks[..], &[1][..], &[usize::MAX][..]] {
+                let (got, err, largest) = reassemble(&wire, chunks);
+                prop_assert!(err.is_none());
+                prop_assert_eq!(&got, &payloads);
+                prop_assert_eq!(largest, READ_BUF_LEN);
+            }
+        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! [`SimTransport`] clones share one in-process hub: a
 //! `greenps_simnet::Network` plus the name⇄node maps. Every endpoint
-//! adds a mailbox process to the network; `send` injects the message
-//! into the simulated event queue and `poll` advances virtual time
-//! (`Network::step`) until something lands in this endpoint's mailbox
-//! or the network is quiescent.
+//! adds a mailbox process to the network; `enqueue` injects the message
+//! into the simulated event queue (which leaves `flush` nothing to do)
+//! and `poll` advances virtual time (`Network::step`) until something
+//! lands in this endpoint's mailbox or the network is quiescent.
 //!
 //! The backend is strictly cooperative and single-threaded (`Rc`
 //! sharing, no `Send`), mirroring how the rest of the repo drives the
@@ -144,7 +144,7 @@ impl<M: Payload + Clone + 'static> Endpoint<M> for SimEndpoint<M> {
         Ok(*name)
     }
 
-    fn send(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError> {
+    fn enqueue(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError> {
         if self.down {
             return Err(NetError::Shutdown);
         }
@@ -154,6 +154,11 @@ impl<M: Payload + Clone + 'static> Endpoint<M> for SimEndpoint<M> {
         };
         let from = self.id;
         shared.net.inject(from, to, msg.clone());
+        Ok(())
+    }
+
+    /// Nothing is ever queued here: `enqueue` has already injected.
+    fn flush(&mut self) -> Result<(), NetError> {
         Ok(())
     }
 

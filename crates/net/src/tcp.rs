@@ -1,47 +1,73 @@
-//! The threaded TCP backend: real sockets, framed messages,
-//! epoch-fenced sessions.
+//! The threaded TCP backend: real sockets, framed messages that move
+//! in runs, epoch-fenced sessions (DESIGN.md §13.3).
 //!
 //! Each [`TcpEndpoint`] binds an ephemeral loopback listener and runs
-//! one accept thread plus one reader thread per live connection. All
-//! inbound activity funnels through a channel of raw events that
-//! [`TcpEndpoint::poll`] integrates on the driver thread — the endpoint
-//! itself is single-owner (`&mut self` everywhere), so the send path
-//! holds no lock: it encodes into an owned scratch buffer and issues a
-//! single `write_all` per frame.
+//! one accept thread plus one reader thread per live connection. The
+//! endpoint itself is single-owner (`&mut self` everywhere), so the
+//! send path holds no lock: [`Endpoint::enqueue`] encodes a frame onto
+//! the end of the connection's write buffer and [`Endpoint::flush`]
+//! issues one `write_all` per peer with anything queued. The receive
+//! path batches the same way: a reader thread reads whatever the socket
+//! has into a `frame::Reassembler`, decodes every complete frame and
+//! hands the lot to the endpoint's *inbox* under one lock; `poll` swaps
+//! the inbox out whole and serves events from its own queue. A run of
+//! `n` frames costs one `write`, one `read`, one lock on each side and
+//! at most one wake-up instead of `n` of each.
+//!
+//! ## The doorbell
+//!
+//! All endpoints opened from one [`TcpTransport`] share a doorbell. A
+//! socket thread rings it when it makes an inbox non-empty (never while
+//! holding the inbox lock), and a `poll` with a non-zero wait sleeps on
+//! it: a cooperative driver that owns many endpoints blocks on any one
+//! of them and is woken by input on *any* of them — which is why `poll`
+//! may return `None` early. The bell stays rung until a waiter takes
+//! it, so input arriving between an endpoint's turn and the driver's
+//! next wait is not slept through; it rings when an inbox fills, not
+//! per event, so a driver drains an endpoint (polls until `None`)
+//! before blocking on another. Drivers on different threads may share a
+//! transport: a ring meant for one can be taken by the other, which
+//! costs the first at most its `wait`.
 //!
 //! ## Epoch fencing
 //!
-//! [`TcpTransport::open`] stamps every endpoint incarnation of a node
-//! name with a strictly increasing epoch, exchanged in the connection
-//! hello. `poll` keeps, per peer, only the *newest* epoch it has seen:
-//! a `Session` with a larger epoch supersedes the old connection, and
-//! `Msg`/`Closed` events from an older epoch are silently fenced
-//! (counted in `transport.stale_events_fenced`). A broker that
-//! reconnects therefore never sees ghosts of its previous session.
+//! [`TcpTransport::open`] stamps every incarnation of a node name with
+//! a strictly increasing epoch, exchanged in the connection hello.
+//! `poll` keeps, per peer, only the *newest* epoch it has seen: a
+//! `Session` with a larger epoch supersedes the old connection, and
+//! `Msg`/`Closed` events from an older one are fenced (counted in
+//! `transport.stale_events_fenced`), so a broker that reconnects never
+//! sees ghosts of its previous session.
 //!
-//! ## Cancellation
+//! ## Shutdown
 //!
-//! The accept and reader loops poll a shared stop flag at least every
-//! [`POLL_INTERVAL`]; the deployment layer wires the pipeline's
-//! `CancelToken` to [`TcpEndpoint::stop_handle`] so a cancelled run
-//! tears the socket threads down promptly.
+//! [`Endpoint::shutdown`] flushes, shuts every socket down in both
+//! directions so that its readers (and the peers') see end-of-stream at
+//! once, dials its own listener to bring the accept thread out of
+//! `accept()`, and joins. Reads also time out every [`POLL_INTERVAL`]
+//! to look at the stop flag: the backstop for a handshake in progress
+//! or a session that was accepted and never polled.
 
-use crate::frame::{self, FrameError, Hello};
+use crate::frame::{self, Hello, Reassembler};
 use crate::transport::{Endpoint, EndpointAddr, NetError, NetEvent, NodeName, Transport};
-use crate::wire::{decode_exact, Wire};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::wire::{decode_exact, Wire, WireError};
 use greenps_telemetry::{Counter, Registry};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often blocked socket loops wake to poll the stop flag.
+/// How often a blocked socket read wakes to look at the stop flag.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// `enqueue` flushes a connection's write buffer by itself at this size,
+/// so a caller that never flushes cannot grow it without bound. No
+/// benchmark workload gets there (a window's run is ≈ 17 KiB).
+const FLUSH_AT: usize = 64 * 1024;
 
 /// Raw events produced by the accept/reader threads, integrated (and
 /// epoch-fenced) on the driver thread inside `poll`.
@@ -49,7 +75,7 @@ enum RawEvent<M> {
     Session {
         peer: NodeName,
         epoch: u32,
-        stream: TcpStream,
+        stream: Arc<TcpStream>,
     },
     Msg {
         peer: NodeName,
@@ -62,18 +88,84 @@ enum RawEvent<M> {
     },
 }
 
-/// Telemetry handles shared with the socket threads.
-#[derive(Clone)]
-struct ReaderCounters {
+/// What the socket threads of one transport ring and `poll` sleeps on.
+#[derive(Default)]
+struct Doorbell {
+    state: Mutex<Bell>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Bell {
+    /// Set by `ring`, taken by the next `wait`.
+    rung: bool,
+    /// Threads inside `wait`; `ring` skips the wake-up call when none.
+    waiters: u32,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        let waiters = {
+            let mut bell = self.state.lock();
+            bell.rung = true;
+            bell.waiters
+        };
+        if waiters > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Returns when the bell has been rung or `timeout` has passed.
+    fn wait(&self, timeout: Duration) {
+        let mut bell = self.state.lock();
+        if !bell.rung {
+            bell.waiters += 1;
+            self.wake.wait_for(&mut bell, timeout);
+            bell.waiters -= 1;
+        }
+        bell.rung = false;
+    }
+}
+
+/// What an endpoint shares with its socket threads.
+struct Shared<M> {
+    /// Where the socket threads leave what they received.
+    inbox: Mutex<Vec<RawEvent<M>>>,
+    bell: Arc<Doorbell>,
+    stop: AtomicBool,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    reads: Counter,
     frames_received: Counter,
     bytes_received: Counter,
     decode_errors: Counter,
 }
 
-/// An established session's write half, owned by the endpoint.
+impl<M> Shared<M> {
+    /// Moves `batch` into the inbox under one lock; rings if it was empty.
+    fn deliver(&self, batch: &mut Vec<RawEvent<M>>) {
+        if batch.is_empty() {
+            return;
+        }
+        let was_empty = {
+            let mut inbox = self.inbox.lock();
+            let was_empty = inbox.is_empty();
+            inbox.append(batch);
+            was_empty
+        };
+        if was_empty {
+            self.bell.ring();
+        }
+    }
+}
+
+/// An established session: the socket (shared with its reader thread,
+/// not duplicated: one descriptor per connection and side) and what is
+/// queued for it.
 struct Conn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     epoch: u32,
+    /// Frames queued by `enqueue` and not yet written.
+    out: Vec<u8>,
 }
 
 /// A `Read` adapter that converts read timeouts into stop-flag polls,
@@ -95,7 +187,7 @@ impl Read for PollRead<'_> {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if self.stop.load(Ordering::Relaxed) {
+                    if self.stop.load(Ordering::SeqCst) {
                         return Err(io::ErrorKind::ConnectionAborted.into());
                     }
                 }
@@ -106,19 +198,18 @@ impl Read for PollRead<'_> {
 }
 
 /// The TCP backend factory. Tracks one strictly increasing epoch per
-/// node name so reopened endpoints supersede their predecessors.
+/// node name so reopened endpoints supersede their predecessors, and
+/// owns the doorbell its endpoints share.
 pub struct TcpTransport {
     registry: Registry,
     epochs: HashMap<NodeName, u32>,
+    bell: Arc<Doorbell>,
 }
 
 impl TcpTransport {
     /// A transport with telemetry disabled.
     pub fn new() -> Self {
-        Self {
-            registry: Registry::disabled(),
-            epochs: HashMap::new(),
-        }
+        Self::with_telemetry(&Registry::disabled())
     }
 
     /// A transport feeding `transport.*` instruments in `registry`.
@@ -126,6 +217,7 @@ impl TcpTransport {
         Self {
             registry: registry.clone(),
             epochs: HashMap::new(),
+            bell: Arc::default(),
         }
     }
 }
@@ -145,89 +237,149 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport {
             .entry(node)
             .and_modify(|e| *e = e.saturating_add(1))
             .or_insert(1);
-        TcpEndpoint::bind(node, *epoch, &self.registry)
+        TcpEndpoint::bind(node, *epoch, &self.registry, Arc::clone(&self.bell))
     }
 }
 
 /// One node's TCP attachment: a loopback listener, an accept thread,
 /// per-connection reader threads, and an owned map of write halves.
 pub struct TcpEndpoint<M> {
-    node: NodeName,
-    epoch: u32,
+    me: Hello,
     local: SocketAddr,
     conns: HashMap<NodeName, Conn>,
-    events_rx: Receiver<RawEvent<M>>,
-    events_tx: Sender<RawEvent<M>>,
-    stop: Arc<AtomicBool>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    reader_counters: ReaderCounters,
+    /// Peers whose `out` went non-empty since the last flush.
+    dirty: Vec<NodeName>,
+    /// Connections a peer dialed after we had dialed it, at the same
+    /// epoch: we send on ours, the peer sends on this one, so it stays
+    /// open and `close` must reach its reader.
+    mirrors: Vec<Arc<TcpStream>>,
+    shared: Arc<Shared<M>>,
+    /// Empty between polls; swapped with the inbox so both keep their
+    /// capacity and the lock covers a pointer swap.
+    taken: Vec<RawEvent<M>>,
+    /// Events taken from the inbox and not yet served.
+    ready: VecDeque<RawEvent<M>>,
     frames_sent: Counter,
     bytes_sent: Counter,
+    flushes: Counter,
     sessions_opened: Counter,
     sessions_closed: Counter,
     stale_fenced: Counter,
-    scratch: Vec<u8>,
     down: bool,
 }
 
+impl<M> TcpEndpoint<M> {
+    /// Writes out what is queued for `peer` in one `write_all`; a failed
+    /// write closes the session.
+    fn flush_peer(&mut self, peer: NodeName) -> Result<(), NetError> {
+        let Some(conn) = self.conns.get_mut(&peer) else {
+            // Closed or superseded since; its queue went with it.
+            return Ok(());
+        };
+        if conn.out.is_empty() {
+            return Ok(());
+        }
+        let mut socket: &TcpStream = &conn.stream;
+        let wrote = socket.write_all(&conn.out);
+        conn.out.clear();
+        self.flushes.inc();
+        if wrote.is_err() {
+            self.conns.remove(&peer);
+            self.sessions_closed.inc();
+            return Err(NetError::SessionLost(peer));
+        }
+        Ok(())
+    }
+
+    /// Makes `stream` the session with `peer`, replacing an older one.
+    fn open_session(&mut self, peer: NodeName, epoch: u32, stream: Arc<TcpStream>) {
+        let out = Vec::new();
+        self.conns.insert(peer, Conn { stream, epoch, out });
+        self.sessions_opened.inc();
+    }
+
+    fn flush_all(&mut self) -> Result<(), NetError> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        let mut first_lost = Ok(());
+        for peer in dirty.drain(..) {
+            first_lost = first_lost.and(self.flush_peer(peer));
+        }
+        self.dirty = dirty;
+        first_lost
+    }
+
+    /// Swaps the inbox out and queues what it held; false for nothing.
+    fn take_inbox(&mut self) -> bool {
+        std::mem::swap(&mut *self.shared.inbox.lock(), &mut self.taken);
+        let got = !self.taken.is_empty();
+        self.ready.extend(self.taken.drain(..));
+        got
+    }
+
+    /// Everything `shutdown` does short of joining the threads.
+    fn close(&mut self) {
+        if self.down {
+            return;
+        }
+        self.down = true;
+        let _ = self.flush_all();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Both directions: the peer's reader sees end-of-stream behind
+        // what was just flushed, and ours sees it now rather than at
+        // its next read timeout.
+        let sessions = self.conns.drain().map(|(_, c)| c.stream);
+        for stream in sessions.chain(self.mirrors.drain(..)) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        // The accept thread blocks in `accept()`; one connection brings
+        // it back to look at the stop flag. Refused means it is gone.
+        let _ = TcpStream::connect(self.local);
+    }
+}
+
 impl<M: Wire + Send + 'static> TcpEndpoint<M> {
-    fn bind(node: NodeName, epoch: u32, registry: &Registry) -> Result<Self, NetError> {
+    fn bind(
+        node: NodeName,
+        epoch: u32,
+        registry: &Registry,
+        bell: Arc<Doorbell>,
+    ) -> Result<Self, NetError> {
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| NetError::Open(e.to_string()))?;
         let local = listener
             .local_addr()
             .map_err(|e| NetError::Open(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Open(e.to_string()))?;
-        let (events_tx, events_rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let reader_counters = ReaderCounters {
+        let shared = Arc::new(Shared {
+            inbox: Mutex::new(Vec::new()),
+            bell,
+            stop: AtomicBool::new(false),
+            threads: Mutex::new(Vec::new()),
+            reads: registry.counter("transport.reads"),
             frames_received: registry.counter("transport.frames_received"),
             bytes_received: registry.counter("transport.bytes_received"),
             decode_errors: registry.counter("transport.decode_errors"),
-        };
-        let endpoint = Self {
-            node,
-            epoch,
+        });
+        let accepting = Arc::clone(&shared);
+        let me = Hello { node, epoch };
+        let handle = std::thread::spawn(move || accept_loop(listener, me, accepting));
+        shared.threads.lock().push(handle);
+        Ok(Self {
+            me,
             local,
             conns: HashMap::new(),
-            events_rx,
-            events_tx: events_tx.clone(),
-            stop: Arc::clone(&stop),
-            threads: Arc::clone(&threads),
-            reader_counters: reader_counters.clone(),
+            dirty: Vec::new(),
+            mirrors: Vec::new(),
+            shared,
+            taken: Vec::new(),
+            ready: VecDeque::new(),
             frames_sent: registry.counter("transport.frames_sent"),
             bytes_sent: registry.counter("transport.bytes_sent"),
+            flushes: registry.counter("transport.flushes"),
             sessions_opened: registry.counter("transport.sessions_opened"),
             sessions_closed: registry.counter("transport.sessions_closed"),
             stale_fenced: registry.counter("transport.stale_events_fenced"),
-            scratch: Vec::with_capacity(1024),
             down: false,
-        };
-        let accept_threads = Arc::clone(&threads);
-        let accept_stop = Arc::clone(&stop);
-        let my = Hello { node, epoch };
-        let handle = std::thread::spawn(move || {
-            accept_loop(
-                listener,
-                my,
-                events_tx,
-                accept_stop,
-                accept_threads,
-                reader_counters,
-            );
-        });
-        threads.lock().push(handle);
-        Ok(endpoint)
-    }
-
-    /// The stop flag socket loops poll; the deployment layer bridges a
-    /// pipeline `CancelToken` onto this to make cancellation reach the
-    /// accept/recv loops.
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+        })
     }
 
     /// Integrates one raw event against the per-peer epoch fence.
@@ -238,42 +390,42 @@ impl<M: Wire + Send + 'static> TcpEndpoint<M> {
                 epoch,
                 stream,
             } => {
-                let newer = self.conns.get(&peer).is_none_or(|c| epoch > c.epoch);
-                if !newer {
+                let current = self.conns.get(&peer).map(|c| c.epoch);
+                if current.is_some_and(|c| epoch <= c) {
                     // A redundant or stale handshake: the existing
-                    // session stands; the extra socket closes on drop.
+                    // session stands.
                     self.stale_fenced.inc();
+                    if current == Some(epoch) {
+                        self.mirrors.push(stream);
+                    }
                     return None;
                 }
-                self.conns.insert(peer, Conn { stream, epoch });
-                self.sessions_opened.inc();
+                self.open_session(peer, epoch, stream);
                 Some(NetEvent::Session { peer, epoch })
             }
-            RawEvent::Msg { peer, epoch, msg } => {
-                let live = self.conns.get(&peer).is_some_and(|c| c.epoch == epoch);
-                if !live {
-                    self.stale_fenced.inc();
-                    return None;
-                }
+            RawEvent::Msg { peer, epoch, msg } if self.is_live(peer, epoch) => {
                 Some(NetEvent::Msg { from: peer, msg })
             }
-            RawEvent::Closed { peer, epoch } => {
-                let live = self.conns.get(&peer).is_some_and(|c| c.epoch == epoch);
-                if !live {
-                    self.stale_fenced.inc();
-                    return None;
-                }
+            RawEvent::Closed { peer, epoch } if self.is_live(peer, epoch) => {
                 self.conns.remove(&peer);
                 self.sessions_closed.inc();
                 Some(NetEvent::Closed { peer })
             }
+            RawEvent::Msg { .. } | RawEvent::Closed { .. } => {
+                self.stale_fenced.inc();
+                None
+            }
         }
+    }
+
+    fn is_live(&self, peer: NodeName, epoch: u32) -> bool {
+        self.conns.get(&peer).is_some_and(|c| c.epoch == epoch)
     }
 }
 
 impl<M: Wire + Send + 'static> Endpoint<M> for TcpEndpoint<M> {
     fn node(&self) -> NodeName {
-        self.node
+        self.me.node
     }
 
     fn addr(&self) -> EndpointAddr {
@@ -288,100 +440,71 @@ impl<M: Wire + Send + 'static> Endpoint<M> for TcpEndpoint<M> {
             return Err(NetError::WrongAddrKind);
         };
         let stream = TcpStream::connect(sa).map_err(|e| NetError::Connect(e.to_string()))?;
-        let my = Hello {
-            node: self.node,
-            epoch: self.epoch,
-        };
-        let hello =
-            handshake(&stream, my, &self.stop).map_err(|e| NetError::Connect(e.to_string()))?;
-        let write_half = stream
-            .try_clone()
+        let hello = handshake(&stream, self.me, &self.shared.stop)
             .map_err(|e| NetError::Connect(e.to_string()))?;
-        let tx = self.events_tx.clone();
-        let stop = Arc::clone(&self.stop);
-        let counters = self.reader_counters.clone();
-        let peer = hello.node;
-        let peer_epoch = hello.epoch;
-        let handle = std::thread::spawn(move || {
-            reader_loop(stream, peer, peer_epoch, tx, stop, counters);
-        });
-        self.threads.lock().push(handle);
+        let stream = Arc::new(stream);
+        let mut reader = Reader::new(Arc::clone(&stream), hello, Arc::clone(&self.shared));
+        let handle = std::thread::spawn(move || while reader.turn() {});
+        self.shared.threads.lock().push(handle);
         // The dialed session is live immediately — the connect() return
         // is its Session notification; `poll` will fence the mirror
         // handshake the peer's accept side may race in.
-        self.conns.insert(
-            peer,
-            Conn {
-                stream: write_half,
-                epoch: peer_epoch,
-            },
-        );
-        self.sessions_opened.inc();
-        Ok(peer)
+        self.open_session(hello.node, hello.epoch, stream);
+        Ok(hello.node)
     }
 
-    fn send(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError> {
+    fn enqueue(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError> {
         if self.down {
             return Err(NetError::Shutdown);
         }
         let Some(conn) = self.conns.get_mut(&peer) else {
             return Err(NetError::UnknownPeer(peer));
         };
-        frame::begin_frame(&mut self.scratch);
-        msg.encode(&mut self.scratch);
-        match frame::write_frame(&mut conn.stream, &mut self.scratch) {
-            Ok(()) => {
-                self.frames_sent.inc();
-                self.bytes_sent.add(self.scratch.len() as u64);
-                Ok(())
-            }
-            Err(_) => {
-                self.conns.remove(&peer);
-                self.sessions_closed.inc();
-                Err(NetError::SessionLost(peer))
-            }
+        if conn.out.is_empty() {
+            self.dirty.push(peer);
         }
+        let start = frame::begin_frame(&mut conn.out);
+        msg.encode(&mut conn.out);
+        let framed = conn.out.len().saturating_sub(start) as u64;
+        if frame::end_frame(&mut conn.out, start).is_err() {
+            return Err(NetError::Codec(WireError::BadLength(framed)));
+        }
+        self.frames_sent.inc();
+        self.bytes_sent.add(framed);
+        if conn.out.len() >= FLUSH_AT {
+            return self.flush_peer(peer);
+        }
+        Ok(())
     }
 
-    fn poll(&mut self, wait: Duration) -> Option<NetEvent<M>> {
+    fn flush(&mut self) -> Result<(), NetError> {
+        self.flush_all()
+    }
+
+    fn poll(&mut self, mut wait: Duration) -> Option<NetEvent<M>> {
         if self.down {
             return None;
         }
-        let deadline = Instant::now() + wait;
         loop {
-            let raw = if wait.is_zero() {
-                match self.events_rx.try_recv() {
-                    Ok(raw) => raw,
-                    Err(TryRecvError::Empty | TryRecvError::Disconnected) => return None,
+            while let Some(raw) = self.ready.pop_front() {
+                if let Some(ev) = self.integrate(raw) {
+                    return Some(ev);
                 }
-            } else {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match self.events_rx.recv_timeout(left) {
-                    Ok(raw) => raw,
-                    Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                        return None;
-                    }
-                }
-            };
-            if let Some(ev) = self.integrate(raw) {
-                return Some(ev);
             }
-            if !wait.is_zero() && Instant::now() >= deadline {
-                return None;
+            if !self.take_inbox() {
+                if wait.is_zero() {
+                    return None;
+                }
+                // One wait per call; it may end on another endpoint's
+                // input, in which case the next look finds nothing here.
+                self.shared.bell.wait(std::mem::take(&mut wait));
             }
         }
     }
 
     fn shutdown(&mut self) {
-        if self.down {
-            return;
-        }
-        self.down = true;
-        self.stop.store(true, Ordering::Relaxed);
-        // Dropping the write halves closes the sockets, which unblocks
-        // peers' readers with EOF.
-        self.conns.clear();
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
+        self.close();
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.threads.lock());
         for h in handles {
             let _ = h.join();
         }
@@ -390,113 +513,119 @@ impl<M: Wire + Send + 'static> Endpoint<M> for TcpEndpoint<M> {
 
 impl<M> Drop for TcpEndpoint<M> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Threads spawned by this endpoint hold only channel senders and
-        // socket clones; with the stop flag up they exit within one
-        // POLL_INTERVAL, so dropping without an explicit shutdown() does
-        // not leak spinning threads. Joining here would deadlock a
+        // Closing brings every thread this endpoint spawned out of its
+        // blocking call, so none leaks. Joining here would deadlock a
         // same-thread drop during panic unwinding, so we only signal.
+        self.close();
     }
 }
 
 /// Performs the symmetric write-then-read hello exchange.
-fn handshake(stream: &TcpStream, my: Hello, stop: &AtomicBool) -> Result<Hello, FrameError> {
-    stream.set_nodelay(true).map_err(FrameError::Io)?;
-    stream
-        .set_read_timeout(Some(POLL_INTERVAL))
-        .map_err(FrameError::Io)?;
+fn handshake(stream: &TcpStream, my: Hello, stop: &AtomicBool) -> Result<Hello, frame::FrameError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut write_half = stream;
     frame::write_hello(&mut write_half, my)?;
     let mut reader = PollRead { stream, stop };
     frame::read_hello(&mut reader)
 }
 
-/// Accepts connections until the stop flag rises, spawning one reader
-/// thread per handshaken peer.
-fn accept_loop<M: Wire + Send + 'static>(
-    listener: TcpListener,
-    my: Hello,
-    tx: Sender<RawEvent<M>>,
-    stop: Arc<AtomicBool>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    counters: ReaderCounters,
-) {
+/// Accepts connections until the endpoint closes, spawning one reader
+/// thread per handshaken peer. Blocks in `accept()`: `close` raises the
+/// stop flag and then dials the listener to bring it back here.
+fn accept_loop<M: Wire + Send + 'static>(listener: TcpListener, my: Hello, shared: Arc<Shared<M>>) {
     loop {
-        if stop.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = tx.clone();
-                let stop = Arc::clone(&stop);
-                let counters = counters.clone();
-                let handle = std::thread::spawn(move || {
-                    let hello = match handshake(&stream, my, &stop) {
-                        Ok(h) => h,
-                        Err(_) => return, // malformed dialer: drop it
-                    };
-                    let write_half = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    let peer = hello.node;
-                    let epoch = hello.epoch;
-                    let _ = tx.send(RawEvent::Session {
-                        peer,
-                        epoch,
-                        stream: write_half,
-                    });
-                    reader_loop(stream, peer, epoch, tx, stop, counters);
-                });
-                threads.lock().push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                // Transient accept failure; retry after a beat.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+        let Ok((stream, _)) = accepted else {
+            // Transient accept failure; retry after a beat.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        let reading = Arc::clone(&shared);
+        let handle = std::thread::spawn(move || {
+            let Ok(hello) = handshake(&stream, my, &reading.stop) else {
+                return; // malformed dialer: drop it
+            };
+            let mut reader = Reader::new(Arc::new(stream), hello, reading).announce();
+            while reader.turn() {}
+        });
+        shared.threads.lock().push(handle);
     }
 }
 
-/// Reads frames off one connection until EOF, error or stop.
-fn reader_loop<M: Wire + Send + 'static>(
-    stream: TcpStream,
-    peer: NodeName,
-    epoch: u32,
-    tx: Sender<RawEvent<M>>,
-    stop: Arc<AtomicBool>,
-    counters: ReaderCounters,
-) {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut reader = PollRead {
-        stream: &stream,
-        stop: &stop,
-    };
-    loop {
-        match frame::read_frame(&mut reader, &mut buf) {
-            Ok(true) => match decode_exact::<M>(&buf) {
-                Ok(msg) => {
-                    counters.frames_received.inc();
-                    counters.bytes_received.add(buf.len() as u64);
-                    if tx.send(RawEvent::Msg { peer, epoch, msg }).is_err() {
-                        return; // endpoint dropped
+/// One connection's receive half, run on its own thread.
+struct Reader<M> {
+    stream: Arc<TcpStream>,
+    peer: Hello,
+    shared: Arc<Shared<M>>,
+    frames: Reassembler,
+    /// Reused from turn to turn.
+    batch: Vec<RawEvent<M>>,
+}
+
+impl<M: Wire> Reader<M> {
+    fn new(stream: Arc<TcpStream>, peer: Hello, shared: Arc<Shared<M>>) -> Self {
+        Self {
+            stream,
+            peer,
+            shared,
+            frames: Reassembler::new(),
+            batch: Vec::new(),
+        }
+    }
+
+    /// On the accepting side the session is announced ahead of whatever
+    /// the first read brings.
+    fn announce(mut self) -> Self {
+        self.batch.push(RawEvent::Session {
+            peer: self.peer.node,
+            epoch: self.peer.epoch,
+            stream: Arc::clone(&self.stream),
+        });
+        self.shared.deliver(&mut self.batch);
+        self
+    }
+
+    /// One read, and everything it completed: every whole frame in the
+    /// buffer is decoded and the lot goes to the inbox as one batch.
+    /// False once the session is over (its `Closed` is in that batch).
+    fn turn(&mut self) -> bool {
+        let Hello { node: peer, epoch } = self.peer;
+        let mut reader = PollRead {
+            stream: &self.stream,
+            stop: &self.shared.stop,
+        };
+        let mut open = matches!(self.frames.fill(&mut reader), Ok(n) if n > 0);
+        if open {
+            self.shared.reads.inc();
+        }
+        while open {
+            match self.frames.next_frame() {
+                Ok(Some(payload)) => match decode_exact::<M>(payload) {
+                    Ok(msg) => {
+                        self.shared.frames_received.inc();
+                        self.shared.bytes_received.add(payload.len() as u64);
+                        self.batch.push(RawEvent::Msg { peer, epoch, msg });
                     }
-                }
-                Err(_) => {
-                    // A peer speaking garbage is indistinguishable from
-                    // corruption: close the session.
-                    counters.decode_errors.inc();
-                    let _ = tx.send(RawEvent::Closed { peer, epoch });
-                    return;
-                }
-            },
-            Ok(false) | Err(_) => {
-                let _ = tx.send(RawEvent::Closed { peer, epoch });
-                return;
+                    Err(_) => {
+                        // A peer speaking garbage is indistinguishable
+                        // from corruption: close the session.
+                        self.shared.decode_errors.inc();
+                        open = false;
+                    }
+                },
+                Ok(None) => break,
+                // A length no frame may have: the same.
+                Err(_) => open = false,
             }
         }
+        if !open {
+            self.batch.push(RawEvent::Closed { peer, epoch });
+        }
+        self.shared.deliver(&mut self.batch);
+        open && !self.shared.stop.load(Ordering::SeqCst)
     }
 }

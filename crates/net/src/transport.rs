@@ -2,10 +2,11 @@
 //!
 //! A [`Transport`] opens [`Endpoint`]s — one per overlay node — and an
 //! endpoint exchanges typed messages with peers over *sessions*. The
-//! contract is deliberately small: address a peer, connect, send a
-//! framed message, poll for events, shut down. Everything above this
-//! trait (broker logic, deployment, the workload runner) is agnostic to
-//! whether messages cross the deterministic simnet or a real socket.
+//! contract is deliberately small: address a peer, connect, queue
+//! framed messages and flush them, poll for events, shut down.
+//! Everything above this trait (broker logic, deployment, the workload
+//! runner) is agnostic to whether messages cross the deterministic
+//! simnet or a real socket.
 //!
 //! ## Sessions and epochs
 //!
@@ -126,7 +127,9 @@ impl From<WireError> for NetError {
 ///
 /// All methods take `&mut self`: an endpoint is owned by exactly one
 /// driver (a broker thread or the cooperative deployment loop), which
-/// keeps the send path lock-free on every backend.
+/// keeps the send path lock-free on every backend. Sending is two
+/// steps so that frames can move in runs: a driver that produces many
+/// messages per turn `enqueue`s them all and `flush`es once.
 pub trait Endpoint<M> {
     /// This endpoint's node name.
     fn node(&self) -> NodeName;
@@ -139,16 +142,36 @@ pub trait Endpoint<M> {
     /// already-connected peer re-handshakes and the newer session wins.
     fn connect(&mut self, addr: &EndpointAddr) -> Result<NodeName, NetError>;
 
-    /// Sends one message on the peer's current session.
-    fn send(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError>;
+    /// Queues one message on the peer's current session, for the next
+    /// [`Endpoint::flush`] (a backend may flush by itself to bound what
+    /// it holds). A message too large to frame is refused with
+    /// [`NetError::Codec`], never cut short.
+    fn enqueue(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError>;
 
-    /// Waits up to `wait` for the next event. Returns `None` when the
-    /// wait elapses with nothing to deliver (or, on the sim backend,
-    /// when the network is quiescent).
+    /// Puts every queued message on the wire, each peer's in order. A
+    /// session whose write fails is closed and the first such peer
+    /// reported as [`NetError::SessionLost`]; the rest are still flushed.
+    fn flush(&mut self) -> Result<(), NetError>;
+
+    /// Sends one message on the peer's current session: once this
+    /// returns `Ok` the peer's [`Endpoint::poll`] will see the message
+    /// with no further call on the sender.
+    fn send(&mut self, peer: NodeName, msg: &M) -> Result<(), NetError> {
+        self.enqueue(peer, msg)?;
+        self.flush()
+    }
+
+    /// Waits up to `wait` for the next event. Returns `None` when
+    /// there is nothing to deliver — possibly *before* `wait` has
+    /// elapsed: the threaded backend wakes a waiting driver when any
+    /// endpoint of the same transport has input, so one driver can
+    /// serve many endpoints and block on one. Callers that need an
+    /// event re-poll until their own deadline. (The sim backend ignores
+    /// `wait`; there `None` means the network is quiescent.)
     fn poll(&mut self, wait: Duration) -> Option<NetEvent<M>>;
 
-    /// Closes every session and releases backend resources. Further
-    /// sends fail with [`NetError::Shutdown`].
+    /// Flushes, then closes every session and releases backend
+    /// resources. Further sends fail with [`NetError::Shutdown`].
     fn shutdown(&mut self);
 }
 
