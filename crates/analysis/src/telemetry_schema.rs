@@ -20,7 +20,7 @@
 //! counter simnet.delivered
 //! gauge broker.b<id>.msgs_in      # <var> matches one dot-free segment
 //! event msg.drop
-//! benchkey subscriptions          # BENCH_cram.json keys; checked by
+//! benchkey subscriptions          # BENCH_scale.json keys; checked by
 //!                                 # tests/experiments_smoke.rs, not here
 //! ```
 

@@ -2,16 +2,13 @@
 //!
 //! ```text
 //! experiments [--quick] [--csv <dir>] [--telemetry <path>]
-//!             <e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|bench-report|scale-report|
-//!              transport-report|pipeline-smoke|all>
+//!             <e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|scale-report|pipeline-smoke|all>
 //! ```
 //!
 //! `--quick` shrinks the grids so the whole suite finishes in a couple
 //! of minutes; the default parameters follow the paper (80 brokers, 40
 //! publishers at 70 msg/min, 2,000–8,000 subscriptions, heterogeneous
-//! tiers, SciNet scales). `bench-report` times the per-profile reference
-//! closeness engine against the tuned arena/tiled one and writes
-//! `BENCH_cram.json`. `--telemetry <path>` traces every
+//! tiers, SciNet scales). `--telemetry <path>` traces every
 //! run into a `greenps-telemetry` registry (phase spans, CRAM counters,
 //! pair-cache hit rates, per-broker delivery-delay histograms) and
 //! writes the whole-run snapshot as JSON at exit.
@@ -110,7 +107,7 @@ fn main() {
             "--help" | "-h" | "help" => {
                 println!(
                     "usage: experiments [--quick] [--csv <dir>] [--telemetry <path>] \
-                     <e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|bench-report|pipeline-smoke|all>\n\
+                     <e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|scale-report|pipeline-smoke|all>\n\
                      \n\
                      e1-e3   homogeneous cluster: msg rate, brokers, hops/delay\n\
                      e4      heterogeneous cluster (15/25/40 capacity tiers)\n\
@@ -120,9 +117,7 @@ fn main() {
                      e8      CRAM search-pruning ablation, poset timing\n\
                      e9      one-to-many + overlay optimization ablations\n\
                      e10     bit-vector load-estimation accuracy\n\
-                     bench-report  reference vs tuned CRAM -> BENCH_cram.json\n\
                      scale-report  hierarchical zoned CRAM at 100k-1M subs -> BENCH_scale.json\n\
-                     transport-report  real loopback TCP overlay deployment -> BENCH_transport.json\n\
                      pipeline-smoke  interrupt + resume a run -> pipeline_checkpoint.json"
                 );
                 return;
@@ -146,9 +141,7 @@ fn main() {
             "e8" => e8(&opts),
             "e9" => e9(&opts),
             "e10" => e10(&opts),
-            "bench-report" => bench_report(&opts),
             "scale-report" => scale_report(&opts),
-            "transport-report" => transport_report(&opts),
             "pipeline-smoke" => pipeline_smoke(&opts),
             "all" => {
                 e1_e2_e3(&opts);
@@ -728,50 +721,4 @@ fn scale_report(opts: &Opts) {
     };
     std::fs::write(&path, json).expect("write BENCH_scale.json");
     println!("scale-report: wrote {}", path.display());
-}
-
-/// `transport-report`: deploy stock-chain overlays as real loopback
-/// TCP threads (`greenps_net::TcpTransport` — one OS thread per
-/// connection plus accept loops), measure delivered msgs/sec and
-/// per-broker delivery latency, and write `BENCH_transport.json` (into
-/// `--csv <dir>` when given, else the cwd).
-fn transport_report(opts: &Opts) {
-    let rows: &[(usize, u64)] = if opts.quick {
-        &[(4, 50)]
-    } else {
-        &[(4, 100), (8, 200)]
-    };
-    let json = greenps_bench::transport_report_json(rows, opts.quick);
-    let path = match &opts.csv {
-        Some(dir) => dir.join("BENCH_transport.json"),
-        None => PathBuf::from("BENCH_transport.json"),
-    };
-    std::fs::write(&path, json).expect("write BENCH_transport.json");
-    println!("transport-report: wrote {}", path.display());
-}
-
-/// `bench-report`: reference vs tuned (arena layout, tiled pruning,
-/// threaded) CRAM-INTERSECT wall time at increasing subscription
-/// counts, with the bit-identity check. Writes `BENCH_cram.json` (into
-/// `--csv <dir>` when given, else the cwd).
-fn bench_report(opts: &Opts) {
-    // The 100k row is the scale canary: it rides along even in quick
-    // mode so CI's bench-smoke artifact catches regressions at scale
-    // (GIF grouping keeps the pool small enough for this to be cheap).
-    let sizes: &[usize] = if opts.quick {
-        &[300, 600, 100_000]
-    } else {
-        &[1000, 4000, 16_000, 100_000]
-    };
-    // At least 4 workers so the report always exercises the sharded
-    // path; on a machine with fewer cores the parallel timing degrades
-    // toward parity and the recorded `available_parallelism` says why.
-    let threads = available_threads().clamp(4, 8);
-    let json = greenps_bench::bench_report_json(sizes, threads, opts.quick);
-    let path = match &opts.csv {
-        Some(dir) => dir.join("BENCH_cram.json"),
-        None => PathBuf::from("BENCH_cram.json"),
-    };
-    std::fs::write(&path, json).expect("write BENCH_cram.json");
-    println!("bench-report: wrote {}", path.display());
 }

@@ -11,14 +11,44 @@
 //! [`Packer`] holds the running state of one allocation attempt: brokers
 //! sorted by resourcefulness (descending total output bandwidth), each
 //! with its accumulated union profile, used output bandwidth and stored
-//! subscription count. FBF, BIN PACKING and CRAM's allocation test all
-//! place units through it.
+//! subscription count. FBF and BIN PACKING place units through it.
+//! CRAM's allocation test — thousands of packs per run over almost the
+//! same units — runs on the persistent `FastPacker` instead; the
+//! borrow-and-re-sort packer it replaced survives under `#[cfg(test)]`
+//! as the oracle `FastPacker` is proven against, decision by decision.
+//! Both orders every packer relies on are spelled once: brokers by
+//! `sorted_specs`, units by `pack_order`.
 
 use crate::model::{AllocError, Allocation, BrokerLoad, BrokerSpec, Unit};
 use crate::pipeline::CancelToken;
 use greenps_profile::{PublisherTable, ShiftingBitVector, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use std::sync::Arc;
+
+/// The broker order every packer fills in: descending total output
+/// bandwidth — most resourceful first — ties broken by id for
+/// determinism.
+fn sorted_specs(brokers: &[BrokerSpec]) -> Vec<BrokerSpec> {
+    let mut specs = brokers.to_vec();
+    specs.sort_by(|a, b| {
+        b.out_bandwidth
+            .total_cmp(&a.out_bandwidth)
+            .then(a.id.cmp(&b.id))
+    });
+    specs
+}
+
+/// The unit order BIN PACKING and CRAM's allocation test pack in:
+/// output bandwidth descending, subscription list ascending as the
+/// tiebreak. Over any live CRAM pool plus one trial merged unit the
+/// subscription lists are pairwise disjoint and non-empty, so this is a
+/// strict total order — which is what lets the engine maintain one
+/// sorted unit list incrementally instead of re-sorting per test.
+pub(crate) fn pack_order(a: &Unit, b: &Unit) -> std::cmp::Ordering {
+    b.out_bandwidth
+        .total_cmp(&a.out_bandwidth)
+        .then_with(|| a.subs.cmp(&b.subs))
+}
 
 /// Running placement state of one broker during packing.
 #[derive(Debug, Clone)]
@@ -80,15 +110,11 @@ impl<'p> Packer<'p> {
     /// of total available output bandwidth (ties broken by id for
     /// determinism).
     pub fn new(brokers: &[BrokerSpec], publishers: &'p PublisherTable) -> Self {
-        let mut specs: Vec<BrokerSpec> = brokers.to_vec();
-        specs.sort_by(|a, b| {
-            b.out_bandwidth
-                .partial_cmp(&a.out_bandwidth)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
         Self {
-            states: specs.into_iter().map(BrokerState::new).collect(),
+            states: sorted_specs(brokers)
+                .into_iter()
+                .map(BrokerState::new)
+                .collect(),
             publishers,
         }
     }
@@ -149,132 +175,6 @@ impl<'p> Packer<'p> {
     }
 }
 
-/// A feasibility-only packing pass over borrowed units: returns the
-/// bandwidth-descending packing outcome without cloning any unit, or
-/// the index of the first unplaceable unit. The CRAM allocation test
-/// runs thousands of these per invocation; avoiding the per-test unit
-/// clones is what keeps 8,000-subscription runs tractable.
-#[derive(Debug)]
-pub struct RefPacker<'u> {
-    states: Vec<RefBrokerState<'u>>,
-}
-
-#[derive(Debug)]
-struct RefBrokerState<'u> {
-    spec: BrokerSpec,
-    union: SubscriptionProfile,
-    /// Running estimate of the union profile's input rate.
-    in_rate: f64,
-    out_used: f64,
-    subs: usize,
-    units: Vec<&'u Unit>,
-}
-
-impl<'u> RefPacker<'u> {
-    /// Creates a reference packer over a broker pool (same ordering as
-    /// [`Packer`]).
-    pub fn new(brokers: &[BrokerSpec]) -> Self {
-        let mut specs: Vec<BrokerSpec> = brokers.to_vec();
-        specs.sort_by(|a, b| {
-            b.out_bandwidth
-                .partial_cmp(&a.out_bandwidth)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        Self {
-            states: specs
-                .into_iter()
-                .map(|spec| RefBrokerState {
-                    spec,
-                    union: SubscriptionProfile::new(),
-                    in_rate: 0.0,
-                    out_used: 0.0,
-                    subs: 0,
-                    units: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Packs borrowed units in descending bandwidth order.
-    ///
-    /// # Errors
-    /// Fails with the subscriptions of the first unplaceable unit.
-    pub fn pack_sorted(
-        &mut self,
-        publishers: &PublisherTable,
-        mut units: Vec<&'u Unit>,
-    ) -> Result<(), AllocError> {
-        if self.states.is_empty() {
-            return if units.is_empty() {
-                Ok(())
-            } else {
-                Err(AllocError::NoBrokers)
-            };
-        }
-        units.sort_by(|a, b| {
-            b.out_bandwidth
-                .total_cmp(&a.out_bandwidth)
-                .then_with(|| a.subs.cmp(&b.subs))
-        });
-        'units: for unit in units {
-            for state in &mut self.states {
-                // Cheap bandwidth check first — the dominant rejection.
-                if state.out_used + unit.out_bandwidth >= state.spec.out_bandwidth {
-                    continue;
-                }
-                // Incremental rate check: only the unit's publishers
-                // can change the union rate.
-                let delta = state.union.estimate_rate_delta(&unit.profile, publishers);
-                let in_rate = state.in_rate + delta;
-                let max_rate = state
-                    .spec
-                    .matching_delay
-                    .max_rate(state.subs + unit.sub_count());
-                if in_rate > max_rate {
-                    continue;
-                }
-                state.union.or_assign(&unit.profile);
-                state.in_rate = in_rate;
-                state.out_used += unit.out_bandwidth;
-                state.subs += unit.sub_count();
-                state.units.push(unit);
-                continue 'units;
-            }
-            return Err(AllocError::Infeasible {
-                subs: unit.subs.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Number of brokers that received at least one unit.
-    pub fn used_brokers(&self) -> usize {
-        self.states.iter().filter(|s| !s.units.is_empty()).count()
-    }
-
-    /// Materializes a full [`Allocation`] (clones the packed units).
-    pub fn into_allocation(self, publishers: &PublisherTable) -> Allocation {
-        let loads = self
-            .states
-            .into_iter()
-            .filter(|s| !s.units.is_empty())
-            .map(|s| {
-                let input = s.union.estimate_load(publishers);
-                BrokerLoad {
-                    broker: s.spec.id,
-                    units: s.units.into_iter().cloned().collect(),
-                    union_profile: s.union,
-                    out_bw_used: s.out_used,
-                    in_rate: input.rate,
-                    in_bandwidth: input.bandwidth,
-                }
-            })
-            .collect();
-        Allocation { loads }
-    }
-}
-
 /// One per-publisher union window of one broker, reused across packs.
 ///
 /// A slot is live for the current pack iff its `epoch` matches the
@@ -301,25 +201,24 @@ struct FastBroker {
     picks: Vec<Arc<Unit>>,
 }
 
-/// The persistent allocation-test packer behind CRAM's arena engine.
+/// The persistent allocation-test packer behind CRAM.
 ///
-/// [`RefPacker`] rebuilds its broker states — and re-walks every union
-/// profile with two popcount passes per probe — on each of the
+/// A packer that rebuilds its broker states per test re-walks every
+/// union profile with two popcount passes per probe, on each of the
 /// thousands of feasibility tests a CRAM run performs. `FastPacker` is
 /// constructed **once** per run and reset per pack by bumping an epoch
 /// counter; per-(broker, publisher) union windows live in reusable
 /// [`FastSlot`]s with cached popcounts, so a placement probe costs one
-/// streaming [`ShiftingBitVector::pair_cardinalities`] pass instead of
-/// a `count_ones` walk plus an `or_count` walk.
+/// streaming [`ShiftingBitVector::pair_cardinalities`] pass.
 ///
-/// The acceptance decisions are bit-identical to
-/// [`RefPacker::pack_sorted`] over the same unit order: the broker
-/// order replicates `RefPacker::new`'s sort, and the rate check
-/// reproduces `SubscriptionProfile::estimate_rate_delta`'s exact f64
-/// operation sequence (same fraction arguments, same accumulation
-/// order). Publishers absent from the table are skipped entirely — the
-/// reference delta never reads them, so they cannot influence any
-/// accept/reject decision.
+/// The acceptance decisions are bit-identical to the test oracle's
+/// (re-sort, then `SubscriptionProfile::estimate_rate_delta` per
+/// probe) over the same unit order: both take their brokers from
+/// [`sorted_specs`], and the rate check reproduces
+/// `estimate_rate_delta`'s exact f64 operation sequence (same fraction
+/// arguments, same accumulation order). Publishers absent from the
+/// table are skipped entirely — the reference delta never reads them,
+/// so they cannot influence any accept/reject decision.
 #[derive(Debug)]
 pub(crate) struct FastPacker {
     brokers: Vec<FastBroker>,
@@ -337,29 +236,11 @@ pub(crate) struct FastPacker {
     or_scratch: Vec<(usize, usize)>,
 }
 
-/// The unit order [`RefPacker::pack_sorted`] packs in: output bandwidth
-/// descending, subscription list ascending as the tiebreak. Over any
-/// live CRAM pool plus one trial merged unit the subscription lists are
-/// pairwise disjoint and non-empty, so this is a strict total order —
-/// which is what lets the engine maintain one sorted unit list
-/// incrementally instead of re-sorting per test.
-pub(crate) fn pack_order(a: &Unit, b: &Unit) -> std::cmp::Ordering {
-    b.out_bandwidth
-        .total_cmp(&a.out_bandwidth)
-        .then_with(|| a.subs.cmp(&b.subs))
-}
-
 impl FastPacker {
-    /// Builds the persistent packer: brokers sorted exactly as
-    /// [`RefPacker::new`] sorts them, one slot per (broker, publisher).
+    /// Builds the persistent packer: brokers in [`sorted_specs`] order,
+    /// one slot per (broker, publisher).
     pub(crate) fn new(brokers: &[BrokerSpec], publishers: &PublisherTable) -> Self {
-        let mut specs: Vec<BrokerSpec> = brokers.to_vec();
-        specs.sort_by(|a, b| {
-            b.out_bandwidth
-                .partial_cmp(&a.out_bandwidth)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        let specs = sorted_specs(brokers);
         let advs: Vec<AdvId> = publishers.iter().map(|p| p.adv_id).collect();
         let rates: Vec<f64> = publishers.iter().map(|p| p.rate).collect();
         let last_msgs: Vec<u64> = publishers.iter().map(|p| p.last_msg_id.raw()).collect();
@@ -386,14 +267,12 @@ impl FastPacker {
             last_msgs,
             slots,
             epoch: 0,
-
             or_scratch: Vec::new(),
         }
     }
 
     /// Packs units (already in [`pack_order`]) onto the brokers,
-    /// resetting all per-pack state via the epoch bump. Decision-
-    /// identical to [`RefPacker::pack_sorted`] over the same order.
+    /// resetting all per-pack state via the epoch bump.
     ///
     /// # Errors
     /// Fails with the subscriptions of the first unplaceable unit, or
@@ -479,7 +358,7 @@ impl FastPacker {
                 // Accept: fold every publisher-backed window of the
                 // unit into its slot (including empty windows — their
                 // placement can widen a union window, which the
-                // reference path's `or_assign` also does).
+                // baseline packer's `or_assign` also does).
                 for (adv, o) in unit.profile.iter() {
                     let Ok(ai) = self.advs.binary_search(&adv) else {
                         continue;
@@ -528,10 +407,8 @@ impl FastPacker {
     }
 
     /// Moves the most recent pack's per-broker placements (placement
-    /// order preserved) into `out`, reusing its spine. Materializing an
-    /// [`Allocation`] from this recipe — replaying the profile unions
-    /// and bandwidth sums per broker — reproduces
-    /// [`RefPacker::into_allocation`] bit-for-bit.
+    /// order preserved) into `out`, reusing its spine —
+    /// [`materialize_recipe`] turns them into an [`Allocation`].
     pub(crate) fn drain_picks_into(&mut self, out: &mut Vec<(BrokerId, Vec<Arc<Unit>>)>) {
         out.clear();
         for st in &mut self.brokers {
@@ -540,6 +417,38 @@ impl FastPacker {
             }
         }
     }
+}
+
+/// Materializes a packing recipe ([`FastPacker::drain_picks_into`])
+/// into a full [`Allocation`]: per broker, replay `or_assign` over the
+/// picked units in placement order, sum their bandwidths, and estimate
+/// the union load — the fold the baseline [`Packer`] performs as it
+/// places and finalizes, so the `f64` results match it bit-for-bit.
+pub(crate) fn materialize_recipe(
+    picks: Vec<(BrokerId, Vec<Arc<Unit>>)>,
+    publishers: &PublisherTable,
+) -> Allocation {
+    let loads = picks
+        .into_iter()
+        .map(|(broker, picked)| {
+            let mut union = SubscriptionProfile::new();
+            let mut out_bw_used = 0.0;
+            for u in &picked {
+                union.or_assign(&u.profile);
+                out_bw_used += u.out_bandwidth;
+            }
+            let input = union.estimate_load(publishers);
+            BrokerLoad {
+                broker,
+                units: picked.iter().map(|u| (**u).clone()).collect(),
+                union_profile: union,
+                out_bw_used,
+                in_rate: input.rate,
+                in_bandwidth: input.bandwidth,
+            }
+        })
+        .collect();
+    Allocation { loads }
 }
 
 /// Runs a complete packing pass: places every unit in the given order,
@@ -566,12 +475,125 @@ pub fn pack_all(
     Ok(packer.into_allocation())
 }
 
+/// The packer CRAM's allocation test ran on before [`FastPacker`]:
+/// fresh broker states per test, borrowed units re-sorted per test,
+/// `estimate_rate_delta` per probe. Not shipped — it is the bit-exact
+/// oracle the tests here and in [`crate::cram`] compare the production
+/// path against, seam by seam.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    #[derive(Debug)]
+    pub(crate) struct RefPacker<'u> {
+        pub(super) states: Vec<RefBrokerState<'u>>,
+    }
+
+    #[derive(Debug)]
+    pub(super) struct RefBrokerState<'u> {
+        pub(super) spec: BrokerSpec,
+        union: SubscriptionProfile,
+        /// Running estimate of the union profile's input rate.
+        pub(super) in_rate: f64,
+        pub(super) out_used: f64,
+        pub(super) subs: usize,
+        pub(super) units: Vec<&'u Unit>,
+    }
+
+    impl<'u> RefPacker<'u> {
+        pub(crate) fn new(brokers: &[BrokerSpec]) -> Self {
+            Self {
+                states: sorted_specs(brokers)
+                    .into_iter()
+                    .map(|spec| RefBrokerState {
+                        spec,
+                        union: SubscriptionProfile::new(),
+                        in_rate: 0.0,
+                        out_used: 0.0,
+                        subs: 0,
+                        units: Vec::new(),
+                    })
+                    .collect(),
+            }
+        }
+
+        /// Stable-sorts the borrowed units into [`pack_order`] and packs
+        /// them, failing with the first unplaceable unit.
+        pub(crate) fn pack_sorted(
+            &mut self,
+            publishers: &PublisherTable,
+            mut units: Vec<&'u Unit>,
+        ) -> Result<(), AllocError> {
+            if self.states.is_empty() {
+                return if units.is_empty() {
+                    Ok(())
+                } else {
+                    Err(AllocError::NoBrokers)
+                };
+            }
+            units.sort_by(|a, b| pack_order(a, b));
+            'units: for unit in units {
+                for state in &mut self.states {
+                    if state.out_used + unit.out_bandwidth >= state.spec.out_bandwidth {
+                        continue;
+                    }
+                    let delta = state.union.estimate_rate_delta(&unit.profile, publishers);
+                    let in_rate = state.in_rate + delta;
+                    let max_rate = state
+                        .spec
+                        .matching_delay
+                        .max_rate(state.subs + unit.sub_count());
+                    if in_rate > max_rate {
+                        continue;
+                    }
+                    state.union.or_assign(&unit.profile);
+                    state.in_rate = in_rate;
+                    state.out_used += unit.out_bandwidth;
+                    state.subs += unit.sub_count();
+                    state.units.push(unit);
+                    continue 'units;
+                }
+                return Err(AllocError::Infeasible {
+                    subs: unit.subs.clone(),
+                });
+            }
+            Ok(())
+        }
+
+        pub(crate) fn used_brokers(&self) -> usize {
+            self.states.iter().filter(|s| !s.units.is_empty()).count()
+        }
+
+        pub(crate) fn into_allocation(self, publishers: &PublisherTable) -> Allocation {
+            let loads = self
+                .states
+                .into_iter()
+                .filter(|s| !s.units.is_empty())
+                .map(|s| {
+                    let input = s.union.estimate_load(publishers);
+                    BrokerLoad {
+                        broker: s.spec.id,
+                        units: s.units.into_iter().cloned().collect(),
+                        union_profile: s.union,
+                        out_bw_used: s.out_used,
+                        in_rate: input.rate,
+                        in_bandwidth: input.bandwidth,
+                    }
+                })
+                .collect();
+            Allocation { loads }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::RefPacker;
     use super::*;
     use crate::model::LinearFn;
     use greenps_profile::{PublisherProfile, ShiftingBitVector};
     use greenps_pubsub::ids::{AdvId, MsgId, SubId};
+    use proptest::prelude::*;
 
     fn publishers() -> PublisherTable {
         [PublisherProfile::new(
@@ -747,6 +769,42 @@ mod tests {
         .collect()
     }
 
+    /// Packs `subset` (already in [`pack_order`]) on the persistent
+    /// `fast` packer and on a fresh oracle and compares everything a
+    /// CRAM allocation test reads: accept/reject (and the error), the
+    /// broker count, every broker's running state bit for bit, and —
+    /// on success — the allocation materialized from the recipe.
+    fn assert_same_pack(
+        fast: &mut FastPacker,
+        brokers: &[BrokerSpec],
+        pubs: &PublisherTable,
+        subset: &[&Arc<Unit>],
+    ) -> Result<(), TestCaseError> {
+        let mut reference = RefPacker::new(brokers);
+        let ref_result = reference.pack_sorted(pubs, subset.iter().map(|u| &***u).collect());
+        let fast_result = fast.pack(subset.iter().copied());
+        prop_assert_eq!(&ref_result, &fast_result);
+        prop_assert_eq!(reference.used_brokers(), fast.used_brokers());
+        for (rs, fs) in reference.states.iter().zip(&fast.brokers) {
+            prop_assert_eq!(rs.spec.id, fs.spec.id);
+            prop_assert_eq!(rs.in_rate.to_bits(), fs.in_rate.to_bits());
+            prop_assert_eq!(rs.out_used.to_bits(), fs.out_used.to_bits());
+            prop_assert_eq!(rs.subs, fs.subs);
+            let ref_subs: Vec<_> = rs.units.iter().map(|u| &u.subs).collect();
+            let fast_subs: Vec<_> = fs.picks.iter().map(|u| &u.subs).collect();
+            prop_assert_eq!(ref_subs, fast_subs);
+        }
+        if ref_result.is_ok() {
+            let mut picks = Vec::new();
+            fast.drain_picks_into(&mut picks);
+            prop_assert_eq!(
+                materialize_recipe(picks, pubs),
+                reference.into_allocation(pubs)
+            );
+        }
+        Ok(())
+    }
+
     /// Units covering every delta-path branch: shared windows, shifted
     /// windows (forcing `or_assign` truncation), empty vectors, a
     /// publisher-less advertisement, and multi-publisher profiles.
@@ -772,96 +830,98 @@ mod tests {
         units.into_iter().map(Arc::new).collect()
     }
 
-    /// FastPacker must reproduce RefPacker's decisions bit-for-bit —
-    /// same placements, same running rates — across repeated packs of
-    /// changing unit subsets on one persistent packer (the CRAM usage).
-    #[test]
-    fn fast_packer_matches_ref_packer_bit_for_bit() {
-        let pubs = two_publishers();
-        let units = tricky_units(&pubs);
-        let brokers = vec![
-            broker(1, 120_000.0),
-            broker(2, 80_000.0),
-            broker(3, 80_000.0),
-        ];
-        let mut fast = FastPacker::new(&brokers, &pubs);
-        // Rounds drop a different unit each time, so slot state from the
-        // previous pack must never leak into the next.
-        for round in 0..=units.len() {
+    /// One persistent packer (the CRAM usage) against a fresh oracle
+    /// per pack: the full set, each unit dropped in turn — slot state
+    /// must never leak from the previous pack — and the full set again.
+    fn assert_same_packs(
+        brokers: &[BrokerSpec],
+        pubs: &PublisherTable,
+        units: &[Arc<Unit>],
+    ) -> Result<(), TestCaseError> {
+        let mut fast = FastPacker::new(brokers, pubs);
+        for round in 0..units.len() + 2 {
             let subset: Vec<&Arc<Unit>> = units
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| round == units.len() || *i != round)
+                .filter(|(i, _)| *i + 1 != round)
                 .map(|(_, u)| u)
                 .collect();
-            let mut reference = RefPacker::new(&brokers);
-            let ref_result = reference.pack_sorted(&pubs, subset.iter().map(|u| &***u).collect());
-            let fast_result = fast.pack(subset.iter().copied());
-            assert_eq!(ref_result.is_ok(), fast_result.is_ok(), "round {round}");
-            assert_eq!(
-                reference.used_brokers(),
-                fast.used_brokers(),
-                "round {round}"
-            );
-            for (rs, fs) in reference.states.iter().zip(&fast.brokers) {
-                assert_eq!(rs.spec.id, fs.spec.id);
-                assert_eq!(
-                    rs.in_rate.to_bits(),
-                    fs.in_rate.to_bits(),
-                    "round {round} broker {:?}",
-                    rs.spec.id
-                );
-                assert_eq!(rs.out_used.to_bits(), fs.out_used.to_bits());
-                assert_eq!(rs.subs, fs.subs);
-                let ref_subs: Vec<_> = rs.units.iter().map(|u| u.subs.clone()).collect();
-                let fast_subs: Vec<_> = fs.picks.iter().map(|u| u.subs.clone()).collect();
-                assert_eq!(ref_subs, fast_subs, "round {round}");
-            }
+            assert_same_pack(&mut fast, brokers, pubs, &subset)?;
         }
+        Ok(())
     }
 
-    /// Replaying a drained recipe (per-broker placement order) must
-    /// reproduce `RefPacker::into_allocation` exactly.
+    /// The hand-built units, through that comparison.
     #[test]
-    fn fast_packer_recipe_materializes_ref_allocation() {
+    fn fast_packer_matches_the_oracle_on_tricky_units() {
         let pubs = two_publishers();
-        let units = tricky_units(&pubs);
-        let brokers = vec![
+        let brokers = [
             broker(1, 120_000.0),
             broker(2, 80_000.0),
             broker(3, 80_000.0),
         ];
-        let mut reference = RefPacker::new(&brokers);
-        reference
-            .pack_sorted(&pubs, units.iter().map(|u| &**u).collect())
-            .unwrap();
-        let expected = reference.into_allocation(&pubs);
+        assert_same_packs(&brokers, &pubs, &tricky_units(&pubs)).unwrap();
+    }
 
-        let mut fast = FastPacker::new(&brokers, &pubs);
-        fast.pack(units.iter()).unwrap();
-        let mut picks = Vec::new();
-        fast.drain_picks_into(&mut picks);
-        let loads: Vec<BrokerLoad> = picks
-            .into_iter()
-            .map(|(id, picked)| {
-                let mut union = SubscriptionProfile::new();
-                let mut out = 0.0;
-                for u in &picked {
-                    union.or_assign(&u.profile);
-                    out += u.out_bandwidth;
-                }
-                let input = union.estimate_load(&pubs);
-                BrokerLoad {
-                    broker: id,
-                    units: picked.iter().map(|u| (**u).clone()).collect(),
-                    union_profile: union,
-                    out_bw_used: out,
-                    in_rate: input.rate,
-                    in_bandwidth: input.bandwidth,
-                }
+    /// One `(adv, first_id, offsets)` leg: advertisement 7 has no
+    /// publisher, the window starts force shifted and truncating
+    /// unions, and the offset set may be empty.
+    fn arb_leg() -> impl Strategy<Value = (u64, u64, Vec<u64>)> {
+        (
+            proptest::sample::select(vec![1u64, 2, 7]),
+            proptest::sample::select(vec![0u64, 50, 900, 940]),
+            proptest::collection::btree_set(0u64..100, 0..60),
+        )
+            .prop_map(|(adv, first, offsets)| {
+                (adv, first, offsets.into_iter().map(|o| first + o).collect())
             })
-            .collect();
-        assert_eq!(loads, expected.loads);
+    }
+
+    fn arb_brokers() -> impl Strategy<Value = Vec<BrokerSpec>> {
+        proptest::collection::vec(
+            (
+                proptest::sample::select(vec![15_000.0, 40_000.0, 80_000.0, 120_000.0]),
+                proptest::sample::select(vec![(0.0001, 0.0), (0.01, 0.0005), (0.02, 0.0)]),
+            ),
+            0..5,
+        )
+        .prop_map(|specs| {
+            specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (bw, (base, per_sub)))| {
+                    let id = i as u64 + 1;
+                    BrokerSpec::new(
+                        BrokerId::new(id),
+                        format!("b{id}"),
+                        LinearFn::new(base, per_sub),
+                        bw,
+                    )
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Seam oracle for the allocation test: over arbitrary brokers
+        /// and units, one persistent `FastPacker` fed a `pack_order`
+        /// stream decides, counts and materializes exactly as a fresh
+        /// oracle packer does.
+        #[test]
+        fn fast_packer_matches_the_oracle_bit_for_bit(
+            brokers in arb_brokers(),
+            legs in proptest::collection::vec(proptest::collection::vec(arb_leg(), 1..4), 0..9),
+        ) {
+            let pubs = two_publishers();
+            let mut units: Vec<Unit> = legs
+                .iter()
+                .enumerate()
+                .map(|(i, legs)| multi_unit(i as u64, legs, &pubs))
+                .collect();
+            units.sort_by(pack_order);
+            let units: Vec<Arc<Unit>> = units.into_iter().map(Arc::new).collect();
+            assert_same_packs(&brokers, &pubs, &units)?;
+        }
     }
 
     /// Both packers reject the same first unit with the same error.

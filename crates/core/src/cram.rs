@@ -22,42 +22,49 @@
 //!    intersecting GIFs, try clustering each GIF with a greedy
 //!    set-cover selection of its covered GIFs (the CGS).
 //!
-//! The closest-pair search — CRAM's hot loop — runs on the parallel
-//! closeness engine ([`crate::engine`]): stale GIFs are sharded across
-//! a scoped worker pool ([`CramBuilder::threads`]) that scans a frozen
-//! snapshot of the pool and pair-closeness cache, so the allocation
-//! (and every stat) is bit-identical to the sequential run for any
-//! thread count. Pair closenesses are memoized in a
-//! [`crate::engine::PairCache`] keyed by GIF-key pairs; entries are
-//! invalidated only for pairs touching a merged-away GIF — blacklisted
-//! pairs keep their entries because the underlying profiles never
-//! changed.
+//! There is one engine. The closest-pair search — CRAM's hot loop —
+//! runs on the parallel closeness engine ([`crate::engine`]): stale GIFs
+//! are sharded across a scoped worker pool ([`CramBuilder::threads`])
+//! that scans a frozen snapshot of the pool and pair-closeness cache, so
+//! the allocation (and every stat) is bit-identical to the sequential
+//! run for any thread count. Four mechanisms make it fast, and each is
+//! held to a bit-exact oracle at its own seam by the tests rather than
+//! by a second engine kept alive end to end:
 //!
-//! Two further engine knobs shape *how* (never *what*) the answer is
-//! computed:
+//! * **profile storage** — GIF profiles live as rows of one contiguous
+//!   [`ArenaKernel`] (stride sized from the widest window in the
+//!   initial pool); oracle: `SubscriptionProfile::pair_cardinalities`
+//!   (the kernel's proptest in `greenps_profile`);
+//! * **allocation test** — a persistent `FastPacker` fed from an
+//!   incrementally maintained `pack_order` unit list through
+//!   `MergedOrder`; oracle: the `#[cfg(test)]` collect-re-sort-re-pack
+//!   packer in [`crate::capacity`];
+//! * **best allocation** — only the packing *recipe* of the best test
+//!   is kept and `materialize_recipe` runs once at the end; oracle: a
+//!   from-scratch pack of the committed pool after every merge;
+//! * **tiling and the pair cache** — GIF keys are grouped into
+//!   `DEFAULT_TILE`-wide tiles whose OR-summary profiles let the
+//!   poset scan reject a whole tile of candidates with one intersect
+//!   pass, and pair closenesses are memoized in a
+//!   [`crate::engine::PairCache`] whose entries are invalidated only
+//!   for pairs touching a merged-away GIF (blacklisted pairs keep
+//!   theirs — the underlying profiles never changed); oracle: the
+//!   untiled scan, which must reach the identical allocation with at
+//!   least as many closeness computations.
 //!
-//! * [`CramBuilder::layout`] picks the profile storage
-//!   ([`Layout::Arena`], the default, packs every per-publisher bit
-//!   window into one contiguous [`greenps_profile::BitsetArena`] and
-//!   runs the allocation tests on a persistent incremental packer;
-//!   [`Layout::PerProfile`] is the byte-exact legacy reference path);
-//! * [`CramBuilder::tile`] groups GIF keys into fixed-width tiles whose
-//!   OR-summary profiles let the poset scan reject a whole tile of
-//!   candidates with a single intersect pass.
-//!
-//! Both knobs preserve the allocation and [`CramStats`] bit-for-bit,
-//! except that tiling (by design) lowers `closeness_computations`.
+//! What a caller can set is what the paper ablates: the metric,
+//! optimizations 2 and 3, and the thread count.
 //!
 //! Entry point: [`CramBuilder`].
 
-use crate::capacity::{pack_order, FastPacker, RefPacker};
-use crate::engine::{shard_map_scratch, CacheConfig, PairCache};
-use crate::model::{AllocError, Allocation, AllocationInput, BrokerLoad, Unit};
+use crate::capacity::{materialize_recipe, pack_order, FastPacker};
+use crate::engine::{shard_map_scratch, PairCache};
+use crate::model::{AllocError, Allocation, AllocationInput, Unit};
 use crate::pipeline::CancelToken;
 use crate::sorting::{bin_packing_units, units_from_input};
 use greenps_profile::{
-    ArenaKernel, Closeness, ClosenessKernel, ClosenessMetric, PerProfileKernel, Poset,
-    PublisherTable, Relation, ShiftingBitVector, SubscriptionProfile, DEFAULT_CAPACITY,
+    ArenaKernel, Closeness, ClosenessMetric, Poset, Relation, ShiftingBitVector,
+    SubscriptionProfile, DEFAULT_CAPACITY,
 };
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_telemetry::{EventSink, Histogram, Registry, Span};
@@ -69,39 +76,21 @@ pub(crate) type GifKey = u64;
 /// Key of a unit inside the CRAM pool.
 type UnitKey = u64;
 
-/// How the closeness engine stores GIF profiles.
-///
-/// The choice never changes the allocation or any [`CramStats`] field —
-/// both layouts route every metric evaluation through the same
-/// word-level popcount — it only changes memory behaviour and speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// One heap-allocated profile clone per GIF — the legacy layout,
-    /// kept as the bit-exact reference the arena is proven against.
-    /// Allocation tests re-sort and re-pack from scratch.
-    PerProfile,
-    /// Every per-publisher bit window packed into one contiguous
-    /// fixed-stride [`greenps_profile::BitsetArena`], so a pair
-    /// evaluation is a streaming popcount over adjacent rows with zero
-    /// allocations. Allocation tests run on a persistent packer over an
-    /// incrementally-maintained unit order.
-    Arena {
-        /// Row stride in bits. `0` (the default) sizes the stride
-        /// automatically from the widest window in the initial pool;
-        /// windows wider than the stride fall back to a side store, so
-        /// any value is correct.
-        stride: usize,
-    },
-}
+/// Tile width (GIF keys per tile) for whole-tile pruning. Only
+/// `closeness_computations` depends on it — a rejected tile is exactly
+/// a set of candidates whose closeness is provably zero — so it is a
+/// constant, not an option; the in-module tests vary
+/// [`CramBuilder`]'s private copy to hold tiled and untiled scans to
+/// the same allocation.
+const DEFAULT_TILE: usize = 64;
 
-impl Default for Layout {
-    fn default() -> Self {
-        Layout::Arena { stride: 0 }
-    }
-}
-
-/// Default tile width (GIF keys per tile) for whole-tile pruning.
-pub const DEFAULT_TILE: usize = 64;
+/// Minimum number of stale GIFs a scan shard must receive before
+/// another worker is spawned. CRAM's post-merge refreshes touch only a
+/// handful of GIFs each, so without a floor the merge loop would pay a
+/// scope spawn per iteration for no gain. Granularity only: shards
+/// remain contiguous chunks joined in input order, so results are
+/// unchanged, merely produced by fewer workers.
+const MIN_SHARD_CHUNK: usize = 32;
 
 /// CRAM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -115,26 +104,17 @@ pub struct CramConfig {
     /// Worker threads for the closest-pair search (1 = sequential).
     /// Results are bit-identical for every value.
     pub threads: usize,
-    /// Profile storage layout for the closeness engine.
-    pub layout: Layout,
-    /// Tile width for whole-tile candidate rejection (`0` disables).
-    pub tile: usize,
-    /// Pair-closeness cache configuration.
-    pub cache: CacheConfig,
 }
 
 impl CramConfig {
     /// The paper's default configuration for a metric: all optimizations
-    /// on, sequential search, arena layout with tiled pruning.
+    /// on, sequential search.
     pub fn with_metric(metric: ClosenessMetric) -> Self {
         Self {
             metric,
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
-            layout: Layout::default(),
-            tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
         }
     }
 }
@@ -311,8 +291,8 @@ struct Pool {
     by_profile: BTreeMap<SubscriptionProfile, GifKey>,
     poset: Poset<GifKey>,
     /// Batch cardinality provider over the live GIF profiles — the
-    /// layout-specific half of every metric evaluation.
-    kernel: Box<dyn ClosenessKernel>,
+    /// popcount half of every built-in metric evaluation.
+    kernel: ArenaKernel,
     /// Tile summaries for whole-tile rejection (inert when `tile` is 0).
     tiles: TileIndex,
     next_unit: UnitKey,
@@ -320,34 +300,22 @@ struct Pool {
 }
 
 impl Pool {
-    fn build(
-        units: Vec<Unit>,
-        layout: Layout,
-        tile: usize,
-        cancel: &CancelToken,
-    ) -> Result<Self, AllocError> {
-        let kernel: Box<dyn ClosenessKernel> = match layout {
-            Layout::PerProfile => Box::new(PerProfileKernel::new()),
-            Layout::Arena { stride } => {
-                let stride = if stride == 0 {
-                    units
-                        .iter()
-                        .flat_map(|u| u.profile.iter())
-                        .map(|(_, v)| v.capacity())
-                        .max()
-                        .unwrap_or(DEFAULT_CAPACITY)
-                } else {
-                    stride
-                };
-                Box::new(ArenaKernel::new(stride))
-            }
-        };
+    fn build(units: Vec<Unit>, tile: usize, cancel: &CancelToken) -> Result<Self, AllocError> {
+        // Rows as wide as the widest window in the initial pool. A
+        // wider window would fall back to the kernel's side store, so
+        // this is a sizing choice, not a correctness condition.
+        let stride = units
+            .iter()
+            .flat_map(|u| u.profile.iter())
+            .map(|(_, v)| v.capacity())
+            .max()
+            .unwrap_or(DEFAULT_CAPACITY);
         let mut pool = Pool {
             units: BTreeMap::new(),
             gifs: BTreeMap::new(),
             by_profile: BTreeMap::new(),
             poset: Poset::new(),
-            kernel,
+            kernel: ArenaKernel::new(stride),
             tiles: TileIndex::new(tile),
             next_unit: 0,
             next_gif: 0,
@@ -429,9 +397,9 @@ impl Pool {
 /// The closeness measure a [`CramBuilder`] clusters with: one of the
 /// paper's metrics, or a borrowed user-supplied measure.
 ///
-/// Built-in metrics evaluate through the pool's [`ClosenessKernel`]
-/// (one batch popcount pass + scalar arithmetic); custom measures see
-/// whole profiles, as their trait contract promises.
+/// Built-in metrics evaluate through the pool's [`ArenaKernel`] (one
+/// batch popcount pass + scalar arithmetic); custom measures see whole
+/// profiles, as their trait contract promises.
 #[derive(Clone, Copy)]
 enum MeasureRef<'a> {
     Metric(ClosenessMetric),
@@ -464,89 +432,45 @@ pub struct CramBuilder<'a> {
     one_to_many: bool,
     poset_pruning: bool,
     threads: usize,
-    layout: Layout,
+    /// Tile width for whole-tile candidate rejection (`0` scans
+    /// untiled); [`DEFAULT_TILE`] outside this module's tests.
     tile: usize,
-    cache: CacheConfig,
     telemetry: Registry,
     cancel: CancelToken,
 }
 
 impl<'a> CramBuilder<'a> {
-    /// CRAM with a paper metric, all optimizations on, sequential
-    /// search, arena layout with tiled pruning.
-    pub fn new(metric: ClosenessMetric) -> Self {
+    fn with_measure(measure: MeasureRef<'a>) -> Self {
         CramBuilder {
-            measure: MeasureRef::Metric(metric),
+            measure,
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
-            layout: Layout::default(),
             tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
             telemetry: Registry::disabled(),
             cancel: CancelToken::never(),
         }
+    }
+
+    /// CRAM with a paper metric, all optimizations on, sequential
+    /// search.
+    pub fn new(metric: ClosenessMetric) -> Self {
+        Self::with_measure(MeasureRef::Metric(metric))
     }
 
     /// CRAM with a user-supplied [`Closeness`] measure — the plug-in
     /// point for custom clustering heuristics.
     pub fn custom(measure: &'a dyn Closeness) -> Self {
-        CramBuilder {
-            measure: MeasureRef::Custom(measure),
-            one_to_many: true,
-            poset_pruning: true,
-            threads: 1,
-            layout: Layout::default(),
-            tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
-            telemetry: Registry::disabled(),
-            cancel: CancelToken::never(),
-        }
+        Self::with_measure(MeasureRef::Custom(measure))
     }
 
     /// Builder from a [`CramConfig`] (the form the ablation experiments
     /// and [`crate::overlay::AllocatorKind::Cram`] carry around).
     pub fn from_config(config: CramConfig) -> Self {
-        CramBuilder {
-            measure: MeasureRef::Metric(config.metric),
-            one_to_many: config.one_to_many,
-            poset_pruning: config.poset_pruning,
-            threads: config.threads,
-            layout: config.layout,
-            tile: config.tile,
-            cache: config.cache,
-            telemetry: Registry::disabled(),
-            cancel: CancelToken::never(),
-        }
-    }
-
-    /// Selects the profile storage layout. [`Layout::Arena`] (the
-    /// default) runs the contiguous-popcount kernel and the persistent
-    /// fast packer; [`Layout::PerProfile`] runs the legacy reference
-    /// path. The allocation and stats are bit-identical either way.
-    #[must_use]
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Tile width for whole-tile candidate rejection during the poset
-    /// scan (`0` disables tiling). Only `closeness_computations` can
-    /// change — the allocation and every other stat stay bit-identical,
-    /// because a rejected tile is exactly a set of candidates whose
-    /// closeness is provably zero.
-    #[must_use]
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.tile = tile;
-        self
-    }
-
-    /// Pair-closeness cache configuration (entry budget + invalidation
-    /// policy).
-    #[must_use]
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
-        self
+        Self::new(config.metric)
+            .one_to_many(config.one_to_many)
+            .poset_pruning(config.poset_pruning)
+            .threads(config.threads)
     }
 
     /// Threads a cancellation token into the run: the merge loop, the
@@ -613,82 +537,7 @@ impl<'a> CramBuilder<'a> {
         units: Vec<Unit>,
     ) -> Result<(Allocation, CramStats), AllocError> {
         let span = Span::enter(&self.telemetry, "cram.run");
-        let mut stats = CramStats {
-            subscriptions: units.iter().map(Unit::sub_count).sum(),
-            ..CramStats::default()
-        };
-
-        // Initialization: allocate without clustering; abort on failure.
-        let baseline = bin_packing_units(
-            &input.brokers,
-            &input.publishers,
-            units.clone(),
-            &self.cancel,
-        )?;
-
-        let pool = Pool::build(units, self.layout, self.tile, &self.cancel)?;
-        stats.initial_gifs = pool.gifs.len();
-        // The arena layout carries a persistent packer over an
-        // incrementally-maintained pack-order unit list; the
-        // per-profile layout re-packs from scratch per test — the
-        // byte-exact reference path the fast path is proven against.
-        let pack = match self.layout {
-            Layout::PerProfile => PackPath::Reference,
-            Layout::Arena { .. } => {
-                let mut order: Vec<PackEntry> = pool
-                    .units
-                    .iter()
-                    .map(|(&key, u)| PackEntry {
-                        key,
-                        unit: Arc::clone(u),
-                    })
-                    .collect();
-                order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
-                PackPath::Fast {
-                    packer: FastPacker::new(&input.brokers, &input.publishers),
-                    order,
-                }
-            }
-        };
-        // The fast path keeps only the packing *recipe* of the best
-        // allocation and materializes once after the run; seeding it
-        // from the baseline keeps the fallback guarantee intact.
-        let best = match &pack {
-            PackPath::Reference => BestAlloc::Full(baseline),
-            PackPath::Fast { .. } => BestAlloc::Recipe {
-                brokers: baseline.broker_count(),
-                picks: baseline
-                    .loads
-                    .into_iter()
-                    .map(|l| (l.broker, l.units.into_iter().map(Arc::new).collect()))
-                    .collect(),
-            },
-        };
-        let mut engine = Engine {
-            pool,
-            measure: self.measure,
-            one_to_many: self.one_to_many,
-            poset_pruning: self.poset_pruning,
-            threads: self.threads,
-            publishers: &input.publishers,
-            brokers: &input.brokers,
-            partners: BTreeMap::new(),
-            stale: BTreeSet::new(),
-            blacklist: BTreeSet::new(),
-            cache: PairCache::with_config(self.cache),
-            stats,
-            best,
-            pack,
-            tile_checks: 0,
-            tile_pruned: 0,
-            scan_timer: self.telemetry.histogram("cram.scan_us"),
-            scan_scratch: ScanScratch::default(),
-            removed_buf: Vec::new(),
-            cgs_scratch: CgsScratch::default(),
-            events: self.telemetry.ring("cram"),
-            cancel: self.cancel.clone(),
-        };
-        engine.stale.extend(engine.pool.gifs.keys().copied());
+        let mut engine = Engine::new(self, input, units)?;
         if !engine.run() {
             // Cancelled mid-merge: no partial allocation escapes.
             span.finish();
@@ -698,12 +547,10 @@ impl<'a> CramBuilder<'a> {
         engine.stats.final_units = engine.pool.units.len();
         self.report(&engine);
         span.finish();
-        let stats = engine.stats;
-        let best = match engine.best {
-            BestAlloc::Full(a) => a,
-            BestAlloc::Recipe { picks, .. } => materialize_recipe(picks, &input.publishers),
-        };
-        Ok((best, stats))
+        Ok((
+            materialize_recipe(engine.best.picks, &input.publishers),
+            engine.stats,
+        ))
     }
 
     /// Publishes the run's counters and gauges. Pure observation of
@@ -750,8 +597,6 @@ struct Engine<'a> {
     poset_pruning: bool,
     /// Worker threads for the sharded partner refresh.
     threads: usize,
-    publishers: &'a PublisherTable,
-    brokers: &'a [crate::model::BrokerSpec],
     /// Cached closest partner per GIF.
     partners: BTreeMap<GifKey, Option<(GifKey, f64)>>,
     /// GIFs whose cached partner must be recomputed.
@@ -762,8 +607,13 @@ struct Engine<'a> {
     cache: PairCache<GifKey>,
     stats: CramStats,
     best: BestAlloc,
-    /// How the allocation tests pack (layout-selected).
-    pack: PackPath,
+    /// The allocation test's packer: built once per run, reset per
+    /// pack by an epoch bump.
+    packer: FastPacker,
+    /// Live pool units sorted by [`pack_order`], maintained by
+    /// [`Engine::commit`], so a test performs no sorting and no
+    /// per-test collection.
+    order: Vec<PackEntry>,
     /// Whole-tile summary checks performed (telemetry only).
     tile_checks: u64,
     /// Frontier candidates rejected tile-at-a-time (telemetry only).
@@ -788,92 +638,26 @@ fn pair_key(a: GifKey, b: GifKey) -> (GifKey, GifKey) {
     (a.min(b), a.max(b))
 }
 
-/// One entry of the fast path's persistently-sorted unit list.
+/// One entry of the persistently-sorted unit list.
 struct PackEntry {
     key: UnitKey,
     unit: Arc<Unit>,
 }
 
-/// How [`Engine::test_and_record`] runs the allocation test.
-enum PackPath {
-    /// Collect, re-sort, and re-pack from scratch on every test — the
-    /// original implementation, kept byte-for-byte as the reference
-    /// path ([`Layout::PerProfile`]).
-    Reference,
-    /// A persistent [`FastPacker`] (epoch-reset broker/union state)
-    /// fed from an incrementally-maintained [`pack_order`]-sorted unit
-    /// list, so a test performs no sorting and no per-test allocations
-    /// ([`Layout::Arena`]).
-    Fast {
-        packer: FastPacker,
-        /// Live pool units sorted by [`pack_order`], maintained by
-        /// [`Engine::commit`].
-        order: Vec<PackEntry>,
-    },
-}
-
-/// The best allocation seen so far. The reference path stores it fully
-/// materialized after every improvement (the legacy behaviour); the
-/// fast path stores only the packing *recipe* — which broker got which
-/// units, in placement order — and materializes once when the run
-/// ends. Replaying the recipe performs the same profile unions,
-/// bandwidth sums, and load estimates in the same order as
-/// [`RefPacker::into_allocation`], so the result is bit-identical.
-enum BestAlloc {
-    Full(Allocation),
-    Recipe {
-        brokers: usize,
-        picks: Vec<(BrokerId, Vec<Arc<Unit>>)>,
-    },
-}
-
-impl BestAlloc {
-    fn broker_count(&self) -> usize {
-        match self {
-            BestAlloc::Full(a) => a.broker_count(),
-            BestAlloc::Recipe { brokers, .. } => *brokers,
-        }
-    }
-}
-
-/// Materializes a fast-path packing recipe into a full [`Allocation`]:
-/// per broker, replay `or_assign` over the picked units in placement
-/// order, sum their bandwidths, and estimate the union load — the
-/// exact fold [`RefPacker::into_allocation`] (and the baseline packer)
-/// performs, so the `f64` results match bit-for-bit.
-fn materialize_recipe(
+/// The best allocation seen so far, as its packing *recipe* — which
+/// broker got which units, in placement order. [`materialize_recipe`]
+/// turns it into an [`Allocation`] once, when the run ends, instead of
+/// after every improvement.
+struct BestAlloc {
+    brokers: usize,
     picks: Vec<(BrokerId, Vec<Arc<Unit>>)>,
-    publishers: &PublisherTable,
-) -> Allocation {
-    let loads = picks
-        .into_iter()
-        .map(|(broker, picked)| {
-            let mut union = SubscriptionProfile::new();
-            let mut out_bw_used = 0.0;
-            for u in &picked {
-                union.or_assign(&u.profile);
-                out_bw_used += u.out_bandwidth;
-            }
-            let input = union.estimate_load(publishers);
-            BrokerLoad {
-                broker,
-                units: picked.iter().map(|u| (**u).clone()).collect(),
-                union_profile: union,
-                out_bw_used,
-                in_rate: input.rate,
-                in_bandwidth: input.bandwidth,
-            }
-        })
-        .collect();
-    Allocation { loads }
 }
 
-/// Streams the fast path's sorted unit list with `removed` keys
-/// filtered out and one trial merged unit spliced in at its
-/// [`pack_order`] position. Ties go to the survivors, matching the
-/// reference path's stable sort over survivors chained with the merged
-/// unit last (the order is strict across a live pool anyway — unit
-/// subscription lists are disjoint and non-empty).
+/// Streams the sorted unit list with `removed` keys filtered out and
+/// one trial merged unit spliced in at its [`pack_order`] position.
+/// Ties go to the survivors, matching a stable sort over survivors
+/// chained with the merged unit last (the order is strict across a live
+/// pool anyway — unit subscription lists are disjoint and non-empty).
 struct MergedOrder<'u, I: Iterator<Item = &'u Arc<Unit>>> {
     inner: std::iter::Peekable<I>,
     merged: Option<&'u Arc<Unit>>,
@@ -977,8 +761,7 @@ fn scan_partner(
         }
         *computations += 1;
         // Built-in metrics: one batch popcount pass through the
-        // layout's kernel (arena rows or per-profile clones — same
-        // cardinalities by construction), then scalar arithmetic.
+        // kernel, then scalar arithmetic.
         let c = match measure {
             MeasureRef::Metric(m) => m.from_cardinalities(pool.kernel.pair_cardinalities(g, cand)),
             MeasureRef::Custom(m) => m.closeness(g_profile, profile),
@@ -1062,7 +845,69 @@ fn scan_partner(
     best
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    /// Initialization (paper §IV-C): allocate without clustering —
+    /// abort when even that fails — then group the units into the GIF
+    /// pool and mark every GIF stale for the first partner scan. The
+    /// baseline seeds `best`, which keeps the fallback guarantee.
+    fn new(
+        builder: &CramBuilder<'a>,
+        input: &AllocationInput,
+        units: Vec<Unit>,
+    ) -> Result<Self, AllocError> {
+        let subscriptions = units.iter().map(Unit::sub_count).sum();
+        let baseline = bin_packing_units(
+            &input.brokers,
+            &input.publishers,
+            units.clone(),
+            &builder.cancel,
+        )?;
+        let pool = Pool::build(units, builder.tile, &builder.cancel)?;
+        let mut order: Vec<PackEntry> = pool
+            .units
+            .iter()
+            .map(|(&key, u)| PackEntry {
+                key,
+                unit: Arc::clone(u),
+            })
+            .collect();
+        order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
+        Ok(Engine {
+            measure: builder.measure,
+            one_to_many: builder.one_to_many,
+            poset_pruning: builder.poset_pruning,
+            threads: builder.threads,
+            partners: BTreeMap::new(),
+            stale: pool.gifs.keys().copied().collect(),
+            blacklist: BTreeSet::new(),
+            cache: PairCache::default(),
+            stats: CramStats {
+                subscriptions,
+                initial_gifs: pool.gifs.len(),
+                ..CramStats::default()
+            },
+            best: BestAlloc {
+                brokers: baseline.broker_count(),
+                picks: baseline
+                    .loads
+                    .into_iter()
+                    .map(|l| (l.broker, l.units.into_iter().map(Arc::new).collect()))
+                    .collect(),
+            },
+            packer: FastPacker::new(&input.brokers, &input.publishers),
+            order,
+            pool,
+            tile_checks: 0,
+            tile_pruned: 0,
+            scan_timer: builder.telemetry.histogram("cram.scan_us"),
+            scan_scratch: ScanScratch::default(),
+            removed_buf: Vec::new(),
+            cgs_scratch: CgsScratch::default(),
+            events: builder.telemetry.ring("cram"),
+            cancel: builder.cancel.clone(),
+        })
+    }
+
     /// Runs the merge iteration to fixpoint. Returns `false` when the
     /// cancellation token tripped before convergence (one poll per
     /// merge iteration bounds the stop latency to a single
@@ -1072,25 +917,34 @@ impl Engine<'_> {
             if self.cancel.is_cancelled_hot() {
                 return false;
             }
-            self.refresh_partners();
-            let Some((g, h, _closeness)) = self.global_best() else {
+            if self.step().is_none() {
                 return true;
-            };
-            self.stats.iterations += 1;
-            let committed = self.attempt(g, h);
-            if committed {
-                self.events.emit_with("gif.merge", || format!("g{g}+g{h}"));
-            } else {
-                self.events
-                    .emit_with("pair.blacklist", || format!("g{g}+g{h}"));
-                self.blacklist.insert(pair_key(g, h));
-                self.stats.failed_merges += 1;
-                self.stale.insert(g);
-                if g != h {
-                    self.stale.insert(h);
-                }
             }
         }
+    }
+
+    /// One merge iteration: refresh the stale partners, attempt the
+    /// globally closest pair, blacklist it on failure. Returns the pair
+    /// and whether its merge was committed, or `None` when no
+    /// positive-closeness pair remains.
+    fn step(&mut self) -> Option<(GifKey, GifKey, bool)> {
+        self.refresh_partners();
+        let (g, h, _closeness) = self.global_best()?;
+        self.stats.iterations += 1;
+        let committed = self.attempt(g, h);
+        if committed {
+            self.events.emit_with("gif.merge", || format!("g{g}+g{h}"));
+        } else {
+            self.events
+                .emit_with("pair.blacklist", || format!("g{g}+g{h}"));
+            self.blacklist.insert(pair_key(g, h));
+            self.stats.failed_merges += 1;
+            self.stale.insert(g);
+            if g != h {
+                self.stale.insert(h);
+            }
+        }
+        Some((g, h, committed))
     }
 
     /// Recomputes the cached partner of every stale GIF, sharding the
@@ -1124,11 +978,7 @@ impl Engine<'_> {
         // Tiny refresh batches (every post-merge revalidation) go
         // sequential; only the large scans fan out. Same results either
         // way per the shard_map determinism contract.
-        let threads = if stale.len() < crate::engine::MIN_PARALLEL_BATCH {
-            1
-        } else {
-            self.threads
-        };
+        let threads = self.threads.min(stale.len().div_ceil(MIN_SHARD_CHUNK));
         let timer = &self.scan_timer;
         let (partners, scratches) =
             shard_map_scratch(&stale, threads, ScanScratch::default, |scratch, &g| {
@@ -1264,45 +1114,23 @@ impl Engine<'_> {
     /// `removed` must be sorted ascending (the callers reuse
     /// [`Engine::removed_buf`] for it).
     fn test_and_record(&mut self, removed: &[UnitKey], merged: &Unit) -> bool {
-        match &mut self.pack {
-            PackPath::Reference => {
-                let units: Vec<&Unit> = self
-                    .pool
-                    .units
-                    .iter()
-                    .filter(|(k, _)| removed.binary_search(k).is_err())
-                    .map(|(_, u)| &**u)
-                    .chain(std::iter::once(merged))
-                    .collect();
-                let mut packer = RefPacker::new(self.brokers);
-                if packer.pack_sorted(self.publishers, units).is_err() {
-                    return false;
-                }
-                if packer.used_brokers() <= self.best.broker_count() {
-                    self.best = BestAlloc::Full(packer.into_allocation(self.publishers));
-                }
-            }
-            PackPath::Fast { packer, order } => {
-                let merged_arc = Arc::new(merged.clone());
-                let live = order
-                    .iter()
-                    .filter(|e| removed.binary_search(&e.key).is_err())
-                    .map(|e| &e.unit);
-                let stream = MergedOrder {
-                    inner: live.peekable(),
-                    merged: Some(&merged_arc),
-                };
-                if packer.pack(stream).is_err() {
-                    return false;
-                }
-                let used = packer.used_brokers();
-                if used <= self.best.broker_count() {
-                    if let BestAlloc::Recipe { brokers, picks } = &mut self.best {
-                        *brokers = used;
-                        packer.drain_picks_into(picks);
-                    }
-                }
-            }
+        let merged = Arc::new(merged.clone());
+        let live = self
+            .order
+            .iter()
+            .filter(|e| removed.binary_search(&e.key).is_err())
+            .map(|e| &e.unit);
+        let stream = MergedOrder {
+            inner: live.peekable(),
+            merged: Some(&merged),
+        };
+        if self.packer.pack(stream).is_err() {
+            return false;
+        }
+        let used = self.packer.used_brokers();
+        if used <= self.best.brokers {
+            self.best.brokers = used;
+            self.packer.drain_picks_into(&mut self.best.picks);
         }
         true
     }
@@ -1316,15 +1144,13 @@ impl Engine<'_> {
         let mut touched: BTreeSet<GifKey> = BTreeSet::new();
         for (gk, uk) in removals {
             let (unit, gif_deleted) = self.pool.remove_unit(gk, uk);
-            if let PackPath::Fast { order, .. } = &mut self.pack {
-                match order.binary_search_by(|e| pack_order(&e.unit, &unit)) {
-                    Ok(pos) => {
-                        order.remove(pos);
-                    }
-                    // Unreachable under the strict pack order; fall
-                    // back to dropping by key to stay safe.
-                    Err(_) => order.retain(|e| e.key != uk),
+            match self.order.binary_search_by(|e| pack_order(&e.unit, &unit)) {
+                Ok(pos) => {
+                    self.order.remove(pos);
                 }
+                // Unreachable under the strict pack order; fall
+                // back to dropping by key to stay safe.
+                Err(_) => self.order.retain(|e| e.key != uk),
             }
             if gif_deleted {
                 self.partners.remove(&gk);
@@ -1342,19 +1168,18 @@ impl Engine<'_> {
             }
         }
         let (new_uk, new_gif) = self.pool.add_unit(merged);
-        if let PackPath::Fast { order, .. } = &mut self.pack {
-            if let Some(u) = self.pool.units.get(&new_uk) {
-                let pos = order
-                    .binary_search_by(|e| pack_order(&e.unit, u))
-                    .unwrap_or_else(|p| p);
-                order.insert(
-                    pos,
-                    PackEntry {
-                        key: new_uk,
-                        unit: Arc::clone(u),
-                    },
-                );
-            }
+        if let Some(u) = self.pool.units.get(&new_uk) {
+            let pos = self
+                .order
+                .binary_search_by(|e| pack_order(&e.unit, u))
+                .unwrap_or_else(|p| p);
+            self.order.insert(
+                pos,
+                PackEntry {
+                    key: new_uk,
+                    unit: Arc::clone(u),
+                },
+            );
         }
         touched.insert(new_gif);
         self.stale.extend(touched);
@@ -1368,8 +1193,7 @@ impl Engine<'_> {
             return self.attempt_equal(g);
         }
         // One kernel pass classifies the pair — same decision procedure
-        // as `SubscriptionProfile::relationship`, on whichever layout
-        // the profiles live in.
+        // as `SubscriptionProfile::relationship`.
         let rel = Relation::from_cardinalities(self.pool.kernel.pair_cardinalities(g, h));
         match rel {
             Relation::Equal => self.attempt_equal(g),
@@ -1421,16 +1245,10 @@ impl Engine<'_> {
                 hi = mid - 1;
             }
         }
+        // The last successful probe was exactly size `lo` — probes only
+        // raise `lo` on success and the pool is frozen during the search
+        // — so `best` already reflects the pool committed below.
         let k = lo;
-        if matches!(self.pack, PackPath::Reference) {
-            // Re-run the winning size so `best` reflects the committed
-            // pool (legacy behaviour, byte-for-byte). The fast path
-            // skips this: the last successful probe was exactly size
-            // `k` — probes only raise `lo` on success and the pool is
-            // frozen during the search — so its recipe is already
-            // recorded and the re-pack would be a no-op.
-            assert!(feasible(self, k));
-        }
         let merged = merged_of(&self.pool, k);
         self.commit(units[..k].iter().map(|&uk| (g, uk)), merged);
         true
@@ -1472,13 +1290,8 @@ impl Engine<'_> {
                 hi = mid - 1;
             }
         }
+        // As in `attempt_equal`: the last successful probe was size `lo`.
         let m = lo;
-        if matches!(self.pack, PackPath::Reference) {
-            // Legacy re-pack of the winning size; the fast path's last
-            // successful probe was exactly size `m`, so its recipe is
-            // already recorded (see attempt_equal).
-            assert!(feasible(self, m));
-        }
         let merged = merged_of(&self.pool, m);
         self.commit(
             covered_units[..m]
@@ -1624,10 +1437,12 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capacity::oracle::RefPacker;
     use crate::model::{BrokerSpec, LinearFn, SubscriptionEntry};
-    use greenps_profile::{PublisherProfile, ShiftingBitVector};
+    use greenps_profile::{PublisherProfile, PublisherTable, ShiftingBitVector};
     use greenps_pubsub::ids::{AdvId, BrokerId, MsgId, SubId};
     use greenps_pubsub::Filter;
+    use proptest::prelude::*;
 
     fn never() -> CancelToken {
         CancelToken::never()
@@ -1951,35 +1766,14 @@ mod tests {
         metric: &'a dyn greenps_profile::Closeness,
     ) -> Engine<'a> {
         let units = crate::sorting::units_from_input(input);
-        let baseline =
-            bin_packing_units(&input.brokers, &input.publishers, units.clone(), &never()).unwrap();
-        let pool = Pool::build(units, Layout::PerProfile, 0, &never()).unwrap();
-        let mut engine = Engine {
-            pool,
-            cancel: never(),
-            measure: MeasureRef::Custom(metric),
-            one_to_many: true,
-            poset_pruning: true,
-            threads: 1,
-            publishers: &input.publishers,
-            brokers: &input.brokers,
-            partners: BTreeMap::new(),
-            stale: BTreeSet::new(),
-            blacklist: BTreeSet::new(),
-            cache: PairCache::default(),
-            stats: CramStats::default(),
-            best: BestAlloc::Full(baseline),
-            pack: PackPath::Reference,
-            tile_checks: 0,
-            tile_pruned: 0,
-            scan_timer: Histogram::noop(),
-            events: EventSink::noop(),
-            scan_scratch: ScanScratch::default(),
-            removed_buf: Vec::new(),
-            cgs_scratch: CgsScratch::default(),
-        };
-        engine.stale.extend(engine.pool.gifs.keys().copied());
-        engine
+        Engine::new(&CramBuilder::custom(metric), input, units).unwrap()
+    }
+
+    /// CRAM with an explicit tile width (`0` scans untiled).
+    fn tiled(metric: ClosenessMetric, tile: usize) -> CramBuilder<'static> {
+        let mut builder = CramBuilder::new(metric);
+        builder.tile = tile;
+        builder
     }
 
     /// A token tripped before the run aborts in the baseline packing,
@@ -2051,10 +1845,10 @@ mod tests {
         assert!(cache_stats.hit_rate() > 0.0);
         // Both source GIFs were merged away: nothing cached may touch
         // them any more, in either key order.
-        assert!(!engine.cache.touches(g));
-        assert!(!engine.cache.touches(h));
-        assert_eq!(engine.cache.get(g, h), None);
-        assert_eq!(engine.cache.get(h, g), None);
+        for k in [g, h] {
+            assert_eq!(engine.cache.get(g, k), None);
+            assert_eq!(engine.cache.get(h, k), None);
+        }
     }
 
     /// A GIF that survives a merge (loses a unit but keeps its profile)
@@ -2091,12 +1885,12 @@ mod tests {
             "A keeps its second unit and survives"
         );
         // B was merged away; A survived with an unchanged profile.
-        assert!(!engine.cache.touches(b));
-        assert!(
-            engine.cache.touches(a),
-            "surviving GIF keeps cached closenesses to live partners"
-        );
+        assert_eq!(engine.cache.get(b, b), None);
         assert_eq!(engine.cache.get(a, b), None);
+        assert!(
+            engine.cache.get(a, a).is_some(),
+            "surviving GIF keeps its cached closenesses"
+        );
         assert!(
             engine.cache.stats().hits > 0,
             "the merge path re-read cached closenesses"
@@ -2131,12 +1925,148 @@ mod tests {
         }
     }
 
-    /// Layout and tile are pure performance knobs: the allocation is
-    /// bit-identical to the per-profile reference, and every stat
-    /// except `closeness_computations` (which tiling may lower, never
-    /// raise) matches exactly.
+    /// Seam oracle for the best allocation: after every committed merge
+    /// the last successful allocation test was a pack of exactly the
+    /// committed pool, so whenever that test was recorded as `best`, the
+    /// recipe materializes to what the oracle packs from scratch — what
+    /// a re-pack of the winning size after each binary search would
+    /// have stored. Equal and covering merges whose search ends on a
+    /// *failed* probe are the cases that matter.
     #[test]
-    fn layouts_and_tiles_are_bit_identical() {
+    fn recorded_recipe_is_a_from_scratch_pack_of_the_committed_pool() {
+        let mut subs = Vec::new();
+        // 12 equal 20 kB/s subs on 100 kB/s brokers: clusters of at most
+        // four, found by probes 2 ok, 7 fail, 4 ok, 5 fail.
+        for i in 0..12 {
+            subs.push(entry(i, &(0..20).collect::<Vec<_>>()));
+        }
+        // A 30 kB/s sub covering eight equal 15 kB/s subs: those first
+        // cluster among themselves into 90 + 30, then the cover takes
+        // the 30 (probes 1 ok, 2 fail).
+        subs.push(entry(12, &(30..60).collect::<Vec<_>>()));
+        for i in 13..21 {
+            subs.push(entry(i, &(30..45).collect::<Vec<_>>()));
+        }
+        // Two intersecting subs for the pairwise path.
+        subs.push(entry(21, &(70..85).collect::<Vec<_>>()));
+        subs.push(entry(22, &(80..95).collect::<Vec<_>>()));
+        let input = AllocationInput {
+            brokers: brokers(12, 100_000.0),
+            subscriptions: subs,
+            publishers: publishers(),
+        };
+        let pubs = &input.publishers;
+        for metric in ClosenessMetric::ALL {
+            let mut engine = engine_for(&input, &metric);
+            let (mut equal, mut covering, mut recorded) = (0, 0, 0);
+            loop {
+                // Peek at the pair the step will attempt, to classify it.
+                engine.refresh_partners();
+                let Some((g, h, _)) = engine.global_best() else {
+                    break;
+                };
+                let rel = Relation::from_cardinalities(engine.pool.kernel.pair_cardinalities(g, h));
+                let committed = engine.step().is_some_and(|(sg, sh, ok)| {
+                    assert_eq!((sg, sh), (g, h));
+                    ok
+                });
+                if !committed {
+                    continue;
+                }
+                match rel {
+                    Relation::Equal => equal += 1,
+                    Relation::Superset | Relation::Subset => covering += 1,
+                    _ => {}
+                }
+                let mut oracle = RefPacker::new(&input.brokers);
+                oracle
+                    .pack_sorted(pubs, engine.pool.units.values().map(|u| &**u).collect())
+                    .expect("a committed pool allocates");
+                assert!(engine.best.brokers <= oracle.used_brokers(), "{metric}");
+                if engine.best.brokers == oracle.used_brokers() {
+                    recorded += 1;
+                    assert_eq!(
+                        materialize_recipe(engine.best.picks.clone(), pubs),
+                        oracle.into_allocation(pubs),
+                        "{metric} after g{g}+g{h}"
+                    );
+                }
+            }
+            assert!(
+                equal > 0 && covering > 0 && recorded > 0,
+                "{metric}: {equal} equal, {covering} covering, {recorded} recorded"
+            );
+        }
+    }
+
+    fn plain_unit(sub: u64, kb: u8) -> Arc<Unit> {
+        Arc::new(Unit {
+            subs: vec![SubId::new(sub)],
+            profile: SubscriptionProfile::new(),
+            out_bandwidth: 1_000.0 * f64::from(kb),
+        })
+    }
+
+    proptest! {
+        /// Seam oracle for the unit stream: `MergedOrder` over the
+        /// sorted list, minus random `removed` keys, plus one spliced
+        /// unit, yields exactly the sequence the oracle packs after
+        /// collecting the survivors in key order, appending the merged
+        /// unit and stable-sorting — observed as the placement order on
+        /// one broker that accepts everything. A handful of distinct
+        /// bandwidths forces ties; a merged sub id that may repeat a
+        /// survivor's forces the full-tie rule (survivors first).
+        #[test]
+        fn merged_order_streams_what_the_oracle_sorts(
+            pool in proptest::collection::vec(0u8..4, 0..12),
+            removed in proptest::collection::btree_set(0u64..12, 0..6),
+            merged in (0u64..14, 0u8..6),
+        ) {
+            let pool: Vec<(UnitKey, Arc<Unit>)> = pool
+                .iter()
+                .enumerate()
+                .map(|(i, &kb)| (i as u64, plain_unit(i as u64, kb)))
+                .collect();
+            let merged = plain_unit(merged.0, merged.1);
+            let mut order: Vec<&(UnitKey, Arc<Unit>)> = pool.iter().collect();
+            order.sort_by(|a, b| pack_order(&a.1, &b.1));
+            let stream = MergedOrder {
+                inner: order
+                    .iter()
+                    .filter(|e| !removed.contains(&e.0))
+                    .map(|e| &e.1)
+                    .peekable(),
+                merged: Some(&merged),
+            };
+            let streamed: Vec<&Vec<SubId>> = stream.map(|u| &u.subs).collect();
+
+            let everything = BrokerSpec::new(
+                BrokerId::new(0),
+                "b0",
+                LinearFn::new(0.0, 0.0),
+                f64::INFINITY,
+            );
+            let pubs = PublisherTable::new();
+            let mut oracle = RefPacker::new(&[everything]);
+            let collected = pool
+                .iter()
+                .filter(|e| !removed.contains(&e.0))
+                .map(|e| &*e.1)
+                .chain(std::iter::once(&*merged))
+                .collect();
+            oracle.pack_sorted(&pubs, collected).unwrap();
+            let packed = oracle.into_allocation(&pubs);
+            let packed: Vec<&Vec<SubId>> = packed.loads[0].units.iter().map(|u| &u.subs).collect();
+            prop_assert_eq!(streamed, packed);
+        }
+    }
+
+    /// Seam oracle for tiling: for every metric and tile width the
+    /// allocation is bit-identical to the untiled scan's, and every
+    /// stat except `closeness_computations` (which tiling may lower,
+    /// never raise) matches exactly.
+    #[test]
+    fn tiled_scan_is_bit_identical_to_untiled() {
         let subs: Vec<SubscriptionEntry> = (0..30)
             .map(|i| {
                 let group = i % 6;
@@ -2150,39 +2080,19 @@ mod tests {
             publishers: publishers(),
         };
         for metric in ClosenessMetric::ALL {
-            let (ref_alloc, ref_stats) = CramBuilder::new(metric)
-                .layout(Layout::PerProfile)
-                .tile(0)
-                .run(&input)
-                .unwrap();
-            for (layout, tile) in [
-                (Layout::Arena { stride: 0 }, 0usize),
-                (Layout::PerProfile, 3),
-                (Layout::Arena { stride: 0 }, 3),
-                (Layout::Arena { stride: 0 }, DEFAULT_TILE),
-            ] {
-                let (alloc, stats) = CramBuilder::new(metric)
-                    .layout(layout)
-                    .tile(tile)
-                    .run(&input)
-                    .unwrap();
-                assert_eq!(
-                    alloc.loads, ref_alloc.loads,
-                    "{metric} {layout:?} tile={tile}"
+            let (ref_alloc, ref_stats) = tiled(metric, 0).run(&input).unwrap();
+            for tile in [3, DEFAULT_TILE] {
+                let (alloc, stats) = tiled(metric, tile).run(&input).unwrap();
+                assert_eq!(alloc.loads, ref_alloc.loads, "{metric} tile={tile}");
+                assert!(
+                    stats.closeness_computations <= ref_stats.closeness_computations,
+                    "{metric} tile={tile}: {} > {}",
+                    stats.closeness_computations,
+                    ref_stats.closeness_computations
                 );
-                if tile == 0 {
-                    assert_eq!(stats, ref_stats, "{metric} {layout:?}");
-                } else {
-                    assert!(
-                        stats.closeness_computations <= ref_stats.closeness_computations,
-                        "{metric} {layout:?} tile={tile}: {} > {}",
-                        stats.closeness_computations,
-                        ref_stats.closeness_computations
-                    );
-                    let mut normalized = stats;
-                    normalized.closeness_computations = ref_stats.closeness_computations;
-                    assert_eq!(normalized, ref_stats, "{metric} {layout:?} tile={tile}");
-                }
+                let mut normalized = stats;
+                normalized.closeness_computations = ref_stats.closeness_computations;
+                assert_eq!(normalized, ref_stats, "{metric} tile={tile}");
             }
         }
     }
@@ -2206,7 +2116,7 @@ mod tests {
             publishers: publishers(),
         };
         let units = crate::sorting::units_from_input(&input);
-        let mut pool = Pool::build(units, Layout::Arena { stride: 0 }, 3, &never()).unwrap();
+        let mut pool = Pool::build(units, 3, &never()).unwrap();
         pool.tiles.rebuild(&pool.gifs);
         assert!(pool.gifs.len() > 3, "need several buckets");
         for (gk, gif) in &pool.gifs {
@@ -2237,20 +2147,14 @@ mod tests {
             subscriptions: subs,
             publishers: publishers(),
         };
-        let (tiled_alloc, tiled) = CramBuilder::new(ClosenessMetric::Ios)
-            .tile(2)
-            .run(&input)
-            .unwrap();
-        let (flat_alloc, flat) = CramBuilder::new(ClosenessMetric::Ios)
-            .tile(0)
-            .run(&input)
-            .unwrap();
+        let (tiled_alloc, tiled_stats) = tiled(ClosenessMetric::Ios, 2).run(&input).unwrap();
+        let (flat_alloc, flat_stats) = tiled(ClosenessMetric::Ios, 0).run(&input).unwrap();
         assert_eq!(tiled_alloc.loads, flat_alloc.loads);
         assert!(
-            tiled.closeness_computations < flat.closeness_computations,
+            tiled_stats.closeness_computations < flat_stats.closeness_computations,
             "tiled {} vs flat {}",
-            tiled.closeness_computations,
-            flat.closeness_computations
+            tiled_stats.closeness_computations,
+            flat_stats.closeness_computations
         );
     }
 }

@@ -23,7 +23,7 @@
 //! are bit-identical to the sequential scan for any worker count, so
 //! the thread count is chosen automatically.
 
-use crate::engine::{available_threads, shard_map, CacheConfig, PairCache};
+use crate::engine::{available_threads, shard_map, PairCache};
 use crate::model::{AllocError, Allocation, AllocationInput, BrokerLoad, Unit};
 use crate::pipeline::CancelToken;
 use crate::sorting::units_from_input;
@@ -73,7 +73,7 @@ fn cluster_to_k(
     // the initial sharded pass is order-independent (see crate::engine).
     let mut live = clusters.iter().filter(|c| c.is_some()).count();
     let mut partner: Vec<Option<(usize, f64)>> = vec![None; clusters.len()];
-    let mut cache: PairCache<usize> = PairCache::with_config(CacheConfig::default());
+    let mut cache: PairCache<usize> = PairCache::default();
     struct Scan {
         best: Option<(usize, f64)>,
         computed: Vec<(usize, f64)>,

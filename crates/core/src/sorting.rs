@@ -9,7 +9,7 @@
 //!   it consistently allocates one broker fewer than FBF, in line with
 //!   first-fit-decreasing theory.
 
-use crate::capacity::pack_all;
+use crate::capacity::{pack_all, pack_order};
 use crate::model::{AllocError, Allocation, AllocationInput, Unit};
 use crate::pipeline::CancelToken;
 use greenps_profile::PublisherTable;
@@ -86,12 +86,7 @@ pub fn bin_packing_units(
     mut units: Vec<Unit>,
     cancel: &CancelToken,
 ) -> Result<Allocation, AllocError> {
-    units.sort_by(|a, b| {
-        b.out_bandwidth
-            .partial_cmp(&a.out_bandwidth)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.subs.cmp(&b.subs))
-    });
+    units.sort_by(pack_order);
     pack_all(brokers, publishers, units, cancel)
 }
 

@@ -35,7 +35,7 @@ pub type NodeName = u64;
 pub enum EndpointAddr {
     /// A node inside a shared in-process simnet hub.
     Sim(NodeName),
-    /// A TCP socket address (loopback in the transport-report harness).
+    /// A TCP socket address (loopback in every harness here).
     Tcp(SocketAddr),
 }
 

@@ -17,8 +17,8 @@
 //! The word-level popcount routine is literally shared with
 //! [`ShiftingBitVector::pair_cardinalities`] (both call the same
 //! `pair_cardinalities_windows` helper), so arena-backed cardinalities
-//! are identical to the per-profile path by construction — the property
-//! the engine's layout proptests pin down.
+//! are identical to the per-profile walk by construction — the property
+//! the kernel's proptest ([`crate::kernel`]) pins down.
 
 use crate::bitvec::{pair_cardinalities_windows, PairCardinalities, ShiftingBitVector};
 

@@ -188,35 +188,12 @@ impl ShiftingBitVector {
     /// All pairwise cardinalities (`|∩|`, `|∪|`, `|self|`, `|other|`)
     /// gathered in a **single** word-level pass — the batch popcount
     /// kernel every closeness metric routes through. `|⊕|` is derived
-    /// (`|∪| − |∩|`), so one pass serves all four metrics where the
-    /// separate `and_count`/`or_count`/`xor_count` calls would walk the
-    /// words up to three times.
+    /// (`|∪| − |∩|`), so one pass serves all four metrics.
     pub fn pair_cardinalities(&self, other: &Self) -> PairCardinalities {
         pair_cardinalities_windows(
             (&self.words, self.first_id, self.window_end()),
             (&other.words, other.first_id, other.window_end()),
         )
-    }
-
-    /// `|self ∩ other|` — ids recorded in both vectors.
-    #[deprecated(note = "use `pair_cardinalities` (one pass serves all metrics) \
-                         or a `ClosenessKernel`")]
-    pub fn and_count(&self, other: &Self) -> usize {
-        self.zip_count(other, |a, b| a & b)
-    }
-
-    /// `|self ∪ other|` — ids recorded in either vector.
-    #[deprecated(note = "use `pair_cardinalities` (one pass serves all metrics) \
-                         or a `ClosenessKernel`")]
-    pub fn or_count(&self, other: &Self) -> usize {
-        self.zip_count(other, |a, b| a | b)
-    }
-
-    /// `|self ⊕ other|` — ids recorded in exactly one vector.
-    #[deprecated(note = "use `pair_cardinalities` (one pass serves all metrics) \
-                         or a `ClosenessKernel`")]
-    pub fn xor_count(&self, other: &Self) -> usize {
-        self.zip_count(other, |a, b| a ^ b)
     }
 
     pub(crate) fn zip_count(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> usize {
@@ -566,7 +543,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the deprecated per-op counts on purpose
     fn figure_1_clustering_example() {
         // S1: Adv1 bits 11100 at 75;       Adv2 bits 11111 at 144
         // S2: Adv1 bits 00111 at 75;       Adv3 bits 00100 at 2
@@ -580,13 +556,11 @@ mod tests {
             vec![75, 76, 77, 78, 79]
         );
         // intersection of S1 and S2 on Adv1 is the single id 77
-        assert_eq!(s1_adv1.and_count(&s2_adv1), 1);
-        assert_eq!(s1_adv1.xor_count(&s2_adv1), 4);
-        assert_eq!(s1_adv1.or_count(&s2_adv1), 5);
+        let c = s1_adv1.pair_cardinalities(&s2_adv1);
+        assert_eq!((c.and, c.xor(), c.or), (1, 4, 5));
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the deprecated per-op counts on purpose
     fn set_ops_with_misaligned_windows() {
         let mut a = ShiftingBitVector::starting_at(16, 0);
         let mut b = ShiftingBitVector::starting_at(16, 8);
@@ -596,9 +570,10 @@ mod tests {
         for id in [9, 10, 20] {
             b.record(id);
         }
-        assert_eq!(a.and_count(&b), 2); // 9, 10
-        assert_eq!(a.or_count(&b), 4); // 4, 9, 10, 20
-        assert_eq!(a.xor_count(&b), 2); // 4, 20
+        let c = a.pair_cardinalities(&b);
+        assert_eq!(c.and, 2); // 9, 10
+        assert_eq!(c.or, 4); // 4, 9, 10, 20
+        assert_eq!(c.xor(), 2); // 4, 20
         assert!(!a.is_subset_of(&b));
         let sub = {
             let mut s = ShiftingBitVector::starting_at(16, 6);
@@ -667,8 +642,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // cross-checks the kernel against the legacy counts
-    fn pair_cardinalities_match_individual_counts() {
+    fn pair_cardinalities_match_the_id_sets() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
         for case in 0..60 {
@@ -695,9 +669,7 @@ mod tests {
             let sb: BTreeSet<u64> = b.iter_ids().collect();
             assert_eq!(c.and, sa.intersection(&sb).count());
             assert_eq!(c.or, sa.union(&sb).count());
-            assert_eq!(c.and, a.and_count(&b));
-            assert_eq!(c.or, a.or_count(&b));
-            assert_eq!(c.xor(), a.xor_count(&b));
+            assert_eq!(c.xor(), sa.symmetric_difference(&sb).count());
             assert_eq!(c.left, a.count_ones());
             assert_eq!(c.right, b.count_ones());
             // Symmetry of the kernel.

@@ -90,12 +90,12 @@ impl ClosenessMetric {
 
     /// Evaluates the metric from precomputed pair cardinalities.
     ///
-    /// This is the scalar half of [`Self::closeness`]: a
-    /// [`crate::kernel::ClosenessKernel`] produces the cardinalities
-    /// from whatever layout it stores profiles in, and this function
-    /// turns them into the metric value. Because `closeness` itself
-    /// routes through here, any kernel whose cardinalities match the
-    /// per-profile pass yields bit-identical `f64` results.
+    /// This is the scalar half of [`Self::closeness`]: the
+    /// [`crate::kernel::ArenaKernel`] produces the cardinalities from
+    /// its contiguous rows, and this function turns them into the
+    /// metric value. Because `closeness` itself routes through here, a
+    /// kernel whose cardinalities match the per-profile pass yields
+    /// bit-identical `f64` results.
     pub fn from_cardinalities(self, c: PairCardinalities) -> f64 {
         match self {
             ClosenessMetric::Intersect => c.and as f64,

@@ -1,91 +1,25 @@
-//! The closeness kernel — one trait in front of every batch popcount
-//! path.
+//! The closeness kernel — the one batch popcount path behind every
+//! built-in metric evaluation.
 //!
-//! The closeness surface used to be spread across
-//! `ShiftingBitVector::{and_count,or_count,xor_count,pair_cardinalities}`
-//! plus per-profile walks in [`crate::closeness`]. A
-//! [`ClosenessKernel`] collapses that to a single question — "what are
-//! the pair cardinalities of the profiles stored under these two
-//! keys?" — and lets the engine choose *how* profiles are stored:
+//! A metric evaluation asks a single question — "what are the pair
+//! cardinalities of the profiles stored under these two keys?" — and
+//! [`ArenaKernel`] answers it from one contiguous [`BitsetArena`]: every
+//! per-publisher bit window of every keyed profile is a fixed-stride
+//! row, so a pair evaluation is a streaming popcount over adjacent rows
+//! with zero allocation.
 //!
-//! * [`PerProfileKernel`] keeps whole [`SubscriptionProfile`] clones,
-//!   byte-for-byte the legacy layout;
-//! * [`ArenaKernel`] packs every per-publisher bit window into one
-//!   contiguous [`BitsetArena`] so a pair evaluation is a streaming
-//!   popcount over adjacent rows with zero allocation.
-//!
-//! Both paths route through the same word-level routine, so their
-//! cardinalities — and therefore every metric value derived via
-//! [`crate::ClosenessMetric::from_cardinalities`] — are bit-identical.
+//! The rows go through the same word-level routine as
+//! [`SubscriptionProfile::pair_cardinalities`], which is therefore the
+//! kernel's oracle: the tests below hold the two equal — and with them
+//! every metric value derived via
+//! [`crate::ClosenessMetric::from_cardinalities`] — across strides,
+//! overflow, row reuse and key replacement.
 
 use crate::arena::{BitsetArena, RowId};
 use crate::bitvec::{pair_cardinalities_windows, PairCardinalities, ShiftingBitVector};
 use crate::profile::SubscriptionProfile;
 use greenps_pubsub::ids::AdvId;
 use std::collections::BTreeMap;
-
-/// Batch cardinality provider over keyed subscription profiles.
-///
-/// Keys are engine-chosen opaque `u64`s (CRAM uses its GIF keys). A
-/// lookup of an unknown key behaves as an empty profile.
-pub trait ClosenessKernel: Send + Sync {
-    /// Stores (or replaces) the profile under `key`.
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile);
-
-    /// Drops the profile stored under `key` (no-op when absent).
-    fn remove(&mut self, key: u64);
-
-    /// Pair cardinalities of the profiles under `a` and `b`, summed
-    /// across publishers — the single pass all four closeness metrics
-    /// are derived from.
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities;
-
-    /// Number of stored profiles.
-    fn len(&self) -> usize;
-
-    /// True when no profile is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The legacy layout: one heap-allocated [`SubscriptionProfile`] clone
-/// per key. Kept as the reference implementation the arena is proven
-/// against.
-#[derive(Debug, Default)]
-pub struct PerProfileKernel {
-    profiles: BTreeMap<u64, SubscriptionProfile>,
-}
-
-impl PerProfileKernel {
-    /// Creates an empty kernel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ClosenessKernel for PerProfileKernel {
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
-        self.profiles.insert(key, profile.clone());
-    }
-
-    fn remove(&mut self, key: u64) {
-        self.profiles.remove(&key);
-    }
-
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
-        match (self.profiles.get(&a), self.profiles.get(&b)) {
-            (Some(pa), Some(pb)) => pa.pair_cardinalities(pb),
-            (Some(pa), None) => PairCardinalities::left_only(pa.count_ones()),
-            (None, Some(pb)) => PairCardinalities::right_only(pb.count_ones()),
-            (None, None) => PairCardinalities::default(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.profiles.len()
-    }
-}
 
 /// Where one per-publisher bit window of a keyed profile lives.
 #[derive(Debug, Clone, Copy)]
@@ -103,12 +37,16 @@ struct LegRef {
     ones: usize,
 }
 
-/// The cache-friendly layout: per-publisher windows packed into one
-/// contiguous [`BitsetArena`]; windows wider than the stride fall back
-/// to an oversize side store. A pair evaluation is a merge-join over
+/// Batch cardinality provider over keyed subscription profiles:
+/// per-publisher windows packed into one contiguous [`BitsetArena`];
+/// windows wider than the stride fall back to an oversize side store,
+/// so any stride is correct. A pair evaluation is a merge-join over
 /// two `AdvId`-sorted leg lists — shared publishers stream both rows
 /// through the word kernel, single-sided publishers use their cached
 /// popcount — and performs **zero** allocations.
+///
+/// Keys are engine-chosen opaque `u64`s (CRAM uses its GIF keys). A
+/// lookup of an unknown key behaves as an empty profile.
 #[derive(Debug)]
 pub struct ArenaKernel {
     arena: BitsetArena,
@@ -174,10 +112,9 @@ impl ArenaKernel {
             (None, None) => PairCardinalities::default(),
         }
     }
-}
 
-impl ClosenessKernel for ArenaKernel {
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
+    /// Stores (or replaces) the profile under `key`.
+    pub fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
         if let Some(old) = self.entries.remove(&key) {
             self.free_legs(&old);
         }
@@ -207,13 +144,17 @@ impl ClosenessKernel for ArenaKernel {
         self.entries.insert(key, legs);
     }
 
-    fn remove(&mut self, key: u64) {
+    /// Drops the profile stored under `key` (no-op when absent).
+    pub fn remove(&mut self, key: u64) {
         if let Some(legs) = self.entries.remove(&key) {
             self.free_legs(&legs);
         }
     }
 
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
+    /// Pair cardinalities of the profiles under `a` and `b`, summed
+    /// across publishers — the single pass all four closeness metrics
+    /// are derived from.
+    pub fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
         let empty: &[LegRef] = &[];
         let la = self.entries.get(&a).map_or(empty, Vec::as_slice);
         let lb = self.entries.get(&b).map_or(empty, Vec::as_slice);
@@ -249,82 +190,135 @@ impl ClosenessKernel for ArenaKernel {
         total
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored profiles.
+    pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// True when no profile is stored.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_CAPACITY;
     use greenps_pubsub::ids::MsgId;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use proptest::prelude::*;
 
-    fn random_profile(rng: &mut StdRng, cap: usize) -> SubscriptionProfile {
-        let mut p = SubscriptionProfile::with_capacity(cap);
-        for adv in 0..rng.gen_range(0..4u64) {
-            for _ in 0..rng.gen_range(0..30) {
-                p.record(AdvId::new(adv), MsgId::new(rng.gen_range(0..cap as u64)));
+    /// 0–3 publishers over windows narrower and wider than a 64-bit
+    /// row; ids past the capacity shift the window, so first ids differ.
+    fn arb_profile() -> impl Strategy<Value = SubscriptionProfile> {
+        (
+            proptest::sample::select(vec![1usize, 40, 64, 130, 199]),
+            proptest::collection::vec(
+                (0u64..4, proptest::collection::btree_set(0u64..260, 0..30)),
+                0..4,
+            ),
+        )
+            .prop_map(|(cap, legs)| {
+                let mut p = SubscriptionProfile::with_capacity(cap);
+                for (adv, ids) in legs {
+                    for id in ids {
+                        p.record(AdvId::new(adv), MsgId::new(id));
+                    }
+                }
+                p
+            })
+    }
+
+    /// What the profile walk says about two optional profiles — an
+    /// absent key reads as an empty profile.
+    fn walk(a: Option<&SubscriptionProfile>, b: Option<&SubscriptionProfile>) -> PairCardinalities {
+        match (a, b) {
+            (Some(pa), Some(pb)) => pa.pair_cardinalities(pb),
+            (Some(pa), None) => PairCardinalities::left_only(pa.count_ones()),
+            (None, Some(pb)) => PairCardinalities::right_only(pb.count_ones()),
+            (None, None) => PairCardinalities::default(),
+        }
+    }
+
+    proptest! {
+        /// Seam oracle for profile storage: under interleaved insert /
+        /// replace (`Some`) and remove (`None`) over a small key space,
+        /// every pair the kernel can be asked about — live, removed or
+        /// never seen — equals `SubscriptionProfile::pair_cardinalities`
+        /// over a plain map of the same profiles, for a stride every
+        /// wide window overflows (1 and 64 round to one word) and for
+        /// the auto-sized stride CRAM uses (the widest window).
+        #[test]
+        fn kernel_agrees_with_profile_walk(
+            ops in proptest::collection::vec(
+                (0u64..5, prop_oneof![
+                    arb_profile().prop_map(Some),
+                    arb_profile().prop_map(Some),
+                    Just(None),
+                ]),
+                1..24,
+            ),
+        ) {
+            let auto = ops
+                .iter()
+                .filter_map(|(_, p)| p.as_ref())
+                .flat_map(|p| p.iter())
+                .map(|(_, v)| v.capacity())
+                .max()
+                .unwrap_or(DEFAULT_CAPACITY);
+            for stride in [1, 64, auto] {
+                let mut kernel = ArenaKernel::new(stride);
+                let mut model: BTreeMap<u64, SubscriptionProfile> = BTreeMap::new();
+                for (key, op) in &ops {
+                    match op {
+                        Some(p) => {
+                            kernel.insert(*key, p);
+                            model.insert(*key, p.clone());
+                        }
+                        None => {
+                            kernel.remove(*key);
+                            model.remove(key);
+                        }
+                    }
+                    prop_assert_eq!(kernel.len(), model.len());
+                    for a in 0..5 {
+                        for b in 0..5 {
+                            prop_assert_eq!(
+                                kernel.pair_cardinalities(a, b),
+                                walk(model.get(&a), model.get(&b)),
+                                "stride {} pair ({}, {})", stride, a, b
+                            );
+                        }
+                    }
+                }
+                if stride == auto {
+                    prop_assert_eq!(kernel.overflow_len(), 0, "auto stride fits every window");
+                }
             }
         }
-        p
     }
 
+    /// Freed rows and side-store slots are reused, not leaked: churning
+    /// one key leaves the arena at one profile's footprint.
     #[test]
-    fn kernels_agree_with_profile_walk() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..40 {
-            let cap = rng.gen_range(1..200usize);
-            let a = random_profile(&mut rng, cap);
-            let b = random_profile(&mut rng, cap);
-            let expected = a.pair_cardinalities(&b);
-
-            let mut per = PerProfileKernel::new();
-            per.insert(1, &a);
-            per.insert(2, &b);
-            assert_eq!(per.pair_cardinalities(1, 2), expected);
-
-            // Stride smaller than some capacities exercises overflow.
-            let mut arena = ArenaKernel::new(64);
-            arena.insert(1, &a);
-            arena.insert(2, &b);
-            assert_eq!(arena.pair_cardinalities(1, 2), expected);
+    fn remove_and_reinsert_reuses_rows_and_overflow_slots() {
+        let mut wide = SubscriptionProfile::with_capacity(200);
+        let mut narrow = SubscriptionProfile::with_capacity(64);
+        for id in [3, 70, 150] {
+            wide.record(AdvId::new(1), MsgId::new(id));
+            narrow.record(AdvId::new(2), MsgId::new(id % 64));
         }
-    }
-
-    #[test]
-    fn unknown_keys_read_as_empty_profiles() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = random_profile(&mut rng, 64);
-        for k in [
-            &mut PerProfileKernel::new() as &mut dyn ClosenessKernel,
-            &mut ArenaKernel::new(128),
-        ] {
-            k.insert(7, &a);
-            let c = k.pair_cardinalities(7, 99);
-            assert_eq!(c.and, 0);
-            assert_eq!(c.left, a.count_ones());
-            assert_eq!(c.right, 0);
-            assert_eq!(k.pair_cardinalities(99, 98), PairCardinalities::default());
-        }
-    }
-
-    #[test]
-    fn remove_and_reinsert_reuses_arena_rows() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = random_profile(&mut rng, 64);
-        let b = random_profile(&mut rng, 64);
         let mut k = ArenaKernel::new(64);
-        k.insert(1, &a);
-        k.insert(2, &b);
-        assert_eq!(k.len(), 2);
-        k.remove(1);
-        assert_eq!(k.len(), 1);
-        assert_eq!(k.pair_cardinalities(1, 2).left, 0);
-        k.insert(3, &a);
-        assert_eq!(k.pair_cardinalities(3, 2), a.pair_cardinalities(&b));
-        // Replacing a key frees its old legs.
-        k.insert(2, &a);
-        assert_eq!(k.pair_cardinalities(3, 2), a.pair_cardinalities(&a));
+        for round in 0..4u64 {
+            k.insert(round, &wide);
+            k.insert(round, &narrow); // replacing frees the old legs
+            k.insert(round, &wide);
+            assert_eq!(k.overflow_len(), 1);
+            assert_eq!(k.overflow.len(), 1, "side-store slot reused");
+            k.remove(round);
+            assert!(k.is_empty());
+            assert_eq!(k.overflow_len(), 0);
+            assert_eq!(k.arena.len(), 0);
+        }
     }
 }

@@ -49,7 +49,7 @@ pub mod profile;
 pub use arena::{BitsetArena, RowId};
 pub use bitvec::{PairCardinalities, ShiftingBitVector, DEFAULT_CAPACITY};
 pub use closeness::{Closeness, ClosenessMetric, XOR_CAP};
-pub use kernel::{ArenaKernel, ClosenessKernel, PerProfileKernel};
+pub use kernel::ArenaKernel;
 pub use poset::Poset;
 pub use profile::{
     fraction_of, Load, PublisherProfile, PublisherTable, Relation, SubscriptionProfile,

@@ -326,7 +326,7 @@ impl Relation {
     /// Derives the relation from precomputed pair cardinalities — the
     /// same decision procedure as [`SubscriptionProfile::relationship`]
     /// (`|∩| = 0` → empty; otherwise compare `|∩|` against `|S1|` and
-    /// `|S2|`), so a [`crate::kernel::ClosenessKernel`] can classify a
+    /// `|S2|`), so the [`crate::kernel::ArenaKernel`] can classify a
     /// pair without re-walking the profiles.
     #[must_use]
     pub fn from_cardinalities(c: PairCardinalities) -> Relation {

@@ -41,7 +41,6 @@ proptest! {
     /// Set operations agree with the set model across arbitrary window
     /// placements.
     #[test]
-    #[allow(deprecated)] // the legacy per-op counts stay model-checked
     fn bitvec_set_ops_match_model(
         (cap_a, ids_a) in arb_ops(),
         (cap_b, ids_b) in arb_ops(),
@@ -52,9 +51,10 @@ proptest! {
         for id in ids_b { b.record(id); }
         let sa: BTreeSet<u64> = a.iter_ids().collect();
         let sb: BTreeSet<u64> = b.iter_ids().collect();
-        prop_assert_eq!(a.and_count(&b), sa.intersection(&sb).count());
-        prop_assert_eq!(a.or_count(&b), sa.union(&sb).count());
-        prop_assert_eq!(a.xor_count(&b), sa.symmetric_difference(&sb).count());
+        let c = a.pair_cardinalities(&b);
+        prop_assert_eq!(c.and, sa.intersection(&sb).count());
+        prop_assert_eq!(c.or, sa.union(&sb).count());
+        prop_assert_eq!(c.xor(), sa.symmetric_difference(&sb).count());
         prop_assert_eq!(a.is_subset_of(&b), sa.is_subset(&sb));
     }
 

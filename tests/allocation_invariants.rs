@@ -2,7 +2,7 @@
 //! capacity feasibility, completeness, and clustering sanity across
 //! random workloads.
 
-use greenps::core::cram::{CramBuilder, Layout};
+use greenps::core::cram::CramBuilder;
 use greenps::core::model::{AllocationInput, BrokerSpec, LinearFn, SubscriptionEntry};
 use greenps::core::overlay::{build_overlay, AllocatorKind, OverlayConfig};
 use greenps::core::sorting::{bin_packing, fbf};
@@ -155,49 +155,6 @@ proptest! {
                     .unwrap();
                 prop_assert_eq!(&par_alloc, &seq_alloc, "{} t={}", metric, threads);
                 prop_assert_eq!(par_stats, seq_stats, "{} t={}", metric, threads);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The arena layout is a pure memory-layout change: for every
-    /// metric, thread count, and tile setting, it must reproduce the
-    /// per-profile allocation, stats, and telemetry counters bit for
-    /// bit (tiling changes `closeness_computations`, but identically
-    /// for both layouts — the counters must still agree).
-    #[test]
-    fn arena_layout_is_bit_identical_to_per_profile(input in arb_input()) {
-        if bin_packing(&input).is_err() { return Ok(()); }
-        for metric in ClosenessMetric::ALL {
-            for tile in [0usize, 8] {
-                for threads in [1usize, 2, 4, 8] {
-                    let per_profile = greenps::telemetry::Registry::new();
-                    let (pp_alloc, pp_stats) = CramBuilder::new(metric)
-                        .layout(Layout::PerProfile)
-                        .tile(tile)
-                        .threads(threads)
-                        .telemetry(&per_profile)
-                        .run(&input)
-                        .unwrap();
-                    let arena = greenps::telemetry::Registry::new();
-                    let (ar_alloc, ar_stats) = CramBuilder::new(metric)
-                        .layout(Layout::Arena { stride: 0 })
-                        .tile(tile)
-                        .threads(threads)
-                        .telemetry(&arena)
-                        .run(&input)
-                        .unwrap();
-                    prop_assert_eq!(&ar_alloc, &pp_alloc,
-                        "{} t={} tile={}", metric, threads, tile);
-                    prop_assert_eq!(ar_stats, pp_stats,
-                        "{} t={} tile={}", metric, threads, tile);
-                    prop_assert_eq!(
-                        arena.snapshot().counters, per_profile.snapshot().counters,
-                        "{} t={} tile={}", metric, threads, tile);
-                }
             }
         }
     }
