@@ -22,10 +22,11 @@ use greenps_net::wire::{
 };
 use greenps_profile::{PublisherProfile, ShiftingBitVector, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, BrokerId, ClientId, MsgId, SubId};
-use greenps_pubsub::message::{Advertisement, Publication, Subscription};
+use greenps_pubsub::message::{Advertisement, AttrNames, Publication, Subscription};
 use greenps_pubsub::predicate::{Op, Predicate};
 use greenps_pubsub::value::Value;
 use greenps_simnet::SimTime;
+use std::cell::RefCell;
 
 // --- values and predicates -------------------------------------------
 
@@ -113,8 +114,12 @@ fn put_filter(out: &mut Vec<u8>, f: &greenps_pubsub::filter::Filter) {
     }
 }
 
+/// Fewest bytes one predicate encodes to: an empty name, the
+/// operator, a `bool`.
+const MIN_PREDICATE: usize = 7;
+
 fn read_filter(r: &mut WireReader<'_>) -> Result<greenps_pubsub::filter::Filter, WireError> {
-    let n = r.seq_len()?;
+    let n = r.seq_len_of(MIN_PREDICATE)?;
     let mut preds = Vec::with_capacity(n);
     for _ in 0..n {
         preds.push(read_predicate(r)?);
@@ -134,17 +139,83 @@ fn put_publication(out: &mut Vec<u8>, p: &Publication) {
     }
 }
 
+/// Fewest bytes one attribute encodes to: an empty name and a `bool`.
+const MIN_ATTRIBUTE: usize = 6;
+
+/// Name tables a decoding thread remembers. A connection carries the
+/// shapes of the publishers routed over it, most of the time one.
+const TABLES: usize = 4;
+
+thread_local! {
+    /// The name tables of the publications this thread decoded last,
+    /// most recent first. A reader thread serves one connection, so
+    /// per thread is per session: no lock, nothing shared, and what is
+    /// kept is at most [`TABLES`] tables whose names arrived in frames
+    /// under the frame cap.
+    static RECENT: RefCell<Vec<AttrNames>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Decodes a publication onto the name table of an earlier one of its
+/// shape (DESIGN.md §13.4). While the frame's names equal, in order,
+/// those of a remembered table with as many names, only the values are
+/// read, and a frame that stays equal to the end shares that table. A
+/// frame that stops matching keeps the values read so far under the
+/// names they matched and goes on through the builder (a repeated name
+/// replaces, as anywhere); its table is remembered in place of the
+/// least recently used.
 fn read_publication(r: &mut WireReader<'_>) -> Result<Publication, WireError> {
     let adv = AdvId::new(r.u64()?);
     let msg = MsgId::new(r.u64()?);
-    let n = r.seq_len()?;
-    let mut b = Publication::builder(adv, msg);
-    for _ in 0..n {
-        let attr = r.str()?;
-        let value = read_value(r)?;
-        b = b.attr(attr, value);
-    }
-    Ok(b.build())
+    let n = r.seq_len_of(MIN_ATTRIBUTE)?;
+    RECENT.with_borrow_mut(|tables| {
+        // `live[t]`: `tables[t]` equals the frame as far as it is read.
+        let mut live = [false; TABLES];
+        for (l, table) in live.iter_mut().zip(tables.iter()) {
+            *l = table.len() == n;
+        }
+        let mut values = Vec::with_capacity(n);
+        // The name no live table has at its position, once there is one.
+        let mut stray = None;
+        while values.len() < n {
+            // Bytes equal to a table's name are UTF-8 because it is.
+            let name = r.bytes()?;
+            let mut still = live;
+            for (s, table) in still.iter_mut().zip(tables.iter()) {
+                *s = *s && table.get(values.len()).map(str::as_bytes) == Some(name);
+            }
+            if still == [false; TABLES] {
+                stray = Some(std::str::from_utf8(name).map_err(|_| WireError::BadUtf8)?);
+                break;
+            }
+            live = still;
+            values.push(read_value(r)?);
+        }
+        let hit = live.iter().position(|&l| l);
+        let matched = hit.and_then(|t| tables.get(t));
+        if let (Some(t), Some(names), None) = (hit, matched, stray) {
+            let p = Publication::with_names(adv, msg, names, values).ok_or(WireError::BadValue)?;
+            if let Some(front) = tables.get_mut(..=t) {
+                front.rotate_right(1);
+            }
+            return Ok(p);
+        }
+        let mut b = Publication::builder(adv, msg);
+        let read = values.len();
+        for (name, value) in matched.into_iter().flat_map(AttrNames::iter).zip(values) {
+            b.push(name, value);
+        }
+        for _ in read..n {
+            let name = match stray.take() {
+                Some(name) => name,
+                None => r.str()?,
+            };
+            b.push(name, read_value(r)?);
+        }
+        let p = b.build();
+        tables.truncate(TABLES - 1);
+        tables.insert(0, p.names().clone());
+        Ok(p)
+    })
 }
 
 fn put_envelope(out: &mut Vec<u8>, e: &PubEnvelope) {
@@ -286,14 +357,23 @@ fn put_gathered(out: &mut Vec<u8>, g: &GatheredBroker) {
     }
 }
 
+/// Fewest bytes one subscription entry encodes to: its id, an empty
+/// filter, a profile with no publisher.
+const MIN_SUB_ENTRY: usize = 24;
+/// Bytes of one publisher profile.
+const PUBLISHER_PROFILE: usize = 32;
+/// Fewest bytes one broker's information encodes to: a spec with an
+/// empty URL and two empty lists.
+const MIN_GATHERED: usize = 44;
+
 fn read_gathered(r: &mut WireReader<'_>) -> Result<GatheredBroker, WireError> {
     let spec = read_spec(r)?;
-    let n_subs = r.seq_len()?;
+    let n_subs = r.seq_len_of(MIN_SUB_ENTRY)?;
     let mut subscriptions = Vec::with_capacity(n_subs);
     for _ in 0..n_subs {
         subscriptions.push(read_sub_entry(r)?);
     }
-    let n_pubs = r.seq_len()?;
+    let n_pubs = r.seq_len_of(PUBLISHER_PROFILE)?;
     let mut publishers = Vec::with_capacity(n_pubs);
     for _ in 0..n_pubs {
         publishers.push(read_publisher_profile(r)?);
@@ -381,7 +461,7 @@ impl Wire for BrokerMsg {
             TAG_BIR => Ok(BrokerMsg::Bir { request: r.u64()? }),
             TAG_BIA => {
                 let request = r.u64()?;
-                let n = r.seq_len()?;
+                let n = r.seq_len_of(MIN_GATHERED)?;
                 let mut infos = Vec::with_capacity(n);
                 for _ in 0..n {
                     infos.push(read_gathered(r)?);
@@ -477,5 +557,152 @@ mod tests {
         put_seq_len(&mut buf, 0);
         let mut r = WireReader::new(&buf);
         assert!(matches!(read_bitvec(&mut r), Err(WireError::BadValue)));
+    }
+
+    /// A publication frame with exactly these `(name, value)` pairs —
+    /// repeats included, which `put_publication` cannot produce.
+    fn raw_frame(attrs: &[(&str, i64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, TAG_PUBLICATION);
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 2);
+        put_seq_len(&mut buf, attrs.len());
+        for &(name, value) in attrs {
+            put_str(&mut buf, name);
+            put_value(&mut buf, &Value::Int(value));
+        }
+        put_u32(&mut buf, 0);
+        put_u64(&mut buf, 0);
+        buf
+    }
+
+    fn decode_publication(frame: &[u8]) -> Publication {
+        match decode_exact(frame) {
+            Ok(BrokerMsg::Publication(e)) => e.publication,
+            other => panic!("not a publication: {other:?}"),
+        }
+    }
+
+    /// Decodes on a thread that has remembered nothing.
+    fn decode_cold(frame: &[u8]) -> Publication {
+        std::thread::scope(|s| {
+            s.spawn(|| decode_publication(frame))
+                .join()
+                .expect("decode")
+        })
+    }
+
+    fn expect(attrs: &[(&str, i64)]) -> Publication {
+        let mut b = Publication::builder(AdvId::new(1), MsgId::new(2));
+        for &(name, value) in attrs {
+            b.push(name, Value::Int(value));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn frames_of_one_shape_share_a_table_while_it_is_remembered() {
+        let stock = [("class", 1), ("symbol", 2), ("low", 3)];
+        let first = decode_publication(&raw_frame(&stock));
+        let second = decode_publication(&raw_frame(&[("class", 4), ("symbol", 5), ("low", 6)]));
+        assert!(first.same_names(&second));
+        assert_eq!(second.get("low"), Some(&Value::Int(6)));
+        let other = decode_publication(&raw_frame(&[("class", 1), ("symbol", 2), ("high", 3)]));
+        assert!(!other.same_names(&first));
+        let fourth = decode_publication(&raw_frame(&stock));
+        assert!(fourth.same_names(&first));
+        assert_eq!(fourth, first);
+    }
+
+    #[test]
+    fn a_frame_that_leaves_the_table_decodes_as_it_would_cold() {
+        let primed = [("a", 1), ("b", 2), ("c", 3), ("d", 4)];
+        let subjects: [&[(&str, i64)]; 8] = [
+            &[("a", 5), ("b", 6), ("x", 7), ("d", 8)],
+            &[("d", 5), ("c", 6), ("b", 7), ("a", 8)],
+            &[("a", 5), ("b", 6), ("c", 7), ("d", 8), ("e", 9)],
+            &[("a", 5), ("b", 6), ("c", 7)],
+            &[],
+            &[("a", 5), ("b", 6), ("a", 7), ("d", 8)],
+            &[("a", 5), ("b", 6), ("c", 7), ("c", 8)],
+            &[("x", 5), ("x", 6)],
+        ];
+        for attrs in subjects {
+            let frame = raw_frame(attrs);
+            // Twice: off the primed table, then onto its own.
+            for _ in 0..2 {
+                decode_publication(&raw_frame(&primed));
+                let warm = decode_publication(&frame);
+                assert_eq!(warm, decode_cold(&frame), "{attrs:?}");
+                assert_eq!(warm, expect(attrs), "{attrs:?}");
+            }
+            let again = decode_publication(&frame);
+            assert_eq!(again, expect(attrs), "{attrs:?}");
+            let distinct = expect(attrs).len() == attrs.len();
+            if distinct {
+                let env = PubEnvelope::new(again, SimTime::ZERO);
+                assert_eq!(re_encode(&BrokerMsg::Publication(env)), frame);
+            }
+        }
+        // Later wins, first position kept — the builder's rule.
+        let dup = decode_publication(&raw_frame(&[("a", 5), ("b", 6), ("a", 7)]));
+        assert_eq!(dup.to_string(), "Adv1#2:[a,7],[b,6]");
+    }
+
+    #[test]
+    fn more_shapes_than_tables_still_decode_and_stay_bounded() {
+        let shapes: Vec<Vec<(String, i64)>> = (0..2 * TABLES)
+            .map(|s| (0..3).map(|a| (format!("s{s}a{a}"), 0)).collect())
+            .collect();
+        for round in 0..3 {
+            for shape in &shapes {
+                let attrs: Vec<(&str, i64)> =
+                    shape.iter().map(|(n, _)| (n.as_str(), round)).collect();
+                assert_eq!(decode_publication(&raw_frame(&attrs)), expect(&attrs));
+                assert!(RECENT.with_borrow(Vec::len) <= TABLES);
+            }
+        }
+        // The most recent shapes are the ones kept.
+        let kept: Vec<(&str, i64)> = shapes[2 * TABLES - 1]
+            .iter()
+            .map(|(n, _)| (n.as_str(), 9))
+            .collect();
+        let a = decode_publication(&raw_frame(&kept));
+        assert!(a.same_names(&decode_publication(&raw_frame(&kept))));
+        assert!(RECENT.with_borrow(|t| t.first() == Some(a.names())));
+    }
+
+    #[test]
+    fn a_count_the_frame_has_no_room_for_is_refused_before_reserving() {
+        // Sixteen million attributes, predicates, brokers: each claimed
+        // by a frame of a few dozen bytes.
+        let mut publication = raw_frame(&[("a", 1), ("b", 2)]);
+        publication[17..21].copy_from_slice(&16_000_000u32.to_le_bytes());
+        let mut subscribe = Vec::new();
+        BrokerMsg::Subscribe(Subscription::new(SubId::new(1), stock_template("YHOO")))
+            .encode(&mut subscribe);
+        subscribe[9..13].copy_from_slice(&16_000_000u32.to_le_bytes());
+        let mut bia = Vec::new();
+        BrokerMsg::Bia {
+            request: 1,
+            infos: Vec::new(),
+        }
+        .encode(&mut bia);
+        bia[9..13].copy_from_slice(&16_000_000u32.to_le_bytes());
+        bia.extend_from_slice(&[0; 64]);
+        for frame in [&publication, &subscribe, &bia] {
+            assert_eq!(
+                decode_exact::<BrokerMsg>(frame).err(),
+                Some(WireError::BadLength(16_000_000))
+            );
+        }
+        // A count the bytes could hold, over elements that are not
+        // there: refused at the first of them.
+        let mut short = raw_frame(&[("a", 1), ("b", 2)]);
+        short[17..21].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            decode_exact::<BrokerMsg>(&short).err(),
+            Some(WireError::Truncated)
+        );
     }
 }

@@ -5,7 +5,8 @@
 
 use greenps_broker::messages::{BrokerMsg, GatheredBroker, PubEnvelope};
 use greenps_core::model::{BrokerSpec, LinearFn, SubscriptionEntry};
-use greenps_net::{decode_exact, Wire};
+use greenps_net::frame::{write_hello, Hello, HELLO_LEN};
+use greenps_net::{decode_exact, Endpoint, EndpointAddr, NetEvent, TcpTransport, Transport, Wire};
 use greenps_profile::{PublisherProfile, SubscriptionProfile};
 use greenps_pubsub::filter::Filter;
 use greenps_pubsub::ids::{AdvId, ClientId, MsgId, SubId};
@@ -13,7 +14,11 @@ use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_pubsub::predicate::{Op, Predicate};
 use greenps_pubsub::value::Value;
 use greenps_simnet::SimTime;
+use greenps_telemetry::Registry;
 use proptest::prelude::*;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const ATTRS: [&str; 4] = ["class", "symbol", "low", "volume"];
 const SYMBOLS: [&str; 3] = ["YHOO", "GOOG", "AAPL"];
@@ -156,6 +161,32 @@ proptest! {
         prop_assert_eq!(&bytes, &again, "re-encoded bytes diverged");
     }
 
+    /// A publication decodes the same whatever the thread decoded
+    /// before it: onto the table the priming frame left, off it
+    /// mid-frame, or cold.
+    #[test]
+    fn publication_decode_is_independent_of_the_frames_before(
+        priming in arb_publication(),
+        subject in arb_publication(),
+    ) {
+        let frame = |p: &Publication| {
+            let mut bytes = Vec::new();
+            BrokerMsg::Publication(PubEnvelope::new(p.clone(), SimTime::ZERO)).encode(&mut bytes);
+            bytes
+        };
+        let decode = |bytes: &[u8]| match decode_exact(bytes) {
+            Ok(BrokerMsg::Publication(e)) => Ok(e.publication),
+            other => Err(TestCaseError::fail(format!("not a publication: {other:?}"))),
+        };
+        let bytes = frame(&subject);
+        let cold = std::thread::scope(|s| s.spawn(|| decode(&bytes)).join().expect("decode"))?;
+        decode(&frame(&priming))?;
+        let warm = decode(&bytes)?;
+        prop_assert_eq!(&warm, &cold);
+        prop_assert_eq!(&warm, &subject);
+        prop_assert_eq!(frame(&warm), bytes);
+    }
+
     /// Decoding never panics on arbitrary garbage — it returns a typed
     /// error or (rarely) a valid message.
     #[test]
@@ -173,4 +204,53 @@ proptest! {
             prop_assert!(decode_exact::<BrokerMsg>(&bytes[..cut]).is_err());
         }
     }
+}
+
+/// A peer that writes a count its frame has no room for gets what any
+/// garbage gets: a typed decode error, counted, and a closed session —
+/// after the sound frame before it was delivered.
+#[test]
+fn a_frame_with_an_inflated_count_closes_the_session() {
+    let registry = Registry::new();
+    let mut transport = TcpTransport::with_telemetry(&registry);
+    let mut ep: <TcpTransport as Transport<BrokerMsg>>::Endpoint = transport.open(1).expect("open");
+    let EndpointAddr::Tcp(addr) = ep.addr() else {
+        panic!("a tcp endpoint has a tcp address");
+    };
+    let mut raw = TcpStream::connect(addr).expect("dial");
+    write_hello(&mut raw, Hello { node: 77, epoch: 1 }).expect("hello out");
+    let mut theirs = [0u8; HELLO_LEN];
+    raw.read_exact(&mut theirs).expect("hello back");
+
+    let p = Publication::builder(AdvId::new(1), MsgId::new(1))
+        .attr("class", "STOCK")
+        .attr("low", 18.5)
+        .build();
+    let mut sound = Vec::new();
+    BrokerMsg::Publication(PubEnvelope::new(p, SimTime::ZERO)).encode(&mut sound);
+    // Tag, two ids, then the attribute count.
+    let mut inflated = sound.clone();
+    inflated[17..21].copy_from_slice(&16_000_000u32.to_le_bytes());
+    assert!(decode_exact::<BrokerMsg>(&inflated).is_err());
+    let mut bytes = Vec::new();
+    for payload in [&sound, &inflated, &sound] {
+        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(payload);
+    }
+    raw.write_all(&bytes).expect("write");
+
+    let (mut msgs, mut closed) = (0, false);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !closed && Instant::now() < deadline {
+        match ep.poll(Duration::from_millis(50)) {
+            Some(NetEvent::Msg { from: 77, .. }) => msgs += 1,
+            Some(NetEvent::Closed { peer: 77 }) => closed = true,
+            _ => {}
+        }
+    }
+    assert!(closed, "the session was closed");
+    assert_eq!(msgs, 1, "the frame after the bad one is never seen");
+    let counters = registry.snapshot().counters;
+    assert_eq!(counters.get("transport.decode_errors"), Some(&1));
+    assert_eq!(counters.get("transport.frames_received"), Some(&1));
 }

@@ -121,23 +121,35 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a `u32`-length-prefixed collection count, validated
-    /// against the bytes actually remaining (each element needs at
-    /// least one byte, so a count beyond `remaining` is corrupt).
+    /// Reads a `u32`-length-prefixed byte count, validated against the
+    /// bytes actually remaining.
     pub fn seq_len(&mut self) -> Result<usize, WireError> {
+        self.seq_len_of(1)
+    }
+
+    /// Reads a `u32`-length-prefixed collection count whose elements
+    /// each encode to at least `min_bytes` bytes, validated against
+    /// the bytes actually remaining — so a decoder may reserve for the
+    /// count it returns: what it reserves is bounded by the frame in
+    /// hand, not by a number the peer wrote.
+    pub fn seq_len_of(&mut self, min_bytes: usize) -> Result<usize, WireError> {
         let n = self.u32()?;
         let n_usize = usize::try_from(n).map_err(|_| WireError::BadLength(u64::from(n)))?;
-        if n_usize > self.remaining() {
+        if n_usize.saturating_mul(min_bytes.max(1)) > self.remaining() {
             return Err(WireError::BadLength(u64::from(n)));
         }
         Ok(n_usize)
     }
 
+    /// Reads a `u32`-length-prefixed byte slice.
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.seq_len()?;
+        self.take(n)
+    }
+
     /// Reads a `u32`-length-prefixed UTF-8 string slice.
     pub fn str(&mut self) -> Result<&'a str, WireError> {
-        let n = self.seq_len()?;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -245,6 +257,21 @@ mod tests {
         put_u32(&mut buf, 1_000_000);
         let mut r = WireReader::new(&buf);
         assert!(matches!(r.seq_len(), Err(WireError::BadLength(_))));
+    }
+
+    #[test]
+    fn sequence_counts_are_bounded_by_the_smallest_element() {
+        // Count 3, then 20 bytes: room for three 6-byte elements, not
+        // for three 7-byte ones.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 3);
+        buf.extend_from_slice(&[0; 20]);
+        assert_eq!(WireReader::new(&buf).seq_len_of(6), Ok(3));
+        assert_eq!(
+            WireReader::new(&buf).seq_len_of(7),
+            Err(WireError::BadLength(3))
+        );
+        assert_eq!(WireReader::new(&buf).seq_len_of(0), Ok(3));
     }
 
     #[test]

@@ -11,17 +11,74 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
+/// The attribute names of one publication shape: ordered, free of
+/// duplicates, and shared by reference count between every publication
+/// built on it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttrNames(Arc<[Arc<str>]>);
+
+/// Where `name` is in `names`.
+fn position(names: &[Arc<str>], name: &str) -> Option<usize> {
+    names.iter().position(|n| **n == *name)
+}
+
+impl AttrNames {
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for the table of an attribute-less publication.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The name at `index`.
+    pub fn get(&self, index: usize) -> Option<&str> {
+        self.0.get(index).map(|n| &**n)
+    }
+
+    /// Iterates over the names in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|n| &**n)
+    }
+}
+
+/// Collects names into a table; a repeated name keeps its first
+/// position, as [`PublicationBuilder::attr`] does.
+impl<'a> FromIterator<&'a str> for AttrNames {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(names: I) -> Self {
+        let mut distinct: Vec<Arc<str>> = Vec::new();
+        for name in names {
+            if position(&distinct, name).is_none() {
+                distinct.push(Arc::from(name));
+            }
+        }
+        Self(Arc::from(distinct))
+    }
+}
+
+/// What every clone of a publication shares.
+#[derive(Debug, PartialEq)]
+struct Body {
+    names: AttrNames,
+    /// `values[i]` belongs to `names[i]`; the lengths are equal.
+    values: Box<[Value]>,
+}
+
 /// An immutable publication message.
 ///
 /// Publications are reference-counted so a broker can forward one
-/// message to many neighbors without copying the payload.
+/// message to many neighbors without copying the payload, and
+/// publications of one shape share one [`AttrNames`] table, so making
+/// one costs its values, not its names.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Publication {
     /// Advertisement id identifying the publisher (paper §III-B).
     pub adv_id: AdvId,
     /// Per-publisher sequence number appended by the publisher.
     pub msg_id: MsgId,
-    attrs: Arc<Vec<(String, Value)>>,
+    body: Arc<Body>,
 }
 
 impl Publication {
@@ -30,35 +87,64 @@ impl Publication {
         PublicationBuilder {
             adv_id,
             msg_id,
-            attrs: Vec::new(),
+            names: Vec::new(),
+            values: Vec::new(),
         }
+    }
+
+    /// A publication on an existing name table: `values[i]` is the
+    /// value of `names[i]`. `None` when the lengths differ.
+    pub fn with_names(
+        adv_id: AdvId,
+        msg_id: MsgId,
+        names: &AttrNames,
+        values: Vec<Value>,
+    ) -> Option<Self> {
+        (names.len() == values.len()).then(|| Self {
+            adv_id,
+            msg_id,
+            body: Arc::new(Body {
+                names: names.clone(),
+                values: values.into_boxed_slice(),
+            }),
+        })
+    }
+
+    /// The name table this publication is built on.
+    pub fn names(&self) -> &AttrNames {
+        &self.body.names
+    }
+
+    /// True when both publications point at one name table, not merely
+    /// at equal ones.
+    pub fn same_names(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body.names.0, &other.body.names.0)
     }
 
     /// Looks up the value of an attribute.
     pub fn get(&self, attr: &str) -> Option<&Value> {
-        self.attrs.iter().find(|(a, _)| a == attr).map(|(_, v)| v)
+        self.body.values.get(position(&self.body.names.0, attr)?)
     }
 
     /// Iterates over `(attribute, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|(a, v)| (a.as_str(), v))
+        self.body.names.iter().zip(self.body.values.iter())
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.body.values.len()
     }
 
     /// True when the publication carries no attributes.
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.body.values.is_empty()
     }
 
     /// Approximate serialized size in bytes, used for bandwidth
     /// accounting in the simulator (ids + attribute payload).
     pub fn wire_size(&self) -> usize {
         16 + self
-            .attrs
             .iter()
             .map(|(a, v)| a.len() + 1 + v.wire_size())
             .sum::<usize>()
@@ -68,7 +154,7 @@ impl Publication {
 impl fmt::Display for Publication {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}:", self.adv_id, self.msg_id)?;
-        for (i, (a, v)) in self.attrs.iter().enumerate() {
+        for (i, (a, v)) in self.iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -78,12 +164,18 @@ impl fmt::Display for Publication {
     }
 }
 
+/// Attributes reserved for on the first [`PublicationBuilder::push`]:
+/// the paper's stock quote has twelve, and `build` keeps none of the
+/// slack.
+const RESERVE: usize = 12;
+
 /// Builder for [`Publication`].
 #[derive(Debug)]
 pub struct PublicationBuilder {
     adv_id: AdvId,
     msg_id: MsgId,
-    attrs: Vec<(String, Value)>,
+    names: Vec<Arc<str>>,
+    values: Vec<Value>,
 }
 
 impl PublicationBuilder {
@@ -91,13 +183,29 @@ impl PublicationBuilder {
     /// replaces the earlier value (publications are attribute maps).
     #[must_use]
     pub fn attr(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
-        let name = name.into();
-        let value = value.into();
-        match self.attrs.iter_mut().find(|(a, _)| *a == name) {
-            Some(slot) => slot.1 = value,
-            None => self.attrs.push((name, value)),
-        }
+        let name: String = name.into();
+        self.push(&name, value.into());
         self
+    }
+
+    /// [`attr`](Self::attr) for a caller that holds the builder by
+    /// reference and the name as a slice.
+    pub fn push(&mut self, name: &str, value: Value) {
+        match position(&self.names, name) {
+            Some(at) => {
+                if let Some(slot) = self.values.get_mut(at) {
+                    *slot = value;
+                }
+            }
+            None => {
+                if self.names.is_empty() {
+                    self.names.reserve_exact(RESERVE);
+                    self.values.reserve_exact(RESERVE);
+                }
+                self.names.push(Arc::from(name));
+                self.values.push(value);
+            }
+        }
     }
 
     /// Finalizes the publication.
@@ -105,7 +213,10 @@ impl PublicationBuilder {
         Publication {
             adv_id: self.adv_id,
             msg_id: self.msg_id,
-            attrs: Arc::new(self.attrs),
+            body: Arc::new(Body {
+                names: AttrNames(Arc::from(self.names)),
+                values: self.values.into_boxed_slice(),
+            }),
         }
     }
 }
@@ -207,7 +318,47 @@ mod tests {
             .attr("a", 1i64)
             .build();
         let q = p.clone();
-        assert!(Arc::ptr_eq(&p.attrs, &q.attrs));
+        assert!(Arc::ptr_eq(&p.body, &q.body));
+        assert_eq!(std::mem::size_of::<Publication>(), 24);
+    }
+
+    #[test]
+    fn later_duplicate_wins_and_keeps_the_first_position() {
+        let p = Publication::builder(AdvId::new(1), MsgId::new(1))
+            .attr("a", 1i64)
+            .attr("b", 2i64)
+            .attr("a", 3i64)
+            .build();
+        let pairs: Vec<_> = p.iter().collect();
+        assert_eq!(pairs, [("a", &Value::Int(3)), ("b", &Value::Int(2))]);
+        assert_eq!(p.to_string(), "Adv1#1:[a,3],[b,2]");
+    }
+
+    #[test]
+    fn publications_on_one_table_share_it_and_equal_builder_made_ones() {
+        let names: AttrNames = ["a", "b", "a"].into_iter().collect();
+        assert_eq!(names.iter().collect::<Vec<_>>(), ["a", "b"]);
+        let make = |m: u64, a: i64| {
+            Publication::with_names(
+                AdvId::new(1),
+                MsgId::new(m),
+                &names,
+                vec![Value::Int(a), Value::Bool(true)],
+            )
+        };
+        let (p, q) = (make(1, 7).unwrap(), make(2, 8).unwrap());
+        assert!(p.same_names(&q));
+        let built = Publication::builder(AdvId::new(1), MsgId::new(1))
+            .attr("a", 7i64)
+            .attr("b", true)
+            .build();
+        assert_eq!(p, built);
+        assert!(!p.same_names(&built));
+        assert_eq!(p.wire_size(), built.wire_size());
+        assert!(
+            Publication::with_names(AdvId::new(1), MsgId::new(3), &names, vec![Value::Int(1)])
+                .is_none()
+        );
     }
 
     #[test]

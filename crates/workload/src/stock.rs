@@ -15,7 +15,8 @@
 //! ```
 
 use greenps_pubsub::ids::{AdvId, MsgId};
-use greenps_pubsub::message::Publication;
+use greenps_pubsub::message::{AttrNames, Publication};
+use greenps_pubsub::value::Value;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One synthetic trading day.
@@ -42,7 +43,25 @@ pub struct StockSeries {
     pub symbol: String,
     /// The trading days, oldest first.
     pub days: Vec<DailyQuote>,
+    /// The name table every publication of the series is built on.
+    names: AttrNames,
 }
+
+/// The paper's stock-quote schema, in publication order.
+const ATTRS: [&str; 12] = [
+    "class",
+    "symbol",
+    "open",
+    "high",
+    "low",
+    "close",
+    "volume",
+    "date",
+    "openClose%Diff",
+    "highLow%Diff",
+    "closeEqualsLow",
+    "closeEqualsHigh",
+];
 
 const MONTHS: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
@@ -97,7 +116,11 @@ impl StockSeries {
             });
             price = close;
         }
-        Self { symbol, days: out }
+        Self {
+            symbol,
+            days: out,
+            names: ATTRS.into_iter().collect(),
+        }
     }
 
     /// The quote for the publication with message id `msg` (the series
@@ -122,20 +145,22 @@ impl StockSeries {
         } else {
             round3((q.high - q.low) / q.high)
         };
-        Publication::builder(adv, msg)
-            .attr("class", "STOCK")
-            .attr("symbol", self.symbol.as_str())
-            .attr("open", q.open)
-            .attr("high", q.high)
-            .attr("low", q.low)
-            .attr("close", q.close)
-            .attr("volume", q.volume)
-            .attr("date", q.date.as_str())
-            .attr("openClose%Diff", open_close)
-            .attr("highLow%Diff", high_low)
-            .attr("closeEqualsLow", q.close == q.low)
-            .attr("closeEqualsHigh", q.close == q.high)
-            .build()
+        let values: [Value; ATTRS.len()] = [
+            "STOCK".into(),
+            self.symbol.as_str().into(),
+            q.open.into(),
+            q.high.into(),
+            q.low.into(),
+            q.close.into(),
+            q.volume.into(),
+            q.date.as_str().into(),
+            open_close.into(),
+            high_low.into(),
+            (q.close == q.low).into(),
+            (q.close == q.high).into(),
+        ];
+        Publication::with_names(adv, msg, &self.names, values.into())
+            .expect("one value per name in ATTRS")
     }
 
     /// The value range of a numeric attribute over the series — used to
@@ -209,24 +234,12 @@ mod tests {
     fn publication_schema_matches_paper() {
         let s = StockSeries::generate("YHOO", 1, 10);
         let p = s.publication(AdvId::new(1), MsgId::new(3));
-        for attr in [
-            "class",
-            "symbol",
-            "open",
-            "high",
-            "low",
-            "close",
-            "volume",
-            "date",
-            "openClose%Diff",
-            "highLow%Diff",
-            "closeEqualsLow",
-            "closeEqualsHigh",
-        ] {
-            assert!(p.get(attr).is_some(), "missing {attr}");
-        }
+        assert_eq!(p.iter().map(|(a, _)| a).collect::<Vec<_>>(), ATTRS);
         assert_eq!(p.get("class").unwrap().as_str(), Some("STOCK"));
         assert_eq!(p.get("symbol").unwrap().as_str(), Some("YHOO"));
+        assert_eq!(p.get("volume"), Some(&Value::Int(s.days[3].volume)));
+        assert!(p.get("closeEqualsHigh").and_then(Value::as_bool).is_some());
+        assert!(p.same_names(&s.publication(AdvId::new(1), MsgId::new(4))));
     }
 
     #[test]
