@@ -246,16 +246,31 @@ fn put_bitvec(out: &mut Vec<u8>, v: &ShiftingBitVector) {
     }
 }
 
-fn read_bitvec(r: &mut WireReader<'_>) -> Result<ShiftingBitVector, WireError> {
+/// Largest profile window, in bits, a peer may state: 51× the
+/// 1 280-bit default, the largest window any experiment uses. A
+/// window's capacity sizes its word vector (`capacity / 64` words) and
+/// bears no relation to the frame's length, so it is bounded here.
+pub const MAX_WINDOW_BITS: usize = 65_536;
+
+/// A window capacity: positive and at most [`MAX_WINDOW_BITS`],
+/// checked before anything is sized by it.
+fn read_window_bits(r: &mut WireReader<'_>) -> Result<usize, WireError> {
     let cap64 = r.u64()?;
-    let capacity = usize::try_from(cap64).map_err(|_| WireError::BadLength(cap64))?;
-    if capacity == 0 {
-        return Err(WireError::BadValue);
+    match usize::try_from(cap64) {
+        Ok(0) => Err(WireError::BadValue),
+        Ok(capacity) if capacity <= MAX_WINDOW_BITS => Ok(capacity),
+        _ => Err(WireError::BadLength(cap64)),
     }
+}
+
+fn read_bitvec(r: &mut WireReader<'_>) -> Result<ShiftingBitVector, WireError> {
+    let capacity = read_window_bits(r)?;
     let first_id = r.u64()?;
     // The window end must not overflow: `window_end()` computes
     // `first_id + capacity` internally.
-    let end = first_id.checked_add(cap64).ok_or(WireError::BadValue)?;
+    let end = first_id
+        .checked_add(capacity as u64)
+        .ok_or(WireError::BadValue)?;
     let n = r.seq_len()?;
     let mut v = ShiftingBitVector::starting_at(capacity, first_id);
     for _ in 0..n {
@@ -278,11 +293,7 @@ fn put_profile(out: &mut Vec<u8>, p: &SubscriptionProfile) {
 }
 
 fn read_profile(r: &mut WireReader<'_>) -> Result<SubscriptionProfile, WireError> {
-    let cap64 = r.u64()?;
-    let capacity = usize::try_from(cap64).map_err(|_| WireError::BadLength(cap64))?;
-    if capacity == 0 {
-        return Err(WireError::BadValue);
-    }
+    let capacity = read_window_bits(r)?;
     let n = r.seq_len()?;
     let mut p = SubscriptionProfile::with_capacity(capacity);
     for _ in 0..n {
@@ -557,6 +568,30 @@ mod tests {
         put_seq_len(&mut buf, 0);
         let mut r = WireReader::new(&buf);
         assert!(matches!(read_bitvec(&mut r), Err(WireError::BadValue)));
+    }
+
+    #[test]
+    fn a_window_past_the_cap_is_refused_before_it_is_sized() {
+        let bitvec = |capacity: u64| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, capacity);
+            put_u64(&mut buf, 0); // first_id
+            put_seq_len(&mut buf, 0);
+            read_bitvec(&mut WireReader::new(&buf)).map(|v| v.capacity())
+        };
+        let profile = |capacity: u64| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, capacity);
+            put_seq_len(&mut buf, 0);
+            read_profile(&mut WireReader::new(&buf)).map(|p| p.capacity())
+        };
+        let cap = MAX_WINDOW_BITS as u64;
+        assert_eq!(bitvec(cap), Ok(MAX_WINDOW_BITS));
+        assert_eq!(profile(cap), Ok(MAX_WINDOW_BITS));
+        for claimed in [cap + 1, 1 << 40, u64::MAX] {
+            assert_eq!(bitvec(claimed), Err(WireError::BadLength(claimed)));
+            assert_eq!(profile(claimed), Err(WireError::BadLength(claimed)));
+        }
     }
 
     /// A publication frame with exactly these `(name, value)` pairs —

@@ -202,3 +202,44 @@ fn chain_send_order_counters_and_profiles_are_pinned() {
     assert_eq!(bits(0, 9), None);
     assert_eq!(bits(1, 3), None);
 }
+
+#[test]
+fn a_second_advertisement_does_not_resend_a_subscription_upstream() {
+    let mut chain = Chain::new();
+    chain.hello(100, 0);
+    chain.hello(200, 2);
+    // The subscription comes first, so it travels only when
+    // advertisements reach it.
+    chain.subscribe(100, 0, 1, stock_template("YHOO"));
+    let narrow = stock_template("YHOO").and(Predicate::new("low", Op::Gt, 50.0));
+    for (id, filter) in [(1, narrow), (2, stock_advertisement("YHOO"))] {
+        let adv = Advertisement::new(AdvId::new(id), filter);
+        chain.inject(200, 2, BrokerMsg::Advertise(adv));
+    }
+    assert_eq!(
+        chain.log,
+        ["2>1 adv1", "1>0 adv1", "0>1 sub1", "1>2 sub1", "2>1 adv2", "1>0 adv2"]
+    );
+    let received = chain.log.iter().filter(|l| *l == "0>1 sub1").count();
+    assert_eq!(
+        received, 1,
+        "the middle broker is sent the subscription once"
+    );
+
+    // A quote from the far end still reaches the subscriber once.
+    let mark = chain.log.len();
+    let quote = Publication::builder(AdvId::new(2), MsgId::new(1))
+        .attr("class", "STOCK")
+        .attr("symbol", "YHOO")
+        .attr("low", 18.0)
+        .build();
+    chain.inject(
+        200,
+        2,
+        BrokerMsg::Publication(PubEnvelope::new(quote, SimTime::ZERO)),
+    );
+    assert_eq!(
+        chain.publications_since(mark),
+        ["2>1 pub1/1", "1>0 pub1/2", "0>100 pub1/3"]
+    );
+}

@@ -6,10 +6,12 @@
 use greenps_broker::messages::{BrokerMsg, GatheredBroker, PubEnvelope};
 use greenps_core::model::{BrokerSpec, LinearFn, SubscriptionEntry};
 use greenps_net::frame::{write_hello, Hello, HELLO_LEN};
-use greenps_net::{decode_exact, Endpoint, EndpointAddr, NetEvent, TcpTransport, Transport, Wire};
-use greenps_profile::{PublisherProfile, SubscriptionProfile};
+use greenps_net::{
+    decode_exact, Endpoint, EndpointAddr, NetEvent, TcpTransport, Transport, Wire, WireError,
+};
+use greenps_profile::{PublisherProfile, ShiftingBitVector, SubscriptionProfile};
 use greenps_pubsub::filter::Filter;
-use greenps_pubsub::ids::{AdvId, ClientId, MsgId, SubId};
+use greenps_pubsub::ids::{AdvId, BrokerId, ClientId, MsgId, SubId};
 use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_pubsub::predicate::{Op, Predicate};
 use greenps_pubsub::value::Value;
@@ -206,11 +208,12 @@ proptest! {
     }
 }
 
-/// A peer that writes a count its frame has no room for gets what any
+/// Writes `sound`, `bad`, `sound` from a raw socket and checks what any
 /// garbage gets: a typed decode error, counted, and a closed session —
 /// after the sound frame before it was delivered.
-#[test]
-fn a_frame_with_an_inflated_count_closes_the_session() {
+fn a_bad_frame_closes_the_session(sound: &[u8], bad: &[u8]) {
+    assert!(decode_exact::<BrokerMsg>(sound).is_ok());
+    assert!(decode_exact::<BrokerMsg>(bad).is_err());
     let registry = Registry::new();
     let mut transport = TcpTransport::with_telemetry(&registry);
     let mut ep: <TcpTransport as Transport<BrokerMsg>>::Endpoint = transport.open(1).expect("open");
@@ -222,18 +225,8 @@ fn a_frame_with_an_inflated_count_closes_the_session() {
     let mut theirs = [0u8; HELLO_LEN];
     raw.read_exact(&mut theirs).expect("hello back");
 
-    let p = Publication::builder(AdvId::new(1), MsgId::new(1))
-        .attr("class", "STOCK")
-        .attr("low", 18.5)
-        .build();
-    let mut sound = Vec::new();
-    BrokerMsg::Publication(PubEnvelope::new(p, SimTime::ZERO)).encode(&mut sound);
-    // Tag, two ids, then the attribute count.
-    let mut inflated = sound.clone();
-    inflated[17..21].copy_from_slice(&16_000_000u32.to_le_bytes());
-    assert!(decode_exact::<BrokerMsg>(&inflated).is_err());
     let mut bytes = Vec::new();
-    for payload in [&sound, &inflated, &sound] {
+    for payload in [sound, bad, sound] {
         bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
         bytes.extend_from_slice(payload);
     }
@@ -253,4 +246,55 @@ fn a_frame_with_an_inflated_count_closes_the_session() {
     let counters = registry.snapshot().counters;
     assert_eq!(counters.get("transport.decode_errors"), Some(&1));
     assert_eq!(counters.get("transport.frames_received"), Some(&1));
+}
+
+/// A peer that writes a count its frame has no room for.
+#[test]
+fn a_frame_with_an_inflated_count_closes_the_session() {
+    let p = Publication::builder(AdvId::new(1), MsgId::new(1))
+        .attr("class", "STOCK")
+        .attr("low", 18.5)
+        .build();
+    let mut sound = Vec::new();
+    BrokerMsg::Publication(PubEnvelope::new(p, SimTime::ZERO)).encode(&mut sound);
+    // Tag, two ids, then the attribute count.
+    let mut inflated = sound.clone();
+    inflated[17..21].copy_from_slice(&16_000_000u32.to_le_bytes());
+    a_bad_frame_closes_the_session(&sound, &inflated);
+}
+
+/// A peer that claims a profile window of 2^40 bits — 128 GiB of
+/// words — in a BIA of a few dozen bytes.
+#[test]
+fn a_bia_claiming_a_huge_window_closes_the_session() {
+    let window = 777; // a capacity to find in the frame and replace
+    let mut profile = SubscriptionProfile::with_capacity(64);
+    profile.insert_vector(AdvId::new(7), ShiftingBitVector::starting_at(window, 10));
+    let info = GatheredBroker {
+        spec: BrokerSpec::new(BrokerId::new(2), "", LinearFn::new(0.5, 0.01), 1e6),
+        subscriptions: vec![SubscriptionEntry::new(
+            SubId::new(5),
+            Filter::new(),
+            profile,
+        )],
+        publishers: Vec::new(),
+    };
+    let mut sound = Vec::new();
+    BrokerMsg::Bia {
+        request: 1,
+        infos: vec![info],
+    }
+    .encode(&mut sound);
+    let mark = (window as u64).to_le_bytes();
+    let at: Vec<usize> = (0..sound.len() - 8)
+        .filter(|&i| sound[i..i + 8] == mark)
+        .collect();
+    assert_eq!(at.len(), 1, "the window capacity is found once");
+    let mut huge = sound.clone();
+    huge[at[0]..at[0] + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    assert!(matches!(
+        decode_exact::<BrokerMsg>(&huge),
+        Err(WireError::BadLength(n)) if n == 1 << 40
+    ));
+    a_bad_frame_closes_the_session(&sound, &huge);
 }

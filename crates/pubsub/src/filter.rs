@@ -10,7 +10,14 @@
 //! Filters support evaluation against publications, plus the *covering*
 //! and *overlap* relations needed by advertisement-based routing and the
 //! poset of Phase 2.
+//!
+//! Every filter also carries a fixed-size summary of its predicates,
+//! kept current by each builder, from which
+//! [`Filter::intersects_advertisement`] rejects most disjoint
+//! subscription/advertisement pairs before the exact test
+//! (DESIGN.md §8.2).
 
+use crate::index::Key;
 use crate::message::Publication;
 use crate::predicate::{Op, Predicate};
 use serde::{Deserialize, Serialize};
@@ -24,9 +31,111 @@ use std::sync::Arc;
 /// forwarded through many brokers, recorded in their routing indexes
 /// and reported in a BIA is one predicate allocation, not one per copy.
 /// The builder methods copy on write only while the value is shared.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The summary lives in the same allocation; `Debug`, `Display` and
+/// `==` see the predicates only.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Filter {
-    predicates: Arc<Vec<Predicate>>,
+    body: Arc<Body>,
+}
+
+/// What a [`Filter`] points at.
+#[derive(Clone, Default)]
+struct Body {
+    summary: Summary,
+    predicates: Vec<Predicate>,
+}
+
+impl Body {
+    /// Appends predicates and adds them, and only them, to the summary.
+    fn extend(&mut self, predicates: impl IntoIterator<Item = Predicate>) {
+        let start = self.predicates.len();
+        self.predicates.extend(predicates);
+        let added = self.predicates.get(start..).unwrap_or_default();
+        self.summary.note(start, added);
+    }
+}
+
+/// How many equality predicates a [`Summary`] fingerprints: the first
+/// this many in predicate order.
+const FINGERPRINTS: usize = 4;
+
+/// A fixed-size digest of a filter's predicates, for rejecting
+/// subscription/advertisement pairs without comparing names. Every
+/// hash is FNV-1a (64-bit, folded to 16), so a summary is the same in
+/// every process.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Summary {
+    /// Bloom of the attribute names: bit `h % 64` for each name's
+    /// folded hash `h`.
+    names: u64,
+    /// Per fingerprinted equality predicate, its attribute name's
+    /// folded hash above the folded hash of its operand's [`Key`].
+    /// Equal values have equal keys, so unequal operand halves prove
+    /// unequal operands.
+    eq: [u32; FINGERPRINTS],
+    /// Position among the predicates of each fingerprinted predicate.
+    at: [u8; FINGERPRINTS],
+    /// Fingerprints in use.
+    len: u8,
+}
+
+impl Summary {
+    /// Adds `predicates`, which sit at positions `start..` of their
+    /// filter. An equality predicate past position 255 is not
+    /// fingerprinted; fewer fingerprints only reject less.
+    fn note(&mut self, start: usize, predicates: &[Predicate]) {
+        for (position, p) in (start..).zip(predicates) {
+            let name = fold16(fnv1a(FNV_OFFSET, p.attr.as_bytes()));
+            self.names |= 1u64 << (name & 63);
+            let next = usize::from(self.len);
+            let free = self.eq.get_mut(next).zip(self.at.get_mut(next));
+            if let (Op::Eq, Some((fingerprint, at)), Ok(position)) =
+                (p.op, free, u8::try_from(position))
+            {
+                *fingerprint = name << 16 | fold16(key_hash(Key::of(&p.value)));
+                *at = position;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// `(fingerprint, predicate position)` of each fingerprint in use.
+    fn fingerprints(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.eq
+            .iter()
+            .zip(&self.at)
+            .take(usize::from(self.len))
+            .map(|(&fingerprint, &at)| (fingerprint, usize::from(at)))
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+/// The attribute half of a fingerprint.
+const ATTR_HALF: u32 = 0xffff_0000;
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV's xor-folding down to 16 bits: the four 16-bit lanes of `hash`
+/// xored. (Its top bits alone would not do: names that differ in their
+/// last byte, `attr0` and `attr1`, share their top 16 bits.)
+fn fold16(hash: u64) -> u32 {
+    let [a, b, c, d, e, f, g, h] = hash.to_be_bytes();
+    let lanes = [[a, b], [c, d], [e, f], [g, h]].map(u16::from_be_bytes);
+    u32::from(lanes.iter().fold(0, |folded, lane| folded ^ lane))
+}
+
+/// FNV-1a of an operand key, its domain tag first.
+fn key_hash(key: Key<'_>) -> u64 {
+    match key {
+        Key::Bool(b) => fnv1a(FNV_OFFSET, &[0, u8::from(b)]),
+        Key::Num(bits) => fnv1a(fnv1a(FNV_OFFSET, &[1]), &bits.to_le_bytes()),
+        Key::Str(s) => fnv1a(fnv1a(FNV_OFFSET, &[2]), s.as_bytes()),
+    }
 }
 
 impl Filter {
@@ -37,38 +146,44 @@ impl Filter {
 
     /// Creates a filter from predicates.
     pub fn from_predicates(predicates: impl IntoIterator<Item = Predicate>) -> Self {
+        let predicates: Vec<Predicate> = predicates.into_iter().collect();
+        let mut summary = Summary::default();
+        summary.note(0, &predicates);
         Self {
-            predicates: Arc::new(predicates.into_iter().collect()),
+            body: Arc::new(Body {
+                summary,
+                predicates,
+            }),
         }
     }
 
     /// Appends a predicate (builder style).
     #[must_use]
     pub fn and(mut self, predicate: Predicate) -> Self {
-        Arc::make_mut(&mut self.predicates).push(predicate);
+        Arc::make_mut(&mut self.body).extend([predicate]);
         self
     }
 
     /// The predicates of this filter.
     pub fn predicates(&self) -> &[Predicate] {
-        &self.predicates
+        &self.body.predicates
     }
 
     /// Number of predicates.
     pub fn len(&self) -> usize {
-        self.predicates.len()
+        self.predicates().len()
     }
 
     /// True when the filter has no predicates (matches everything).
     pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty()
+        self.predicates().is_empty()
     }
 
     /// Evaluates the filter against a publication: every predicate must
     /// be satisfied by the publication's value for its attribute, and
     /// the attribute must be present.
     pub fn matches(&self, publication: &Publication) -> bool {
-        self.predicates
+        self.predicates()
             .iter()
             .all(|p| publication.get(&p.attr).is_some_and(|v| p.eval(v)))
     }
@@ -79,16 +194,16 @@ impl Filter {
     /// A filter covers another when each of its predicates is implied by
     /// some predicate of the other filter on the same attribute.
     pub fn covers(&self, other: &Filter) -> bool {
-        self.predicates
+        self.predicates()
             .iter()
-            .all(|p1| other.predicates.iter().any(|p2| p1.covers(p2)))
+            .all(|p1| other.predicates().iter().any(|p2| p1.covers(p2)))
     }
 
     /// True when some publication can match both filters (conservative —
     /// only provably disjoint pairs return `false`).
     pub fn overlaps(&self, other: &Filter) -> bool {
-        for p1 in self.predicates.iter() {
-            for p2 in other.predicates.iter() {
+        for p1 in self.predicates() {
+            for p2 in other.predicates() {
                 if p1.attr == p2.attr && !p1.overlaps(p2) {
                     return false;
                 }
@@ -101,9 +216,40 @@ impl Filter {
     /// a subscription can only be satisfied by a publisher whose
     /// advertisement (a) declares every attribute the subscription
     /// constrains and (b) overlaps it value-wise.
+    ///
+    /// The summaries are compared first and settle a pair only when
+    /// they prove it disjoint (`summary_rejects`); every other pair
+    /// gets the exact test, so the answer is the exact test's whatever
+    /// the hashes do.
     pub fn intersects_advertisement(&self, adv: &Filter) -> bool {
-        let declares = |attr: &str| adv.predicates.iter().any(|p| p.attr == attr);
-        self.predicates.iter().all(|p| declares(&p.attr)) && self.overlaps(adv)
+        if self.summary_rejects(adv) {
+            return false;
+        }
+        let declares = |attr: &str| adv.predicates().iter().any(|p| p.attr == attr);
+        self.predicates().iter().all(|p| declares(&p.attr)) && self.overlaps(adv)
+    }
+
+    /// True when the summaries prove `self` cannot intersect `adv`:
+    /// (a) one of `self`'s name bloom bits is missing from `adv`'s, so
+    /// some attribute is undeclared; or (b) two fingerprinted equality
+    /// predicates hash to one attribute and different operand keys and
+    /// their attribute names are equal — compared exactly, so a hash
+    /// collision between names never rejects.
+    pub(crate) fn summary_rejects(&self, adv: &Filter) -> bool {
+        let (sub, adv) = (&*self.body, &*adv.body);
+        if sub.summary.names & !adv.summary.names != 0 {
+            return true;
+        }
+        sub.summary.fingerprints().any(|(s, at)| {
+            adv.summary.fingerprints().any(|(a, adv_at)| {
+                s != a
+                    && (s ^ a) & ATTR_HALF == 0
+                    && match (sub.predicates.get(at), adv.predicates.get(adv_at)) {
+                        (Some(p), Some(q)) => p.attr == q.attr,
+                        _ => false,
+                    }
+            })
+        })
     }
 
     /// Classifies the relationship between two filters from the
@@ -131,7 +277,7 @@ impl Filter {
 
     /// Approximate serialized size in bytes for bandwidth accounting.
     pub fn wire_size(&self) -> usize {
-        self.predicates
+        self.predicates()
             .iter()
             .map(|p| p.attr.len() + 1 + p.value.wire_size())
             .sum()
@@ -139,7 +285,7 @@ impl Filter {
 
     /// A canonical string form usable as a hash/equality key.
     pub fn canonical_key(&self) -> String {
-        let mut parts: Vec<String> = self.predicates.iter().map(|p| p.to_string()).collect();
+        let mut parts: Vec<String> = self.predicates().iter().map(|p| p.to_string()).collect();
         parts.sort();
         parts.join(",")
     }
@@ -153,13 +299,27 @@ impl FromIterator<Predicate> for Filter {
 
 impl Extend<Predicate> for Filter {
     fn extend<T: IntoIterator<Item = Predicate>>(&mut self, iter: T) {
-        Arc::make_mut(&mut self.predicates).extend(iter);
+        Arc::make_mut(&mut self.body).extend(iter);
+    }
+}
+
+impl PartialEq for Filter {
+    fn eq(&self, other: &Self) -> bool {
+        self.predicates() == other.predicates()
+    }
+}
+
+impl fmt::Debug for Filter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Filter")
+            .field("predicates", &self.predicates())
+            .finish()
     }
 }
 
 impl fmt::Display for Filter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, p) in self.predicates.iter().enumerate() {
+        for (i, p) in self.predicates().iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -339,6 +499,102 @@ mod tests {
     fn wire_size_counts_attrs_and_values() {
         let f = Filter::new().and(Predicate::eq("symbol", "YHOO"));
         assert_eq!(f.wire_size(), "symbol".len() + 1 + "YHOO".len());
+    }
+
+    #[test]
+    fn a_filter_is_one_pointer_to_one_allocation() {
+        assert_eq!(std::mem::size_of::<Filter>(), 8);
+        assert_eq!(std::mem::size_of::<Summary>(), 32);
+        let f = stock_template("YHOO");
+        let g = f.clone();
+        assert!(Arc::ptr_eq(&f.body, &g.body));
+    }
+
+    #[test]
+    fn every_builder_leaves_the_summary_a_fresh_one_would_have() {
+        let preds = vec![
+            Predicate::new("low", Op::Lt, 3.0),
+            Predicate::eq("class", "STOCK"),
+            Predicate::eq("n", 0i64),
+            Predicate::eq("n", -0.0),
+            Predicate::eq("flag", true),
+            Predicate::eq("symbol", "YHOO"),
+            Predicate::present("volume"),
+        ];
+        let fresh = Filter::from_predicates(preds.clone());
+        assert_eq!(fresh.body.summary.len, 4, "only the first four");
+        let by_and = preds.iter().cloned().fold(Filter::new(), Filter::and);
+        let collected: Filter = preds.iter().cloned().collect();
+        let mut extended = Filter::from_predicates(preds[..2].to_vec());
+        let shared = extended.clone();
+        extended.extend(preds[2..].iter().cloned());
+        for f in [&by_and, &collected, &extended] {
+            assert_eq!(f, &fresh);
+            assert_eq!(f.body.summary, fresh.body.summary);
+        }
+        // The copy that was shared when `extend` ran is untouched.
+        assert_eq!(
+            shared.body.summary,
+            Filter::from_predicates(preds[..2].to_vec()).body.summary
+        );
+        // `0` and `-0.0` are equal values: one fingerprint.
+        let [_, zero, neg_zero, _] = fresh.body.summary.eq;
+        assert_eq!(zero, neg_zero);
+    }
+
+    #[test]
+    fn debug_prints_the_predicates_only() {
+        let f = Filter::new().and(Predicate::eq("symbol", "YHOO"));
+        assert_eq!(
+            format!("{f:?}"),
+            format!("Filter {{ predicates: {:?} }}", f.predicates())
+        );
+    }
+
+    #[test]
+    fn the_summary_rejects_another_symbol_and_passes_the_same_one_on() {
+        let adv = stock_advertisement("YHOO");
+        let other = stock_template("GOOG").and(Predicate::new("low", Op::Lt, 19.0));
+        assert!(other.summary_rejects(&adv), "Eq/Eq conflict on symbol");
+        assert!(!other.intersects_advertisement(&adv));
+        let same = stock_template("YHOO").and(Predicate::new("low", Op::Lt, 19.0));
+        assert!(!same.summary_rejects(&adv), "left to the exact test");
+        assert!(same.intersects_advertisement(&adv));
+        // Present on one side only: no fingerprint, the exact test decides.
+        let wide = Filter::new().and(Predicate::present("symbol"));
+        assert!(!wide.summary_rejects(&adv));
+        // An undeclared attribute is caught by the name bloom.
+        let odd = stock_template("YHOO").and(Predicate::eq("undeclared", 1i64));
+        assert!(odd.summary_rejects(&adv));
+    }
+
+    /// Two names whose folded hashes are equal, found by searching
+    /// `attr0, attr1, …`.
+    const COLLIDING: (&str, &str) = ("attr56", "attr71");
+
+    #[test]
+    fn colliding_attribute_names_are_told_apart_before_rejecting() {
+        let (a, b) = COLLIDING;
+        assert_ne!(a, b);
+        let folded = |s: &str| fold16(fnv1a(FNV_OFFSET, s.as_bytes()));
+        assert_eq!(folded(a), folded(b), "the pinned pair still collides");
+        // Fingerprints equal in the attribute half, different in the
+        // operand half — but the names differ, so nothing is proven.
+        let sub = Filter::new().and(Predicate::eq(a, 1i64));
+        let adv = Filter::new()
+            .and(Predicate::eq(b, 2i64))
+            .and(Predicate::present(a));
+        let (s, v) = (sub.body.summary.eq[0], adv.body.summary.eq[0]);
+        assert_eq!(s & ATTR_HALF, v & ATTR_HALF);
+        assert_ne!(s, v);
+        assert!(!sub.summary_rejects(&adv));
+        assert!(sub.intersects_advertisement(&adv));
+        // The same operands on one name are a proven conflict.
+        let same_name = Filter::new()
+            .and(Predicate::eq(a, 2i64))
+            .and(Predicate::present(b));
+        assert!(sub.summary_rejects(&same_name));
+        assert!(!sub.intersects_advertisement(&same_name));
     }
 
     #[test]

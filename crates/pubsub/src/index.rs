@@ -55,16 +55,18 @@ const BY_NAME: u8 = u8::MAX;
 /// `-0.0` folded into `0.0`, the comparison `Int`-vs-`Float` equality
 /// uses. Distinct values may share a key (`i64::MAX` and
 /// `i64::MAX - 1` do); that only costs a filter evaluation, since
-/// candidates are always verified against the whole filter.
+/// candidates are always verified against the whole filter. A
+/// [`Filter`]'s equality fingerprints hash these keys, so the same
+/// holds for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Key<'a> {
+pub(crate) enum Key<'a> {
     Bool(bool),
     Num(u64),
     Str(&'a str),
 }
 
 impl<'a> Key<'a> {
-    fn of(value: &'a Value) -> Self {
+    pub(crate) fn of(value: &'a Value) -> Self {
         if let Some(s) = value.as_str() {
             Key::Str(s)
         } else if let Some(x) = value.as_f64() {

@@ -130,14 +130,29 @@ impl<H: Clone + Ord> RoutingTables<H> {
         self.subscriptions.remove(id).map(|(_, hop)| hop)
     }
 
-    /// Computes where to forward a subscription that is *already*
-    /// recorded, toward a newly arrived advertisement (used when an
-    /// advertisement arrives after subscriptions).
+    /// The recorded subscriptions a newly arrived advertisement
+    /// `adv` from `adv_hop` makes forwardable there, in id order (used
+    /// when an advertisement arrives after subscriptions).
+    ///
+    /// A subscription that another stored advertisement from `adv_hop`
+    /// intersects is left out: it was sent there when it or that
+    /// advertisement arrived, whichever came later, and a second copy
+    /// would be forwarded again by every broker up the path.
     pub fn subscriptions_toward(&self, adv: &Advertisement, adv_hop: &H) -> Vec<SubId> {
+        let earlier: Vec<&Filter> = self
+            .advertisements
+            .values()
+            .filter(|(other, hop)| hop == adv_hop && other.id != adv.id)
+            .map(|(other, _)| &other.filter)
+            .collect();
         self.subscriptions
             .iter()
             .filter(|(sub, sub_hop)| {
-                sub_hop != adv_hop && sub.filter.intersects_advertisement(&adv.filter)
+                sub_hop != adv_hop
+                    && sub.filter.intersects_advertisement(&adv.filter)
+                    && !earlier
+                        .iter()
+                        .any(|other| sub.filter.intersects_advertisement(other))
             })
             .map(|(sub, _)| sub.id)
             .collect()

@@ -6,7 +6,7 @@
 use greenps_pubsub::filter::Filter;
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
 use greenps_pubsub::matching::{BucketMatcher, CountingMatcher, Matcher, NaiveMatcher};
-use greenps_pubsub::message::{Publication, Subscription};
+use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_pubsub::parser::parse_filter;
 use greenps_pubsub::predicate::{Op, Predicate};
 use greenps_pubsub::routing::{Forward, RoutingTables};
@@ -119,7 +119,155 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// The intersection test as it reads without a summary: every
+/// attribute the subscription constrains is declared, and no two
+/// predicates on one attribute are disjoint.
+fn intersects_reference(sub: &Filter, adv: &Filter) -> bool {
+    let (sub, adv) = (sub.predicates(), adv.predicates());
+    sub.iter().all(|p| adv.iter().any(|q| q.attr == p.attr))
+        && sub
+            .iter()
+            .all(|p| adv.iter().all(|q| p.attr != q.attr || p.overlaps(q)))
+}
+
+/// Filters of up to eight predicates, so more equality predicates than
+/// a summary fingerprints, over the edge numbers and every domain, on
+/// four names (repeats are common), built whole, predicate by
+/// predicate or in two runs.
+fn arb_summarised_filter() -> impl Strategy<Value = Filter> {
+    let value = || prop_oneof![arb_value(), arb_edge_number()];
+    let eq = (proptest::sample::select(ATTRS.to_vec()), value())
+        .prop_map(|(attr, value)| Predicate::eq(attr, value));
+    (
+        proptest::collection::vec(prop_oneof![arb_predicate_over(value()), eq], 0..9),
+        0u8..3,
+        0usize..9,
+    )
+        .prop_map(|(preds, build, split)| match build {
+            0 => Filter::from_predicates(preds),
+            1 => preds.into_iter().fold(Filter::new(), Filter::and),
+            _ => {
+                let mut f: Filter = preds.iter().take(split).cloned().collect();
+                f.extend(preds.into_iter().skip(split));
+                f
+            }
+        })
+}
+
+/// One step against a broker's subscription and advertisement tables.
+#[derive(Debug, Clone)]
+enum ControlStep {
+    Subscribe { id: u64, filter: Filter, hop: u8 },
+    Unsubscribe { id: u64 },
+    Advertise { id: u64, filter: Filter, hop: u8 },
+}
+
+fn arb_control_step() -> impl Strategy<Value = ControlStep> {
+    prop_oneof![
+        (0u64..10, arb_summarised_filter(), 0..HOPS)
+            .prop_map(|(id, filter, hop)| ControlStep::Subscribe { id, filter, hop }),
+        (0u64..10).prop_map(|id| ControlStep::Unsubscribe { id }),
+        (0u64..10, arb_summarised_filter(), 0..HOPS)
+            .prop_map(|(id, filter, hop)| ControlStep::Advertise { id, filter, hop }),
+    ]
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The summary never changes an answer: `intersects_advertisement`
+    /// equals the reference test on every pair.
+    #[test]
+    fn summary_rejection_agrees_with_the_exact_test(
+        adv in arb_summarised_filter(),
+        subs in proptest::collection::vec(arb_summarised_filter(), 1..8),
+    ) {
+        for sub in &subs {
+            prop_assert_eq!(
+                sub.intersects_advertisement(&adv),
+                intersects_reference(sub, &adv),
+                "{} against {}", sub, adv
+            );
+        }
+    }
+}
+
+proptest! {
+    /// Advertisements before and after subscriptions: what
+    /// `insert_subscription` forwards and `subscriptions_toward` lists
+    /// equal, in order, a naive reference over the reference
+    /// intersection test; and every subscription reaches every hop an
+    /// intersecting advertisement came from, other than its own,
+    /// exactly once per version of it.
+    #[test]
+    fn subscription_forwards_match_a_naive_reference_whatever_arrives_first(
+        steps in proptest::collection::vec(arb_control_step(), 0..40),
+    ) {
+        let mut tables: RoutingTables<u8> = RoutingTables::new();
+        let mut advs: BTreeMap<AdvId, (Filter, u8)> = BTreeMap::new();
+        let mut subs: BTreeMap<SubId, (Filter, u8)> = BTreeMap::new();
+        let mut sent: BTreeMap<SubId, Vec<u8>> = BTreeMap::new();
+        for step in steps {
+            match step {
+                ControlStep::Subscribe { id, filter, hop } => {
+                    let id = SubId::new(id);
+                    let mut want: Vec<u8> = Vec::new();
+                    for (adv, adv_hop) in advs.values() {
+                        if *adv_hop != hop && intersects_reference(&filter, adv) && !want.contains(adv_hop) {
+                            want.push(*adv_hop);
+                        }
+                    }
+                    let got = tables.insert_subscription(Subscription::new(id, filter.clone()), hop);
+                    prop_assert_eq!(&got, &want, "forwards of {}", filter);
+                    subs.insert(id, (filter, hop));
+                    sent.insert(id, got);
+                }
+                ControlStep::Unsubscribe { id } => {
+                    let id = SubId::new(id);
+                    prop_assert_eq!(tables.remove_subscription(id), subs.remove(&id).map(|(_, h)| h));
+                    sent.remove(&id);
+                }
+                ControlStep::Advertise { id, filter, hop } => {
+                    let adv = Advertisement::new(AdvId::new(id), filter.clone());
+                    let new = !advs.contains_key(&adv.id);
+                    prop_assert_eq!(tables.insert_advertisement(adv.clone(), hop), new);
+                    if !new {
+                        continue;
+                    }
+                    let want: Vec<SubId> = subs
+                        .iter()
+                        .filter(|(_, (sub, sub_hop))| {
+                            *sub_hop != hop
+                                && intersects_reference(sub, &filter)
+                                && !advs.values().any(|(other, other_hop)| {
+                                    *other_hop == hop && intersects_reference(sub, other)
+                                })
+                        })
+                        .map(|(&id, _)| id)
+                        .collect();
+                    let got = tables.subscriptions_toward(&adv, &hop);
+                    prop_assert_eq!(&got, &want, "toward {}", filter);
+                    for id in got {
+                        sent.entry(id).or_default().push(hop);
+                    }
+                    advs.insert(adv.id, (filter, hop));
+                }
+            }
+            for (id, (sub, sub_hop)) in &subs {
+                let mut need: Vec<u8> = advs
+                    .values()
+                    .filter(|(adv, adv_hop)| adv_hop != sub_hop && intersects_reference(sub, adv))
+                    .map(|&(_, hop)| hop)
+                    .collect();
+                need.sort_unstable();
+                need.dedup();
+                let mut got = sent.get(id).cloned().unwrap_or_default();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &need, "hops {} was sent to", id.raw());
+            }
+        }
+    }
+
     /// Covering soundness: if `a.covers(b)`, every publication matching
     /// `b` matches `a`.
     #[test]
