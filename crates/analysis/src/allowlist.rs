@@ -7,13 +7,12 @@
 //! ```
 //!
 //! The set of valid `kind`s and the entry budget are parameterized per
-//! lint via [`AllowlistSpec`]: panic-freedom uses
-//! `analysis/panic-allowlist.txt` (`unwrap`/`expect`/`index`/`panic`),
-//! the determinism lint uses `analysis/determinism-allowlist.txt`
-//! (`iter`/`wallclock`). The third field must occur on the flagged
-//! source line (`*` matches any line in the file). The justification
-//! after ` -- ` is mandatory: an entry is a documented invariant, not
-//! an opt-out. Blank lines and `#` comments are ignored.
+//! lint via [`AllowlistSpec`]: hot-path-alloc uses
+//! `analysis/hot-path-allowlist.txt` (`alloc`), cancel-responsive uses
+//! `analysis/cancel-allowlist.txt` (`loop`). The third field must occur
+//! on the flagged source line (`*` matches any line in the file). The
+//! justification after ` -- ` is mandatory: an entry is a documented
+//! invariant, not an opt-out. Blank lines and `#` comments are ignored.
 
 use crate::Finding;
 
@@ -30,26 +29,6 @@ pub struct AllowlistSpec {
     /// Maximum number of entries the file may carry.
     pub budget: usize,
 }
-
-/// Policy for `analysis/panic-allowlist.txt`. The budget ratchets down
-/// as entries are remediated — it was 15 when the lint landed, and the
-/// PR-4 remediation pass brought the file to 8 entries.
-pub const PANIC_SPEC: AllowlistSpec = AllowlistSpec {
-    lint: "panic-freedom",
-    kinds: &["unwrap", "expect", "index", "panic"],
-    budget: 10,
-};
-
-/// Policy for `analysis/determinism-allowlist.txt`.
-pub const DETERMINISM_SPEC: AllowlistSpec = AllowlistSpec {
-    lint: "determinism",
-    kinds: &["iter", "wallclock"],
-    budget: 6,
-};
-
-/// The panic-freedom entry budget (kept for compatibility with callers
-/// that predate [`AllowlistSpec`]).
-pub const MAX_ENTRIES: usize = PANIC_SPEC.budget;
 
 /// One parsed allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,14 +55,9 @@ pub struct Allowlist {
 }
 
 impl Allowlist {
-    /// Parses panic-freedom allowlist text; `path` is used in error
-    /// findings.
-    pub fn parse(path: &str, text: &str) -> Self {
-        Self::parse_with(path, text, &PANIC_SPEC)
-    }
-
-    /// Parses allowlist text under a per-lint policy.
-    pub fn parse_with(path: &str, text: &str, spec: &AllowlistSpec) -> Self {
+    /// Parses allowlist text under a per-lint policy; `path` is used in
+    /// error findings.
+    pub fn parse(path: &str, text: &str, spec: &AllowlistSpec) -> Self {
         let mut out = Allowlist::default();
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -160,19 +134,9 @@ impl Allowlist {
         false
     }
 
-    /// Findings for entries that matched nothing (stale entries keep
-    /// the budget hostage, so they are errors too).
-    pub fn unused(&self, used: &[bool], allowlist_path: &str) -> Vec<Finding> {
-        self.unused_with(used, allowlist_path, "panic-freedom")
-    }
-
-    /// Like [`Allowlist::unused`] with an explicit lint label.
-    pub fn unused_with(
-        &self,
-        used: &[bool],
-        allowlist_path: &str,
-        lint: &'static str,
-    ) -> Vec<Finding> {
+    /// Findings, labelled `lint`, for entries that matched nothing
+    /// (stale entries keep the budget hostage, so they are errors too).
+    pub fn unused(&self, used: &[bool], allowlist_path: &str, lint: &'static str) -> Vec<Finding> {
         self.entries
             .iter()
             .zip(used)
@@ -194,70 +158,74 @@ impl Allowlist {
 mod tests {
     use super::*;
 
+    const SPEC: AllowlistSpec = AllowlistSpec {
+        lint: "test-lint",
+        kinds: &["alloc", "loop"],
+        budget: 3,
+    };
+
     #[test]
     fn parses_entries_and_rejects_malformed() {
         let text = "\
 # comment
-crates/core/src/overlay.rs expect layer-not-empty -- layers built non-empty by construction
+crates/core/src/zones.rs loop &allocation.loads -- post-merge summary pass
 
-crates/profile/src/bitvec.rs index * -- word index bounded by len()/64
+crates/profile/src/bitvec.rs alloc * -- construction-time storage
 crates/core/src/cram.rs badkind x -- nope
-missing-justification unwrap x
+missing-justification alloc x
 ";
-        let al = Allowlist::parse("analysis/panic-allowlist.txt", text);
+        let al = Allowlist::parse("analysis/x-allowlist.txt", text, &SPEC);
         assert_eq!(al.entries.len(), 2);
         assert_eq!(al.errors.len(), 2);
-        assert_eq!(al.entries[0].kind, "expect");
+        assert_eq!(al.entries[0].kind, "loop");
         assert_eq!(al.entries[1].pattern, "*");
     }
 
     #[test]
     fn kinds_are_per_spec() {
-        let text = "crates/core/src/cram.rs wallclock Instant -- telemetry-only scan timer";
-        let as_panic = Allowlist::parse("p.txt", text);
-        assert_eq!(as_panic.entries.len(), 0);
-        assert_eq!(as_panic.errors.len(), 1);
-        let as_det = Allowlist::parse_with("d.txt", text, &DETERMINISM_SPEC);
-        assert_eq!(as_det.entries.len(), 1);
-        assert!(as_det.errors.is_empty());
-        assert_eq!(as_det.errors.len(), 0);
+        let text = "crates/core/src/cram.rs wallclock Instant -- not a kind of this spec";
+        let al = Allowlist::parse("x.txt", text, &SPEC);
+        assert_eq!(al.entries.len(), 0);
+        assert_eq!(al.errors.len(), 1);
+        assert_eq!(al.errors[0].lint, "test-lint");
     }
 
     #[test]
     fn covers_by_path_kind_and_pattern() {
         let al = Allowlist::parse(
             "a.txt",
-            "crates/x/src/a.rs unwrap frob -- invariant\ncrates/x/src/b.rs index * -- bounded",
+            "crates/x/src/a.rs alloc frob -- invariant\ncrates/x/src/b.rs loop * -- bounded",
+            &SPEC,
         );
         let mut used = vec![false; al.entries.len()];
         assert!(al.covers(
             &mut used,
             "crates/x/src/a.rs",
-            "unwrap",
-            "let y = frob().unwrap();"
+            "alloc",
+            "let y = frob().to_vec();"
         ));
         assert!(!al.covers(
             &mut used,
             "crates/x/src/a.rs",
-            "unwrap",
-            "let y = other().unwrap();"
+            "alloc",
+            "let y = other().to_vec();"
         ));
-        assert!(!al.covers(&mut used, "crates/x/src/a.rs", "expect", "frob"));
-        assert!(al.covers(&mut used, "crates/x/src/b.rs", "index", "v[i] += 1;"));
-        assert!(al.unused(&used, "a.txt").is_empty());
+        assert!(!al.covers(&mut used, "crates/x/src/a.rs", "loop", "frob"));
+        assert!(al.covers(&mut used, "crates/x/src/b.rs", "loop", "for x in xs {"));
+        assert!(al.unused(&used, "a.txt", SPEC.lint).is_empty());
     }
 
     #[test]
     fn flags_stale_entries_and_budget() {
-        let al = Allowlist::parse("a.txt", "crates/x/src/a.rs unwrap never -- unused");
+        let al = Allowlist::parse("a.txt", "crates/x/src/a.rs alloc never -- unused", &SPEC);
         let used = vec![false; al.entries.len()];
-        let stale = al.unused(&used, "a.txt");
+        let stale = al.unused(&used, "a.txt", SPEC.lint);
         assert_eq!(stale.len(), 1);
 
-        let many: String = (0..PANIC_SPEC.budget + 1)
-            .map(|i| format!("crates/x/src/f{i}.rs unwrap * -- e{i}\n"))
+        let many: String = (0..SPEC.budget + 1)
+            .map(|i| format!("crates/x/src/f{i}.rs alloc * -- e{i}\n"))
             .collect();
-        let al = Allowlist::parse("a.txt", &many);
+        let al = Allowlist::parse("a.txt", &many, &SPEC);
         assert!(al.errors.iter().any(|f| f.message.contains("budget")));
     }
 }

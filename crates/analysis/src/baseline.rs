@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn render_parse_round_trip() {
-        let b = counts(&[("panic-freedom", 0), ("allowlist.panic-entries", 8)]);
+        let b = counts(&[("lock-order", 0), ("allowlist.hot-path-entries", 3)]);
         let text = b.render();
         let parsed = Baseline::parse(&text).expect("round trip");
         assert_eq!(parsed, b);
@@ -195,35 +195,35 @@ mod tests {
 
     #[test]
     fn ratchet_directions() {
-        let base = counts(&[("determinism", 2), ("panic-freedom", 0)]);
+        let base = counts(&[("layering", 2), ("lock-order", 0)]);
         let same = compare(&base, &base);
         assert!(same.regressions.is_empty() && same.improvements.is_empty());
 
-        let worse = compare(&base, &counts(&[("determinism", 3), ("panic-freedom", 0)]));
+        let worse = compare(&base, &counts(&[("layering", 3), ("lock-order", 0)]));
         assert_eq!(worse.regressions.len(), 1);
-        assert!(worse.regressions[0].contains("determinism"));
+        assert!(worse.regressions[0].contains("layering"));
 
-        let better = compare(&base, &counts(&[("determinism", 0), ("panic-freedom", 0)]));
+        let better = compare(&base, &counts(&[("layering", 0), ("lock-order", 0)]));
         assert!(better.regressions.is_empty());
         assert_eq!(better.improvements.len(), 1);
 
         // A counter the baseline has never seen starts at budget 0.
-        let new_lint = compare(&base, &counts(&[("lock-order", 1)]));
+        let new_lint = compare(&base, &counts(&[("telemetry-schema", 1)]));
         assert_eq!(new_lint.regressions.len(), 1);
-        assert!(new_lint.regressions[0].contains("lock-order"));
+        assert!(new_lint.regressions[0].contains("telemetry-schema"));
     }
 
     #[test]
     fn tally_includes_zeroes() {
         let findings = vec![Finding {
-            lint: "determinism",
+            lint: "layering",
             path: "crates/core/src/cram.rs".to_string(),
             line: 3,
             message: "m".to_string(),
         }];
-        let t = tally(&["determinism", "panic-freedom"], &findings);
-        assert_eq!(t.get("determinism"), Some(&1));
-        assert_eq!(t.get("panic-freedom"), Some(&0));
+        let t = tally(&["layering", "lock-order"], &findings);
+        assert_eq!(t.get("layering"), Some(&1));
+        assert_eq!(t.get("lock-order"), Some(&0));
     }
 
     #[test]

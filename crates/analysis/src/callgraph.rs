@@ -6,7 +6,7 @@
 //! type checker — and errs on the side of *no edge* when the receiver
 //! type is known to be foreign (std containers, primitives) and on the
 //! side of *all same-named candidates* when nothing is known, so that
-//! reachability analyses (panic reachability, hot-path allocation)
+//! reachability analyses (hot-path allocation, cancel responsiveness)
 //! over-approximate rather than silently miss paths through the
 //! workspace.
 //!

@@ -1,4 +1,4 @@
-//! Interprocedural pass 4: cancellation-responsiveness of long-running
+//! Interprocedural pass: cancellation-responsiveness of long-running
 //! loops (DESIGN.md §9.3).
 //!
 //! `ReconfigContext::cancel` is only useful if the allocator's
@@ -250,7 +250,7 @@ pub fn run(
         }
     }
 
-    findings.extend(allowlist.unused_with(&used, allowlist_path, "cancel-responsive"));
+    findings.extend(allowlist.unused(&used, allowlist_path, "cancel-responsive"));
     findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
     findings.dedup();
     findings
@@ -335,7 +335,7 @@ mod tests {
     fn pass(files: &[(&str, &str)], entries: &[(&str, &str)], allow: &str) -> Vec<Finding> {
         let files: Vec<SourceFile> = files.iter().map(|(p, c)| SourceFile::new(p, c)).collect();
         let graph = CallGraph::build(&files);
-        let al = Allowlist::parse_with("allow.txt", allow, &CANCEL_SPEC);
+        let al = Allowlist::parse("allow.txt", allow, &CANCEL_SPEC);
         run(&files, &graph, entries, &al, "allow.txt")
     }
 

@@ -1,4 +1,4 @@
-//! Interprocedural pass 2: allocations reachable from hot paths
+//! Interprocedural pass: allocations reachable from hot paths
 //! (DESIGN.md §9.2).
 //!
 //! `analysis/hot-paths.txt` declares the workspace's steady-state hot
@@ -259,7 +259,7 @@ pub fn run(
         });
     }
 
-    findings.extend(allowlist.unused_with(&used, allowlist_path, "hot-path-alloc"));
+    findings.extend(allowlist.unused(&used, allowlist_path, "hot-path-alloc"));
     findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
     findings
 }
@@ -271,7 +271,7 @@ mod tests {
     fn pass(files: &[(&str, &str)], hot: &str, allow: &str) -> Vec<Finding> {
         let files: Vec<SourceFile> = files.iter().map(|(p, c)| SourceFile::new(p, c)).collect();
         let graph = CallGraph::build(&files);
-        let al = Allowlist::parse_with("allow.txt", allow, &HOT_PATH_SPEC);
+        let al = Allowlist::parse("allow.txt", allow, &HOT_PATH_SPEC);
         run(&files, &graph, "hot.txt", hot, &al, "allow.txt")
     }
 

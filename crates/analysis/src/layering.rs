@@ -1,4 +1,4 @@
-//! Lint 2: crate layering (DESIGN.md §3).
+//! Lint: crate layering (DESIGN.md §3).
 //!
 //! The workspace forms a strict DAG; an edge not in [`ALLOWED`] is a
 //! back-edge that would let low layers reach up into policy code. Both

@@ -57,15 +57,6 @@ pub struct Token<'a> {
 }
 
 impl Token<'_> {
-    /// True for `///`, `//!`, `/**` and `/*!` comments.
-    pub fn is_doc(&self) -> bool {
-        matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
-            && (self.text.starts_with("///")
-                || self.text.starts_with("//!")
-                || self.text.starts_with("/**")
-                || self.text.starts_with("/*!"))
-    }
-
     /// True for any comment token.
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
@@ -511,18 +502,6 @@ mod tests {
             .map(|t| t.text)
             .collect();
         assert_eq!(idents, vec!["let", "msg"]);
-    }
-
-    #[test]
-    fn doc_comments_detected() {
-        let src = "/// outer doc\n//! inner doc\n/** block doc */\n// plain\nfn f() {}";
-        let toks = tokenize(src);
-        let docs: Vec<bool> = toks
-            .iter()
-            .filter(|t| t.is_comment())
-            .map(Token::is_doc)
-            .collect();
-        assert_eq!(docs, vec![true, true, true, false]);
     }
 
     #[test]

@@ -1,41 +1,33 @@
 //! Workspace static-analysis engine (DESIGN.md §9).
 //!
-//! A std-only token-level [`lexer`] feeds seven lints over the
-//! workspace source tree:
+//! Per-site rules (panic freedom, cast safety, determinism) are clippy
+//! lints on the crate roots, checked with type information by `cargo
+//! clippy`. This crate keeps the cross-file rules the compiler cannot
+//! express. A std-only token-level [`lexer`] feeds four of them:
 //!
-//! - [`panic_freedom`] — forbids `unwrap`/`expect`/panicking macros and
-//!   `[idx]` indexing in non-test library code of the runtime crates,
-//!   modulo a justified allowlist.
 //! - [`layering`] — enforces the DESIGN.md §3 crate dependency DAG
 //!   from both `Cargo.toml` declarations and `use greenps_*` imports.
 //! - [`lock_hygiene`] — forbids `std::sync::Mutex`/`RwLock` (the
 //!   workspace standardizes on `parking_lot`) and flags lock guards
 //!   held across a doorbell `ring` or channel `send`/`recv` in `net`.
-//! - [`attributes`] — requires `#![forbid(unsafe_code)]` and
-//!   `#![deny(missing_docs)]` on every first-party crate root.
-//! - [`determinism`] — forbids unordered `HashMap`/`HashSet` iteration
-//!   and wall-clock reads in the deterministic crates.
 //! - [`telemetry_schema`] — cross-checks every registered instrument
 //!   name against `analysis/telemetry-schema.txt`.
 //! - [`lock_order`] — builds the static lock-acquisition graph and
 //!   fails on ordering cycles.
 //!
 //! On top of the lexer, a recursive-descent item [`parser`] recovers
-//! functions, call sites, and type heads, and [`callgraph`] resolves
-//! them into a deterministic workspace call graph (exported as
-//! byte-stable `greenps-callgraph/1` JSON). Three interprocedural
-//! passes run over that graph (DESIGN.md §9.2):
+//! functions, call sites, and receiver types, and [`callgraph`]
+//! resolves them into a deterministic workspace call graph (exported
+//! as byte-stable `greenps-callgraph/1` JSON). Three passes run over
+//! that graph and the per-function [`cfg`](mod@cfg) (DESIGN.md §9.2):
 //!
-//! - [`panic_reach`] — which public endpoints of the runtime crates can
-//!   reach a panicking site, with witness paths; tracked via the
-//!   ratchet counter `panic.reachable-endpoints` rather than enforced
-//!   per finding.
 //! - [`hot_path_alloc`] — allocation calls reachable from the declared
 //!   steady-state hot paths (`analysis/hot-paths.txt`), modulo a
 //!   budgeted allowlist.
-//! - [`cast_safety`] — narrowing / sign-flipping / float→int `as`
-//!   casts whose source type can be inferred, modulo a budgeted
-//!   allowlist.
+//! - [`cancel_responsive`] — loops reachable from long-running entry
+//!   points must poll the cancel token.
+//! - [`loop_growth`] — unreserved pushes in subscription-scale loops;
+//!   tracked via its ratchet counter rather than enforced per finding.
 //!
 //! [`baseline`] adds the findings ratchet (`analysis/baseline.json`):
 //! counts may only fall. Everything operates on `(path, content)` pairs
@@ -46,23 +38,17 @@
 #![deny(missing_docs)]
 
 pub mod allowlist;
-pub mod attributes;
 pub mod baseline;
 pub mod callgraph;
 pub mod cancel_responsive;
-pub mod cast_safety;
 pub mod cfg;
-pub mod determinism;
 pub mod hot_path_alloc;
 pub mod layering;
 pub mod lexer;
 pub mod lock_hygiene;
 pub mod lock_order;
 pub mod loop_growth;
-pub mod panic_freedom;
-pub mod panic_reach;
 pub mod parser;
-pub mod sarif;
 pub mod source;
 pub mod telemetry_schema;
 
@@ -73,7 +59,7 @@ use std::path::{Path, PathBuf};
 /// One lint violation, pointing at a repo-relative path and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Which lint produced this finding (e.g. `panic-freedom`).
+    /// Which lint produced this finding (e.g. `layering`).
     pub lint: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,

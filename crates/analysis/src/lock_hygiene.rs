@@ -1,4 +1,4 @@
-//! Lint 3: lock hygiene.
+//! Lint: lock hygiene.
 //!
 //! Two rules:
 //!

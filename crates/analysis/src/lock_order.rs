@@ -1,4 +1,4 @@
-//! Lint 7: static lock-acquisition-order graph.
+//! Lint: static lock-acquisition-order graph.
 //!
 //! Walks each file's token stream, tracks
 //! `let g = <recv>.lock()/.read()/.write()` guard bindings per brace

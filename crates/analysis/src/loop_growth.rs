@@ -1,4 +1,4 @@
-//! Pass 6: unreserved growth inside subscription-scale loops
+//! Pass: unreserved growth inside subscription-scale loops
 //! (DESIGN.md §9.3).
 //!
 //! The ROADMAP's bounded-memory claims (1M-subscription zoned
@@ -17,7 +17,7 @@
 //! only counts when the receiver's type head is a known std
 //! collection (set/map inserts on domain types are not growth).
 //! Findings are tracked through the `growth.findings` ratchet counter
-//! rather than hard-enforced, mirroring `panic-reach`.
+//! rather than hard-enforced.
 
 use std::collections::BTreeMap;
 

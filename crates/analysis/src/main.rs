@@ -13,49 +13,35 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use greenps_analysis::allowlist::{Allowlist, DETERMINISM_SPEC};
+use greenps_analysis::allowlist::Allowlist;
 use greenps_analysis::callgraph::CallGraph;
 use greenps_analysis::cancel_responsive::CANCEL_SPEC;
-use greenps_analysis::cast_safety::CAST_SPEC;
 use greenps_analysis::hot_path_alloc::HOT_PATH_SPEC;
 use greenps_analysis::telemetry_schema::Schema;
 use greenps_analysis::{
-    attributes, baseline, cancel_responsive, cast_safety, determinism, hot_path_alloc, layering,
-    load_sources, lock_hygiene, lock_order, loop_growth, panic_freedom, panic_reach, sarif,
-    telemetry_schema, workspace_root, Finding, SourceFile,
+    baseline, cancel_responsive, hot_path_alloc, layering, load_sources, lock_hygiene, lock_order,
+    loop_growth, telemetry_schema, workspace_root, Finding, SourceFile,
 };
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const ALLOWLIST_PATH: &str = "analysis/panic-allowlist.txt";
-const DET_ALLOWLIST_PATH: &str = "analysis/determinism-allowlist.txt";
 const HOT_PATHS_PATH: &str = "analysis/hot-paths.txt";
 const HOT_ALLOWLIST_PATH: &str = "analysis/hot-path-allowlist.txt";
-const CAST_ALLOWLIST_PATH: &str = "analysis/cast-allowlist.txt";
 const CANCEL_ALLOWLIST_PATH: &str = "analysis/cancel-allowlist.txt";
 const SCHEMA_PATH: &str = "analysis/telemetry-schema.txt";
 const BASELINE_PATH: &str = "analysis/baseline.json";
 
 /// Every lint name, in the order counts are reported.
-const LINTS: [&str; 7] = [
-    "attributes",
-    "determinism",
-    "layering",
-    "lock-hygiene",
-    "lock-order",
-    "panic-freedom",
-    "telemetry-schema",
-];
+const LINTS: [&str; 4] = ["layering", "lock-hygiene", "lock-order", "telemetry-schema"];
 
-const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  panic-freedom     unwrap/expect/panic!/indexing in runtime library code\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across doorbell/channel ops\n  attributes        forbid(unsafe_code) + deny(missing_docs) on crate roots\n  determinism       HashMap/HashSet iteration + wall clocks in deterministic crates\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  panic-reach       pub APIs that can transitively reach a panic site (tracked)\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cast-safety       potentially truncating/wrapping `as` casts in library code\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default), json, or sarif";
+const USAGE: &str = "usage: cargo run -p greenps-analysis -- <check> [--ratchet] [--format text|json]\n\nchecks:\n  layering          DESIGN.md \u{a7}3 crate dependency DAG\n  lock-hygiene      std::sync locks; guards held across doorbell/channel ops\n  telemetry-schema  instrument names vs analysis/telemetry-schema.txt\n  lock-order        static lock acquisition-order cycles\n  hot-path-alloc    allocations reachable from analysis/hot-paths.txt entries\n  cancel-responsive loops reachable from long-running entries must poll cancel\n  loop-growth       unreserved push/insert in subscription-scale loops (tracked)\n  callgraph         print the workspace call graph as greenps-callgraph/1 JSON\n  all               every check above (callgraph excluded)\n\nflags:\n  --ratchet         compare counts against analysis/baseline.json: growth\n                    fails, improvements auto-shrink the baseline (all only)\n  --format <fmt>    text (default) or json\n\nPer-site rules (panics, casts, determinism) are clippy lints on the\ncrate roots: run `cargo clippy --workspace --all-targets -- -D warnings`.";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 struct Options {
@@ -75,10 +61,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 other => {
                     return Err(format!(
-                        "--format expects `text`, `json`, or `sarif`, got {}",
+                        "--format expects `text` or `json`, got {}",
                         other.unwrap_or("nothing")
                     ))
                 }
@@ -145,7 +130,6 @@ fn main() -> ExitCode {
 
     match opts.format {
         Format::Json => print!("{}", baseline::render_findings_json(&counts, &findings)),
-        Format::Sarif => print!("{}", sarif::render(&findings)),
         Format::Text => {
             for f in &findings {
                 println!("{f}");
@@ -157,14 +141,10 @@ fn main() -> ExitCode {
         return ratchet(&root, &counts);
     }
 
-    // panic-reach and loop-growth findings are *tracked*: their ratchet
-    // counters (`panic.reachable-endpoints`, `growth.findings`) are the
-    // enforcement, so they inform but do not fail a plain run.
-    let tracked = ["panic-reach", "loop-growth"];
-    let enforced = findings
-        .iter()
-        .filter(|f| !tracked.contains(&f.lint))
-        .count();
+    // loop-growth findings are *tracked*: their ratchet counter
+    // (`growth.findings`) is the enforcement, so they inform but do not
+    // fail a plain run.
+    let enforced = findings.iter().filter(|f| f.lint != "loop-growth").count();
     if enforced == 0 {
         if opts.format == Format::Text {
             if findings.is_empty() {
@@ -234,37 +214,14 @@ fn ratchet(root: &Path, counts: &BTreeMap<String, usize>) -> ExitCode {
 /// Runs the selected checks; returns findings plus per-counter tallies
 /// (lint findings and allowlist sizes) for the ratchet.
 fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String, usize>), String> {
-    let mut sources = load_sources(root, "crates").map_err(|e| e.to_string())?;
-    sources.extend(load_sources(root, "src").map_err(|e| e.to_string())?);
-    sources.extend(load_sources(root, "vendor").map_err(|e| e.to_string())?);
-
-    // First-party files only for the call graph and the passes built on
-    // it — vendor stubs are not part of the workspace API surface.
-    let first_party: Vec<SourceFile> = sources
-        .iter()
-        .filter(|f| f.path.starts_with("crates/") || f.path.starts_with("src/"))
-        .cloned()
-        .collect();
-    let needs_graph = matches!(
-        check,
-        "panic-reach" | "hot-path-alloc" | "cast-safety" | "cancel-responsive" | "all"
-    );
-    let graph = needs_graph.then(|| CallGraph::build(&first_party));
+    let sources = first_party_sources(root)?;
+    let needs_graph = matches!(check, "hot-path-alloc" | "cancel-responsive" | "all");
+    let graph = needs_graph.then(|| CallGraph::build(&sources));
 
     let mut findings = Vec::new();
     let mut extra_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut known = false;
 
-    if matches!(check, "panic-freedom" | "all") {
-        known = true;
-        let text = fs::read_to_string(root.join(ALLOWLIST_PATH)).unwrap_or_default();
-        let allowlist = Allowlist::parse(ALLOWLIST_PATH, &text);
-        extra_counts.insert(
-            "allowlist.panic-entries".to_string(),
-            allowlist.entries.len(),
-        );
-        findings.extend(panic_freedom::run(&sources, &allowlist, ALLOWLIST_PATH));
-    }
     if matches!(check, "layering" | "all") {
         known = true;
         findings.extend(layering::check_sources(&sources));
@@ -272,27 +229,13 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
     }
     if matches!(check, "lock-hygiene" | "all") {
         known = true;
-        let first_party: Vec<SourceFile> = sources
+        let crates: Vec<SourceFile> = sources
             .iter()
             .filter(|f| f.path.starts_with("crates/"))
             .cloned()
             .collect();
-        findings.extend(lock_hygiene::check_std_sync(&first_party));
-        findings.extend(lock_hygiene::check_guard_across_channel(&first_party));
-    }
-    if matches!(check, "attributes" | "all") {
-        known = true;
-        findings.extend(attributes::run(&sources));
-    }
-    if matches!(check, "determinism" | "all") {
-        known = true;
-        let text = fs::read_to_string(root.join(DET_ALLOWLIST_PATH)).unwrap_or_default();
-        let allowlist = Allowlist::parse_with(DET_ALLOWLIST_PATH, &text, &DETERMINISM_SPEC);
-        extra_counts.insert(
-            "allowlist.determinism-entries".to_string(),
-            allowlist.entries.len(),
-        );
-        findings.extend(determinism::run(&sources, &allowlist, DET_ALLOWLIST_PATH));
+        findings.extend(lock_hygiene::check_std_sync(&crates));
+        findings.extend(lock_hygiene::check_guard_across_channel(&crates));
     }
     if matches!(check, "telemetry-schema" | "all") {
         known = true;
@@ -306,14 +249,6 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
         known = true;
         findings.extend(lock_order::run(&sources));
     }
-    if matches!(check, "panic-reach" | "all") {
-        known = true;
-        if let Some(graph) = &graph {
-            let got = panic_reach::run(&first_party, graph);
-            extra_counts.insert("panic.reachable-endpoints".to_string(), got.len());
-            findings.extend(got);
-        }
-    }
     if matches!(check, "hot-path-alloc" | "all") {
         known = true;
         if let Some(graph) = &graph {
@@ -321,13 +256,13 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
                 format!("cannot read {HOT_PATHS_PATH}: {e} — the hot-path-alloc pass requires it")
             })?;
             let allow_text = fs::read_to_string(root.join(HOT_ALLOWLIST_PATH)).unwrap_or_default();
-            let allowlist = Allowlist::parse_with(HOT_ALLOWLIST_PATH, &allow_text, &HOT_PATH_SPEC);
+            let allowlist = Allowlist::parse(HOT_ALLOWLIST_PATH, &allow_text, &HOT_PATH_SPEC);
             extra_counts.insert(
                 "allowlist.hot-path-entries".to_string(),
                 allowlist.entries.len(),
             );
             let got = hot_path_alloc::run(
-                &first_party,
+                &sources,
                 graph,
                 HOT_PATHS_PATH,
                 &hot_text,
@@ -338,33 +273,18 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
             findings.extend(got);
         }
     }
-    if matches!(check, "cast-safety" | "all") {
-        known = true;
-        if let Some(graph) = &graph {
-            let allow_text = fs::read_to_string(root.join(CAST_ALLOWLIST_PATH)).unwrap_or_default();
-            let allowlist = Allowlist::parse_with(CAST_ALLOWLIST_PATH, &allow_text, &CAST_SPEC);
-            extra_counts.insert(
-                "allowlist.cast-entries".to_string(),
-                allowlist.entries.len(),
-            );
-            let got = cast_safety::run(&first_party, graph, &allowlist, CAST_ALLOWLIST_PATH);
-            extra_counts.insert("cast.findings".to_string(), got.len());
-            findings.extend(got);
-        }
-    }
-
     if matches!(check, "cancel-responsive" | "all") {
         known = true;
         if let Some(graph) = &graph {
             let allow_text =
                 fs::read_to_string(root.join(CANCEL_ALLOWLIST_PATH)).unwrap_or_default();
-            let allowlist = Allowlist::parse_with(CANCEL_ALLOWLIST_PATH, &allow_text, &CANCEL_SPEC);
+            let allowlist = Allowlist::parse(CANCEL_ALLOWLIST_PATH, &allow_text, &CANCEL_SPEC);
             extra_counts.insert(
                 "allowlist.cancel-entries".to_string(),
                 allowlist.entries.len(),
             );
             let got = cancel_responsive::run(
-                &first_party,
+                &sources,
                 graph,
                 cancel_responsive::DEFAULT_ENTRIES,
                 &allowlist,
@@ -376,7 +296,7 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
     }
     if matches!(check, "loop-growth" | "all") {
         known = true;
-        let got = loop_growth::run(&first_party);
+        let got = loop_growth::run(&sources);
         extra_counts.insert("growth.findings".to_string(), got.len());
         findings.extend(got);
     }
@@ -391,24 +311,23 @@ fn run_checks(root: &Path, check: &str) -> Result<(Vec<Finding>, BTreeMap<String
     // The interprocedural passes report under dotted counter names
     // (set above from their own tallies); drop the per-lint duplicates
     // the generic tally just created for their findings.
-    for lint in [
-        "panic-reach",
-        "hot-path-alloc",
-        "cast-safety",
-        "cancel-responsive",
-        "loop-growth",
-    ] {
+    for lint in ["hot-path-alloc", "cancel-responsive", "loop-growth"] {
         counts.remove(lint);
     }
     counts.append(&mut extra_counts);
     Ok((findings, counts))
 }
 
-/// Loads first-party sources and renders the call graph JSON.
-fn export_callgraph(root: &Path) -> Result<String, String> {
+/// Loads the first-party sources: `crates/` and the root `src/`.
+fn first_party_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut sources = load_sources(root, "crates").map_err(|e| e.to_string())?;
     sources.extend(load_sources(root, "src").map_err(|e| e.to_string())?);
-    Ok(CallGraph::build(&sources).to_json())
+    Ok(sources)
+}
+
+/// Loads first-party sources and renders the call graph JSON.
+fn export_callgraph(root: &Path) -> Result<String, String> {
+    Ok(CallGraph::build(&first_party_sources(root)?).to_json())
 }
 
 fn check_manifests(root: &Path) -> Result<Vec<Finding>, String> {

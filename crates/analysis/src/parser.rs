@@ -119,8 +119,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// `(name, type head)` of each non-self parameter.
     pub params: Vec<(String, String)>,
-    /// Return type head, when declared.
-    pub ret: Option<String>,
     /// `(name, type head)` of explicitly typed `let` bindings, in
     /// lexical order.
     pub lets: Vec<(String, String)>,
@@ -628,27 +626,7 @@ impl<'a> Parser<'a, '_> {
             }
             self.i = end;
         }
-        // Return type.
-        let mut ret = None;
-        if self.is_p(self.i, '-') && self.is_p(self.i + 1, '>') {
-            self.i += 2;
-            let ty_start = self.i;
-            while self.i < self.toks.len() {
-                let t = self.toks[self.i];
-                if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
-                    break;
-                }
-                if t.is_punct('<') {
-                    self.i = self.skip_angles(self.i);
-                } else if t.is_punct('(') || t.is_punct('[') {
-                    self.i = self.skip_group(self.i);
-                } else {
-                    self.i += 1;
-                }
-            }
-            ret = type_head(&self.toks[ty_start..self.i]);
-        }
-        // Where clause.
+        // Return type and where clause, skipped to the body.
         while self.i < self.toks.len() && !self.is_p(self.i, '{') && !self.is_p(self.i, ';') {
             if self.is_p(self.i, '<') {
                 self.i = self.skip_angles(self.i);
@@ -671,7 +649,6 @@ impl<'a> Parser<'a, '_> {
             line: self.line_of(fn_tok.start),
             body: None,
             params,
-            ret,
             lets: Vec::new(),
             calls: Vec::new(),
             macros: Vec::new(),
@@ -932,7 +909,6 @@ mod tests {
         let deep = find(&p, "greenps_core::x::inner::deep");
         assert_eq!(deep.vis, Visibility::Crate);
         assert_eq!(deep.params, vec![("a".to_string(), "u64".to_string())]);
-        assert_eq!(deep.ret.as_deref(), Some("usize"));
     }
 
     #[test]
@@ -1171,7 +1147,6 @@ mod tests {
             "#,
         );
         let f = find(&p, "greenps_core::x::shard_map");
-        assert_eq!(f.ret.as_deref(), Some("Vec"));
         assert_eq!(f.params.len(), 3);
         assert_eq!(f.params[1], ("threads".to_string(), "usize".to_string()));
         assert_eq!(f.calls.len(), 1);

@@ -1,10 +1,10 @@
 //! Masked-text helpers retained for line-oriented lints.
 //!
-//! Since PR 4 the real lexical work lives in [`crate::lexer`]; this
-//! module keeps the masked-text view ([`mask`] now delegates to the
-//! lexer's token stream) plus brace/region utilities for the lints that
-//! still scan line-shaped patterns (layering, attributes, and the
-//! guard-across-channel heuristic).
+//! The real lexical work lives in [`crate::lexer`]; this module keeps
+//! the masked-text view ([`mask`] delegates to the lexer's token
+//! stream) plus brace matching for the lints that still scan
+//! line-shaped patterns (layering and the guard-across-channel
+//! heuristic).
 
 use crate::lexer;
 
@@ -16,30 +16,6 @@ use crate::lexer;
 /// ambiguities are resolved exactly; lifetimes survive masking.
 pub fn mask(src: &str) -> String {
     lexer::mask(src)
-}
-
-/// Byte ranges of `#[cfg(test)]` item bodies in **masked** source.
-///
-/// Each range covers from the start of the attribute to the matching
-/// close brace of the item that follows it (typically `mod tests`).
-pub fn test_regions(masked: &str) -> Vec<(usize, usize)> {
-    const ATTR: &str = "#[cfg(test)]";
-    let mut regions: Vec<(usize, usize)> = Vec::new();
-    let mut search_from = 0;
-    while let Some(found) = masked[search_from..].find(ATTR) {
-        let start = search_from + found;
-        let after = start + ATTR.len();
-        // Find the opening brace of the annotated item.
-        if let Some(open_rel) = masked[after..].find('{') {
-            let open = after + open_rel;
-            let end = match_brace(masked.as_bytes(), open);
-            regions.push((start, end));
-            search_from = end;
-        } else {
-            search_from = after;
-        }
-    }
-    regions
 }
 
 /// Offset one past the brace matching the `{` at `open` (or EOF).
@@ -60,11 +36,6 @@ pub fn match_brace(bytes: &[u8], open: usize) -> usize {
         j += 1;
     }
     bytes.len()
-}
-
-/// True when `offset` falls inside any of `regions`.
-pub fn in_regions(offset: usize, regions: &[(usize, usize)]) -> bool {
-    lexer::in_regions(offset, regions)
 }
 
 #[cfg(test)]
@@ -94,19 +65,5 @@ mod tests {
         let m = mask(src);
         assert!(!m.contains("unwrap"));
         assert_eq!(m.matches(".expect").count(), 1);
-    }
-
-    #[test]
-    fn finds_cfg_test_regions() {
-        let src = "fn lib() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n  fn t() { y.unwrap(); }\n}\nfn tail() {}";
-        let m = mask(src);
-        let regions = test_regions(&m);
-        assert_eq!(regions.len(), 1);
-        let lib_pos = m.find("x.unwrap").expect("lib code present");
-        let test_pos = m.find("y.unwrap").expect("test code present");
-        assert!(!in_regions(lib_pos, &regions));
-        assert!(in_regions(test_pos, &regions));
-        let tail = m.find("fn tail").expect("tail present");
-        assert!(!in_regions(tail, &regions));
     }
 }

@@ -1,4 +1,4 @@
-//! Lint 6: telemetry name schema (DESIGN.md §9.1, §10).
+//! Lint: telemetry name schema (DESIGN.md §9.1, §10).
 //!
 //! Every instrument name the runtime registers — `counter("…")`,
 //! `gauge`, `histogram`, `ring`, `Span::enter(reg, "…")` and ring-event

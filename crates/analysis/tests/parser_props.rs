@@ -94,7 +94,7 @@ fn fn_summary(f: &FnItem) -> String {
         .collect();
     let macros: Vec<&str> = f.macros.iter().map(|m| m.name.as_str()).collect();
     format!(
-        "{} self_ty={:?} trait={:?} has_self={} vis={:?} params={:?} ret={:?} lets={:?} \
+        "{} self_ty={:?} trait={:?} has_self={} vis={:?} params={:?} lets={:?} \
          calls={calls:?} macros={macros:?} test={} has_body={}",
         f.qualified,
         f.self_ty,
@@ -102,7 +102,6 @@ fn fn_summary(f: &FnItem) -> String {
         f.has_self,
         f.vis,
         f.params,
-        f.ret,
         f.lets,
         f.is_test,
         f.body.is_some(),

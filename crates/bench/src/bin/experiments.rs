@@ -13,6 +13,11 @@
 //! pair-cache hit rates, per-broker delivery-delay histograms) and
 //! writes the whole-run snapshot as JSON at exit.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "plan and experiment timings are reported columns, never inputs to a plan"
+)]
+
 use greenps_bench::ideal_input;
 use greenps_core::cram::{CramBuilder, CramConfig};
 use greenps_core::croc::{plan, PlanConfig};

@@ -6,6 +6,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the scale report times its runs; wall time is reported, never fed back into a plan"
+)]
 
 use greenps_core::model::{AllocationInput, SubscriptionEntry};
 use greenps_profile::{ClosenessMetric, PublisherProfile, PublisherTable, SubscriptionProfile};

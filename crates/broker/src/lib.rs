@@ -15,6 +15,28 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Panic freedom: library code returns typed errors (DESIGN.md §9).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+// Cast safety: no silently truncating or wrapping `as` casts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod broker;
 pub mod client;

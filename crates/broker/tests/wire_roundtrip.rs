@@ -3,6 +3,11 @@
 //! bytes identical to the original (byte stability), for arbitrary
 //! filters, publications, profiles and gathered BIA payloads.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a deadline bounds how long the hostile-peer test waits on a real socket; no output depends on the clock"
+)]
+
 use greenps_broker::messages::{BrokerMsg, GatheredBroker, PubEnvelope};
 use greenps_core::model::{BrokerSpec, LinearFn, SubscriptionEntry};
 use greenps_net::frame::{write_hello, Hello, HELLO_LEN};

@@ -57,6 +57,11 @@
 //!
 //! Entry point: [`CramBuilder`].
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "unit-pool slots are dense indices maintained alongside the pool"
+)]
+
 use crate::capacity::{materialize_recipe, pack_order, FastPacker};
 use crate::engine::{shard_map_scratch, PairCache};
 use crate::model::{AllocError, Allocation, AllocationInput, Unit};
@@ -329,6 +334,10 @@ impl Pool {
         Ok(pool)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "GIF keys are inserted or found immediately before the fetch"
+    )]
     fn add_unit(&mut self, unit: Unit) -> (UnitKey, GifKey) {
         let uk = self.next_unit;
         self.next_unit += 1;
@@ -372,6 +381,10 @@ impl Pool {
     /// Removes a unit; deletes its GIF (and poset node, kernel entry,
     /// tile membership) when emptied. Returns the unit and whether the
     /// GIF was deleted.
+    #[expect(
+        clippy::expect_used,
+        reason = "GIF keys are inserted or found immediately before the fetch"
+    )]
     fn remove_unit(&mut self, gk: GifKey, uk: UnitKey) -> (Arc<Unit>, bool) {
         let unit = self.units.remove(&uk).expect("unknown unit");
         let gif = self.gifs.get_mut(&gk).expect("unknown gif");
@@ -730,6 +743,10 @@ struct CgsScratch {
 /// Ties break to the lowest candidate key, matching the sequential
 /// scan order over the `BTreeMap` pool. Computed closenesses and the
 /// evaluation tally accumulate in `scratch` for the caller to merge.
+#[expect(
+    clippy::expect_used,
+    reason = "the walk visits only nodes the poset hands out, and every poset node has a profile"
+)]
 #[allow(clippy::too_many_arguments)]
 fn scan_partner(
     pool: &Pool,
@@ -1212,6 +1229,10 @@ impl<'a> Engine<'a> {
 
     /// Equal relationship: binary-search the largest allocatable cluster
     /// of the GIF's own units (lightest first).
+    #[expect(
+        clippy::expect_used,
+        reason = "the early return above guarantees at least two units"
+    )]
     fn attempt_equal(&mut self, g: GifKey) -> bool {
         let units = self.pool.gifs[&g].units.clone();
         if units.len() < 2 {

@@ -13,6 +13,11 @@
 //! (which publications of this publisher each broker's local
 //! subscriptions sink).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "overlay tree node ids are dense indices into the node vector"
+)]
+
 use crate::model::AllocError;
 use crate::overlay::Overlay;
 use crate::pipeline::CancelToken;

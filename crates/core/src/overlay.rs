@@ -16,6 +16,11 @@
 //! 3. **Best-fit broker replacement** — each allocated broker is swapped
 //!    for the smallest-capacity pool broker that still fits its load.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "layer and cluster indices are built in the same construction pass"
+)]
+
 use crate::cram::{CramBuilder, CramConfig};
 use crate::model::{AllocError, Allocation, AllocationInput, BrokerSpec, Unit};
 use crate::pipeline::CancelToken;

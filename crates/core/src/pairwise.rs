@@ -23,6 +23,11 @@
 //! are bit-identical to the sequential scan for any worker count, so
 //! the thread count is chosen automatically.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "cluster slots are checked via is_some before each access"
+)]
+
 use crate::engine::{available_threads, shard_map, PairCache};
 use crate::model::{AllocError, Allocation, AllocationInput, BrokerLoad, Unit};
 use crate::pipeline::CancelToken;

@@ -117,6 +117,10 @@ pub fn partition(
                     // Empty profiles have no affinity; spread by id.
                     None => !sub.id.raw(),
                 };
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the remainder is below `zones`, itself a usize"
+                )]
                 let z = (splitmix64(key ^ seed) % zones as u64) as usize;
                 if let Some(bucket) = out.get_mut(z) {
                     bucket.push(i);
@@ -587,10 +591,18 @@ pub fn zoned_allocate_resumable(
             if !single {
                 for u in &units {
                     for &s in &u.subs {
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "`zones` reserves one ZoneOutcome per zone above, so a zone count past u32::MAX fails that allocation first"
+                        )]
                         sub_zone.push((s, z as u32));
                     }
                 }
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`zones` reserves one ZoneOutcome per zone above, so a zone count past u32::MAX fails that allocation first"
+            )]
             batch.push((z as u32, gifs, units));
         }
         // Cluster the wave — in parallel when the wave is wider than

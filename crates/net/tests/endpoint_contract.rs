@@ -3,6 +3,11 @@
 //! receives, the shared doorbell, the blocking accept loop, and what a
 //! peer that speaks garbage gets.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "deadlines bound how long a test waits on real sockets; no output depends on the clock"
+)]
+
 use greenps_net::frame::{write_hello, Hello, HELLO_LEN};
 use greenps_net::wire::{put_seq_len, put_u64};
 use greenps_net::{

@@ -9,6 +9,11 @@
 //! 10, `first_id` 100, incoming id 119 → shift by 10, set index 9,
 //! `first_id` becomes 110.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "word index bounded by the vector's own capacity invariant"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -13,6 +13,11 @@
 //! prunes entire subtrees whose roots have an empty relationship with
 //! the probe (descendants of a disjoint profile are also disjoint).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "adjacency indices are allocated and owned by the poset itself"
+)]
+
 use crate::profile::{Relation, SubscriptionProfile};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hash;

@@ -246,70 +246,12 @@ impl<H: Clone + Ord> RoutingTables<H> {
     }
 }
 
-/// Covering-aware subscription forwarder.
-///
-/// PADRES brokers avoid forwarding a subscription to a neighbor when an
-/// earlier subscription already forwarded in that direction covers it.
-/// This forwarder tracks, per target hop, the filters already sent.
-#[derive(Debug, Clone)]
-pub struct CoveringForwarder<H> {
-    sent: BTreeMap<H, Vec<(SubId, Filter)>>,
-}
-
-impl<H: Clone + Ord> Default for CoveringForwarder<H> {
-    fn default() -> Self {
-        Self {
-            sent: BTreeMap::new(),
-        }
-    }
-}
-
-impl<H: Clone + Ord> CoveringForwarder<H> {
-    /// Creates an empty forwarder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Decides whether `sub` still needs to be sent to `hop`; records it
-    /// as sent when the answer is yes.
-    pub fn should_forward(&mut self, sub: &Subscription, hop: &H) -> bool {
-        let sent = self.sent.entry(hop.clone()).or_default();
-        if sent.iter().any(|(_, f)| f.covers(&sub.filter)) {
-            return false;
-        }
-        sent.push((sub.id, sub.filter.clone()));
-        true
-    }
-
-    /// Forgets a subscription everywhere (on unsubscribe).
-    ///
-    /// Returns the hops the subscription had been forwarded to, which
-    /// must now be re-evaluated for uncovered siblings.
-    pub fn forget(&mut self, id: SubId) -> Vec<H> {
-        let mut hops = Vec::new();
-        for (hop, sent) in self.sent.iter_mut() {
-            let before = sent.len();
-            sent.retain(|(s, _)| *s != id);
-            if sent.len() != before {
-                hops.push(hop.clone());
-            }
-        }
-        hops
-    }
-
-    /// Total number of remembered (hop, filter) pairs — diagnostics.
-    pub fn sent_count(&self) -> usize {
-        self.sent.values().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::{stock_advertisement, stock_template};
     use crate::ids::{AdvId, MsgId};
     use crate::message::Publication;
-    use crate::predicate::{Op, Predicate};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum Hop {
@@ -426,33 +368,6 @@ mod tests {
         // A subscription that arrived FROM the advertisement's hop is skipped.
         let subs = rt.subscriptions_toward(&adv, &Hop::Client(9));
         assert!(subs.is_empty());
-    }
-
-    #[test]
-    fn covering_forwarder_suppresses_covered_subscriptions() {
-        let mut fwd: CoveringForwarder<Hop> = CoveringForwarder::new();
-        let broad = Subscription::new(SubId::new(1), stock_template("YHOO"));
-        let narrow = Subscription::new(
-            SubId::new(2),
-            stock_template("YHOO").and(Predicate::new("low", Op::Lt, 18.0)),
-        );
-        assert!(fwd.should_forward(&broad, &Hop::Neighbor(1)));
-        assert!(!fwd.should_forward(&narrow, &Hop::Neighbor(1)));
-        // Different hop is independent.
-        assert!(fwd.should_forward(&narrow, &Hop::Neighbor(2)));
-        assert_eq!(fwd.sent_count(), 2);
-    }
-
-    #[test]
-    fn covering_forwarder_forget_reports_hops() {
-        let mut fwd: CoveringForwarder<Hop> = CoveringForwarder::new();
-        let broad = Subscription::new(SubId::new(1), stock_template("YHOO"));
-        assert!(fwd.should_forward(&broad, &Hop::Neighbor(1)));
-        assert!(fwd.should_forward(&broad, &Hop::Neighbor(2)));
-        let hops = fwd.forget(SubId::new(1));
-        // BTreeMap iteration makes the reported hop order deterministic.
-        assert_eq!(hops, vec![Hop::Neighbor(1), Hop::Neighbor(2)]);
-        assert_eq!(fwd.sent_count(), 0);
     }
 
     #[test]

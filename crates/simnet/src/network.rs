@@ -12,6 +12,11 @@
 //! experiences the link's propagation latency, and finally triggers
 //! `on_message` at the receiver.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "NodeId is a dense index handed out by add_node"
+)]
+
 use crate::metrics::TrafficCounters;
 use crate::time::{SimDuration, SimTime};
 use greenps_telemetry::{Counter, EventSink, Gauge, Histogram, Registry};

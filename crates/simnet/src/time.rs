@@ -62,6 +62,11 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds (saturating at zero).
     pub fn from_secs_f64(s: f64) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "clamped non-negative before the cast; saturation at u64::MAX is the documented duration ceiling"
+        )]
         SimDuration((s.max(0.0) * 1e6).round() as u64)
     }
 

@@ -131,6 +131,11 @@ impl BucketHistogram {
         if total == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "quantile rank is in [1, count] by construction; ceil of a clamped product cannot overflow"
+        )]
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0;
         for (i, &c) in self.counts.iter().enumerate() {
@@ -138,6 +143,11 @@ impl BucketHistogram {
             if seen >= target {
                 // Past the last bound is the overflow bucket: report
                 // the observed max instead of a bound.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "the summary max is a recorded u64 observation held as f64, so it converts back in range"
+                )]
                 return Some(
                     self.bounds
                         .get(i)

@@ -79,6 +79,11 @@ impl Gauge {
     /// readings: `as` saturates (NaN → 0, out-of-range clamps), so any
     /// finite or non-finite reading maps to a representable gauge value.
     pub fn set_f64(&self, v: f64) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "Gauge::set_f64 is the designated rounding point: gauges store u64, saturation is the intended clamp"
+        )]
         self.set(v.round() as u64);
     }
 

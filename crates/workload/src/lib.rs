@@ -9,6 +9,28 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Cast safety: no silently truncating or wrapping `as` casts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+// Determinism: no hash-order iteration, no wall-clock reads
+// (`clippy.toml` lists the disallowed clock methods).
+#![cfg_attr(
+    not(test),
+    deny(clippy::iter_over_hash_type, clippy::disallowed_methods)
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests may time themselves; only library code feeds a plan"
+    )
+)]
 
 pub mod pipeline;
 pub mod report;

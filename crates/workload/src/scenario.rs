@@ -261,6 +261,11 @@ impl ScenarioBuilder {
         let top = ns as f64;
         let bottom = ns as f64 / publishers as f64;
         let step = (top - bottom) / (publishers - 1) as f64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "per-publisher counts interpolate in [ns/publishers, ns], small positive reals; .max(1) guards the floor"
+        )]
         let counts: Vec<usize> = (0..publishers)
             .map(|i| ((top - step * i as f64).round() as usize).max(1))
             .collect();
@@ -271,6 +276,10 @@ impl ScenarioBuilder {
         let half = total * 25 / 80;
         let mut brokers = Vec::with_capacity(total);
         for i in 0..total as u64 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`i` counts up to `total`, itself a usize"
+            )]
             let bw = if (i as usize) < full {
                 FULL_BANDWIDTH
             } else if (i as usize) < full + half {

@@ -103,6 +103,10 @@ impl StockSeries {
             let low = (open.min(close) - spread * rng.gen_range(0.0..1.0)).max(0.01);
             // Volume bursts on big moves.
             let burst = 1.0 + 8.0 * ((close - open).abs() / open);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "synthetic daily volume is bounded by base_volume and the burst factor; rounds toward zero by design"
+            )]
             let volume = ((base_volume as f64) * burst * rng.gen_range(0.5..2.0)) as i64;
             let year = 96 + (d / 252) % 30;
             let date = format!("{}-{}-{}", 1 + d % 28, month, year);

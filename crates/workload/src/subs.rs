@@ -75,6 +75,10 @@ pub fn one_subscription(stock: &StockSeries, rng: &mut StdRng) -> Filter {
     let span = (hi - lo).max(1e-6);
     let threshold = rng.gen_range((lo - 0.05 * span)..(hi + 0.05 * span));
     let op = [Op::Lt, Op::Le, Op::Gt, Op::Ge][rng.gen_range(0..4)];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "volume thresholds lie within 5% of the observed volume range, far inside i64; rounding toward zero is intended"
+    )]
     let value = if attr == "volume" {
         greenps_pubsub::Value::Int(threshold as i64)
     } else {
