@@ -172,6 +172,12 @@ impl<P: Copy + Ord> BrokerCore<P> {
         from: P,
         env: crate::messages::PubEnvelope,
     ) {
+        // The one place a received publication is decoded: it is
+        // matched here. Its frame passed the receipt check, which
+        // accepts exactly what the decoder does, so this does not fail.
+        let Ok(publication) = env.publication() else {
+            return;
+        };
         // Single service queue: matching delay depends on table size.
         let service =
             SimDuration::from_secs_f64(self.config.matching_delay.delay(self.subscription_count()));
@@ -185,7 +191,7 @@ impl<P: Copy + Ord> BrokerCore<P> {
         if self.clients.contains(&from) {
             let lp = self
                 .local_publishers
-                .entry(env.publication.adv_id)
+                .entry(publication.adv_id)
                 .or_insert_with(|| LocalPublisher {
                     first_seen: now,
                     msgs: 0,
@@ -193,8 +199,8 @@ impl<P: Copy + Ord> BrokerCore<P> {
                     last_msg_id: MsgId::new(0),
                 });
             lp.msgs += 1;
-            lp.bytes += env.publication.wire_size() as u64;
-            lp.last_msg_id = lp.last_msg_id.max(env.publication.msg_id);
+            lp.bytes += publication.wire_size() as u64;
+            lp.last_msg_id = lp.last_msg_id.max(publication.msg_id);
         }
 
         // One walk of the routing index yields the forwarding set in
@@ -204,9 +210,9 @@ impl<P: Copy + Ord> BrokerCore<P> {
         // allocate per publication.
         let mut forwards = std::mem::take(&mut self.forwards_scratch);
         let (clients, profiles) = (&self.clients, &mut self.sub_profiles);
-        let (adv_id, msg_id) = (env.publication.adv_id, env.publication.msg_id);
+        let (adv_id, msg_id) = (publication.adv_id, publication.msg_id);
         self.routing.route_into(
-            &env.publication,
+            &publication,
             Some(&from),
             |hop| clients.contains(hop),
             |sub| {

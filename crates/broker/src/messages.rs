@@ -1,27 +1,44 @@
 //! Messages exchanged between simulated brokers, clients and CROC.
 
+use crate::wire::Received;
 use greenps_core::model::{BrokerSpec, SubscriptionEntry};
+use greenps_net::WireError;
 use greenps_profile::PublisherProfile;
-use greenps_pubsub::ids::{AdvId, ClientId, SubId};
+use greenps_pubsub::ids::{AdvId, ClientId, MsgId, SubId};
 use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_simnet::{Payload, SimTime};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A publication in flight, carrying the delivery-metric envelope.
+///
+/// Where the envelope came from decides the form of its publication
+/// (DESIGN.md §13.4): one built in this process is held built; one read
+/// off the wire keeps the bytes it arrived as, checked on receipt, and
+/// is decoded only by [`publication`](Self::publication) and re-sent as
+/// those bytes.
 #[derive(Debug, Clone)]
 pub struct PubEnvelope {
-    /// The publication itself.
-    pub publication: Publication,
+    pub(crate) body: Body,
     /// Broker hops traversed so far.
     pub hops: u32,
     /// Simulated time the publisher emitted it.
     pub published_at: SimTime,
 }
 
+/// The publication of a [`PubEnvelope`]; cloning either form is one
+/// reference-count increment.
+#[derive(Debug, Clone)]
+pub(crate) enum Body {
+    Built(Publication),
+    Received(Arc<Received>),
+}
+
 impl PubEnvelope {
     /// Wraps a fresh publication.
     pub fn new(publication: Publication, published_at: SimTime) -> Self {
         Self {
-            publication,
+            body: Body::Built(publication),
             hops: 0,
             published_at,
         }
@@ -31,9 +48,35 @@ impl PubEnvelope {
     #[must_use]
     pub fn hopped(&self) -> Self {
         Self {
-            publication: self.publication.clone(),
+            body: self.body.clone(),
             hops: self.hops + 1,
             published_at: self.published_at,
+        }
+    }
+
+    /// The publisher's advertisement id.
+    pub fn adv_id(&self) -> AdvId {
+        match &self.body {
+            Body::Built(p) => p.adv_id,
+            Body::Received(r) => r.adv_id,
+        }
+    }
+
+    /// The publisher's sequence number.
+    pub fn msg_id(&self) -> MsgId {
+        match &self.body {
+            Body::Built(p) => p.msg_id,
+            Body::Received(r) => r.msg_id,
+        }
+    }
+
+    /// The publication: borrowed when it was built here, decoded from
+    /// the received bytes otherwise. The receipt check accepts exactly
+    /// what the decoder does, so a received publication decodes.
+    pub fn publication(&self) -> Result<Cow<'_, Publication>, WireError> {
+        match &self.body {
+            Body::Built(p) => Ok(Cow::Borrowed(p)),
+            Body::Received(r) => r.decode().map(Cow::Owned),
         }
     }
 }
@@ -88,7 +131,7 @@ impl Payload for BrokerMsg {
             BrokerMsg::Advertise(a) => 16 + a.filter.wire_size(),
             BrokerMsg::Unadvertise(_) | BrokerMsg::Unsubscribe(_) => 16,
             BrokerMsg::Subscribe(s) => 16 + s.filter.wire_size(),
-            BrokerMsg::Publication(e) => 16 + e.publication.wire_size(),
+            BrokerMsg::Publication(e) => 16 + e.publication().map_or(0, |p| p.wire_size()),
             BrokerMsg::Bir { .. } => 16,
             BrokerMsg::Bia { infos, .. } => {
                 16 + infos

@@ -510,8 +510,8 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
                 if let BrokerMsg::Publication(env) = msg {
                     self.deliveries.push(Delivery {
                         subscriber,
-                        adv: env.publication.adv_id.raw(),
-                        msg: env.publication.msg_id.raw(),
+                        adv: env.adv_id().raw(),
+                        msg: env.msg_id().raw(),
                         latency_us: received_at.saturating_sub(env.published_at.as_micros()),
                     });
                     self.hops_sum += u64::from(env.hops);

@@ -14,7 +14,7 @@
 //! round-trip property is pinned by proptests in
 //! `tests/wire_roundtrip.rs`.
 
-use crate::messages::{BrokerMsg, GatheredBroker, PubEnvelope};
+use crate::messages::{Body, BrokerMsg, GatheredBroker, PubEnvelope};
 use greenps_core::model::{BrokerSpec, LinearFn, SubscriptionEntry};
 use greenps_net::wire::{
     put_bool, put_f64, put_i64, put_seq_len, put_str, put_u32, put_u64, put_u8, Wire, WireError,
@@ -27,6 +27,7 @@ use greenps_pubsub::predicate::{Op, Predicate};
 use greenps_pubsub::value::Value;
 use greenps_simnet::SimTime;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 // --- values and predicates -------------------------------------------
 
@@ -142,12 +143,41 @@ fn put_publication(out: &mut Vec<u8>, p: &Publication) {
 /// Fewest bytes one attribute encodes to: an empty name and a `bool`.
 const MIN_ATTRIBUTE: usize = 6;
 
-/// Name tables a decoding thread remembers. A connection carries the
+/// Bytes of a publication's two ids.
+const IDS: usize = 16;
+
+/// Decodes one publication on its own: every name read and validated,
+/// the attributes gathered by the builder, so a repeated name replaces
+/// the earlier value in its first position. The receipt check accepts
+/// exactly the publications this accepts.
+pub fn read_publication(r: &mut WireReader<'_>) -> Result<Publication, WireError> {
+    let adv = AdvId::new(r.u64()?);
+    let msg = MsgId::new(r.u64()?);
+    let n = r.seq_len_of(MIN_ATTRIBUTE)?;
+    let mut b = Publication::builder(adv, msg);
+    for _ in 0..n {
+        let name = r.str()?;
+        b.push(name, read_value(r)?);
+    }
+    Ok(b.build())
+}
+
+/// Walks one value exactly as [`read_value`] reads it, building nothing.
+fn skip_value(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    match r.u8()? {
+        0 | 1 => r.take(8).map(drop),
+        2 => r.str().map(drop),
+        3 => r.bool().map(drop),
+        t => Err(WireError::BadTag(t)),
+    }
+}
+
+/// Name tables a checking thread remembers. A connection carries the
 /// shapes of the publishers routed over it, most of the time one.
 const TABLES: usize = 4;
 
 thread_local! {
-    /// The name tables of the publications this thread decoded last,
+    /// The name tables of the publications this thread checked last,
     /// most recent first. A reader thread serves one connection, so
     /// per thread is per session: no lock, nothing shared, and what is
     /// kept is at most [`TABLES`] tables whose names arrived in frames
@@ -155,15 +185,16 @@ thread_local! {
     static RECENT: RefCell<Vec<AttrNames>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Decodes a publication onto the name table of an earlier one of its
-/// shape (DESIGN.md §13.4). While the frame's names equal, in order,
-/// those of a remembered table with as many names, only the values are
-/// read, and a frame that stays equal to the end shares that table. A
-/// frame that stops matching keeps the values read so far under the
-/// names they matched and goes on through the builder (a repeated name
-/// replaces, as anywhere); its table is remembered in place of the
-/// least recently used.
-fn read_publication(r: &mut WireReader<'_>) -> Result<Publication, WireError> {
+/// Checks a publication without building it (DESIGN.md §13.4): every
+/// count, length and tag, and the UTF-8 of every name and string value,
+/// as [`read_publication`] reads them. Returns its ids and the name
+/// table of its names. A frame whose names equal, in order and byte for
+/// byte, those of a remembered table shares that table; its names are
+/// UTF-8 because the table's are. Any other frame is walked again for a
+/// table of its own names, validated as they are read (a repeated one
+/// kept at its first position, as the builder keeps it), remembered in
+/// place of the least recently used.
+fn check_publication(r: &mut WireReader<'_>) -> Result<(AdvId, MsgId, AttrNames), WireError> {
     let adv = AdvId::new(r.u64()?);
     let msg = MsgId::new(r.u64()?);
     let n = r.seq_len_of(MIN_ATTRIBUTE)?;
@@ -173,63 +204,94 @@ fn read_publication(r: &mut WireReader<'_>) -> Result<Publication, WireError> {
         for (l, table) in live.iter_mut().zip(tables.iter()) {
             *l = table.len() == n;
         }
-        let mut values = Vec::with_capacity(n);
-        // The name no live table has at its position, once there is one.
-        let mut stray = None;
-        while values.len() < n {
-            // Bytes equal to a table's name are UTF-8 because it is.
-            let name = r.bytes()?;
-            let mut still = live;
-            for (s, table) in still.iter_mut().zip(tables.iter()) {
-                *s = *s && table.get(values.len()).map(str::as_bytes) == Some(name);
+        let ((), attributes) = r.spanned(|r| {
+            for at in 0..n {
+                let name = r.bytes()?;
+                for (l, table) in live.iter_mut().zip(tables.iter()) {
+                    *l = *l && table.get(at).map(str::as_bytes) == Some(name);
+                }
+                skip_value(r)?;
             }
-            if still == [false; TABLES] {
-                stray = Some(std::str::from_utf8(name).map_err(|_| WireError::BadUtf8)?);
-                break;
-            }
-            live = still;
-            values.push(read_value(r)?);
-        }
+            Ok(())
+        })?;
         let hit = live.iter().position(|&l| l);
-        let matched = hit.and_then(|t| tables.get(t));
-        if let (Some(t), Some(names), None) = (hit, matched, stray) {
-            let p = Publication::with_names(adv, msg, names, values).ok_or(WireError::BadValue)?;
-            if let Some(front) = tables.get_mut(..=t) {
+        if let Some(names) = hit.and_then(|t| tables.get(t)).cloned() {
+            if let Some(front) = hit.and_then(|t| tables.get_mut(..=t)) {
                 front.rotate_right(1);
             }
-            return Ok(p);
+            return Ok((adv, msg, names));
         }
-        let mut b = Publication::builder(adv, msg);
-        let read = values.len();
-        for (name, value) in matched.into_iter().flat_map(AttrNames::iter).zip(values) {
-            b.push(name, value);
-        }
-        for _ in read..n {
-            let name = match stray.take() {
-                Some(name) => name,
-                None => r.str()?,
-            };
-            b.push(name, read_value(r)?);
-        }
-        let p = b.build();
+        let mut r = WireReader::new(attributes);
+        let names = (0..n)
+            .map(|_| {
+                let name = r.str()?;
+                skip_value(&mut r)?;
+                Ok(name)
+            })
+            .collect::<Result<AttrNames, WireError>>()?;
         tables.truncate(TABLES - 1);
-        tables.insert(0, p.names().clone());
-        Ok(p)
+        tables.insert(0, names.clone());
+        Ok((adv, msg, names))
     })
 }
 
+/// A publication as it arrived: the bytes `put_publication` wrote,
+/// checked on receipt, with the ids read from its header and the name
+/// table the check found for its names (DESIGN.md §13.4).
+#[derive(Debug)]
+pub(crate) struct Received {
+    pub(crate) adv_id: AdvId,
+    pub(crate) msg_id: MsgId,
+    names: AttrNames,
+    bytes: Box<[u8]>,
+}
+
+impl Received {
+    /// The publication, read on the table the check found: the values
+    /// only, unless a repeated name makes the frame longer than its
+    /// table, when the builder's rule decides as for any frame.
+    pub(crate) fn decode(&self) -> Result<Publication, WireError> {
+        let mut r = WireReader::new(&self.bytes);
+        r.take(IDS)?;
+        let n = r.seq_len_of(MIN_ATTRIBUTE)?;
+        if n != self.names.len() {
+            return read_publication(&mut WireReader::new(&self.bytes));
+        }
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            // The name, compared or validated on receipt.
+            r.bytes()?;
+            values.push(read_value(&mut r)?);
+        }
+        Publication::with_names(self.adv_id, self.msg_id, &self.names, values)
+            .ok_or(WireError::BadValue)
+    }
+}
+
+/// A built publication is encoded; a received one is copied as it came,
+/// which for a frame without a repeated name is the same bytes. Either
+/// way the hop count and stamp are written fresh.
 fn put_envelope(out: &mut Vec<u8>, e: &PubEnvelope) {
-    put_publication(out, &e.publication);
+    match &e.body {
+        Body::Built(p) => put_publication(out, p),
+        Body::Received(r) => out.extend_from_slice(&r.bytes),
+    }
     put_u32(out, e.hops);
     put_u64(out, e.published_at.as_micros());
 }
 
 fn read_envelope(r: &mut WireReader<'_>) -> Result<PubEnvelope, WireError> {
-    let publication = read_publication(r)?;
+    let ((adv_id, msg_id, names), bytes) = r.spanned(check_publication)?;
     let hops = r.u32()?;
     let published_at = SimTime::from_micros(r.u64()?);
+    let received = Received {
+        adv_id,
+        msg_id,
+        names,
+        bytes: bytes.into(),
+    };
     Ok(PubEnvelope {
-        publication,
+        body: Body::Received(Arc::new(received)),
         hops,
         published_at,
     })
@@ -611,20 +673,23 @@ mod tests {
         buf
     }
 
-    fn decode_publication(frame: &[u8]) -> Publication {
+    /// The envelope a frame is received as, checked on this thread.
+    fn receive(frame: &[u8]) -> PubEnvelope {
         match decode_exact(frame) {
-            Ok(BrokerMsg::Publication(e)) => e.publication,
+            Ok(BrokerMsg::Publication(e)) => e,
             other => panic!("not a publication: {other:?}"),
         }
     }
 
-    /// Decodes on a thread that has remembered nothing.
+    fn decode_publication(frame: &[u8]) -> Publication {
+        receive(frame).publication().expect("decode").into_owned()
+    }
+
+    /// Checks on a thread that has remembered nothing and decodes here,
+    /// where the frame was not checked.
     fn decode_cold(frame: &[u8]) -> Publication {
-        std::thread::scope(|s| {
-            s.spawn(|| decode_publication(frame))
-                .join()
-                .expect("decode")
-        })
+        let env = std::thread::scope(|s| s.spawn(|| receive(frame)).join().expect("check"));
+        env.publication().expect("decode").into_owned()
     }
 
     fn expect(attrs: &[(&str, i64)]) -> Publication {
@@ -678,10 +743,58 @@ mod tests {
                 let env = PubEnvelope::new(again, SimTime::ZERO);
                 assert_eq!(re_encode(&BrokerMsg::Publication(env)), frame);
             }
+            // Received, it goes out as it came, repeats and all.
+            assert_eq!(re_encode(&BrokerMsg::Publication(receive(&frame))), frame);
         }
         // Later wins, first position kept — the builder's rule.
         let dup = decode_publication(&raw_frame(&[("a", 5), ("b", 6), ("a", 7)]));
         assert_eq!(dup.to_string(), "Adv1#2:[a,7],[b,6]");
+    }
+
+    /// What a received frame goes out as, hopped: asserted equal to the
+    /// frame up to its 12-byte trailer, and the trailer written after.
+    fn forwarded_trailer(frame: &[u8]) -> Vec<u8> {
+        let mut out = re_encode(&BrokerMsg::Publication(receive(frame).hopped()));
+        let trailer = out.split_off(out.len() - 12);
+        assert_eq!(out, frame[..frame.len() - 12]);
+        trailer
+    }
+
+    #[test]
+    fn a_received_publication_is_forwarded_as_the_bytes_it_came_in() {
+        let quote = Publication::builder(AdvId::new(4), MsgId::new(144))
+            .attr("class", "STOCK")
+            .attr("symbol", "YHOO")
+            .attr("open", 18.37)
+            .attr("high", 18.63)
+            .attr("low", 18.37)
+            .attr("close", 18.37)
+            .attr("volume", 40_000i64)
+            .attr("date", "5-Sep-96")
+            .attr("openClose%Diff", 0.0)
+            .attr("highLow%Diff", 0.014)
+            .attr("closeEqualsLow", true)
+            .attr("closeEqualsHigh", false)
+            .build();
+        let mut env = PubEnvelope::new(quote.clone(), SimTime::from_micros(77));
+        env.hops = 2;
+        let stock = re_encode(&BrokerMsg::Publication(env));
+        let trailer = forwarded_trailer(&stock);
+        assert_eq!(
+            trailer,
+            [&3u32.to_le_bytes()[..], &77u64.to_le_bytes()].concat()
+        );
+        assert_eq!(decode_publication(&stock), quote);
+
+        // A repeated name is forwarded as it came, not canonicalised,
+        // and every receiver decodes it as the builder would.
+        let repeated = raw_frame(&[("a", 5), ("b", 6), ("a", 7)]);
+        forwarded_trailer(&repeated);
+        let env = receive(&repeated).hopped();
+        assert_eq!((env.adv_id(), env.msg_id()), (AdvId::new(1), MsgId::new(2)));
+        let p = env.publication().expect("decode").into_owned();
+        assert_eq!(p, expect(&[("a", 5), ("b", 6), ("a", 7)]));
+        assert_eq!(p.to_string(), "Adv1#2:[a,7],[b,6]");
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl BrokerSink<Peer> for Recorder<'_> {
     fn send(&mut self, to: Peer, msg: BrokerMsg) {
         let what = match &msg {
             BrokerMsg::Publication(env) => {
-                format!("pub{}/{}", env.publication.msg_id.raw(), env.hops)
+                format!("pub{}/{}", env.msg_id().raw(), env.hops)
             }
             BrokerMsg::Subscribe(sub) => format!("sub{}", sub.id.raw()),
             BrokerMsg::Advertise(adv) => format!("adv{}", adv.id.raw()),

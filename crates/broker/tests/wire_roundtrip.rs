@@ -9,10 +9,13 @@
 )]
 
 use greenps_broker::messages::{BrokerMsg, GatheredBroker, PubEnvelope};
+use greenps_broker::wire::read_publication;
 use greenps_core::model::{BrokerSpec, LinearFn, SubscriptionEntry};
 use greenps_net::frame::{write_hello, Hello, HELLO_LEN};
+use greenps_net::wire::{put_f64, put_i64, put_seq_len, put_str, put_u32, put_u64, put_u8};
 use greenps_net::{
     decode_exact, Endpoint, EndpointAddr, NetEvent, TcpTransport, Transport, Wire, WireError,
+    WireReader,
 };
 use greenps_profile::{PublisherProfile, ShiftingBitVector, SubscriptionProfile};
 use greenps_pubsub::filter::Filter;
@@ -23,6 +26,7 @@ use greenps_pubsub::value::Value;
 use greenps_simnet::SimTime;
 use greenps_telemetry::Registry;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -155,6 +159,34 @@ fn arb_msg() -> impl Strategy<Value = BrokerMsg> {
     ]
 }
 
+fn encode(msg: &BrokerMsg) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    msg.encode(&mut bytes);
+    bytes
+}
+
+/// The frame of a publication built here, hop 0, stamp 0.
+fn frame_of(p: &Publication) -> Vec<u8> {
+    encode(&BrokerMsg::Publication(PubEnvelope::new(
+        p.clone(),
+        SimTime::ZERO,
+    )))
+}
+
+/// The envelope a frame is received as, checked on this thread.
+fn receive(frame: &[u8]) -> Result<PubEnvelope, TestCaseError> {
+    match decode_exact(frame) {
+        Ok(BrokerMsg::Publication(e)) => Ok(e),
+        other => Err(TestCaseError::fail(format!("not a publication: {other:?}"))),
+    }
+}
+
+fn decode(env: &PubEnvelope) -> Result<Publication, TestCaseError> {
+    env.publication()
+        .map(Cow::into_owned)
+        .map_err(|e| TestCaseError::fail(format!("a received publication failed to decode: {e}")))
+}
+
 proptest! {
     /// Encode → decode → re-encode is the identity on bytes: the codec
     /// is deterministic and byte-stable for every message variant.
@@ -168,30 +200,23 @@ proptest! {
         prop_assert_eq!(&bytes, &again, "re-encoded bytes diverged");
     }
 
-    /// A publication decodes the same whatever the thread decoded
-    /// before it: onto the table the priming frame left, off it
-    /// mid-frame, or cold.
+    /// A publication decodes the same whatever the receiving thread
+    /// checked before it (onto the table the priming frame left, off it
+    /// mid-frame, or cold) and on whichever thread it is decoded.
     #[test]
     fn publication_decode_is_independent_of_the_frames_before(
         priming in arb_publication(),
         subject in arb_publication(),
     ) {
-        let frame = |p: &Publication| {
-            let mut bytes = Vec::new();
-            BrokerMsg::Publication(PubEnvelope::new(p.clone(), SimTime::ZERO)).encode(&mut bytes);
-            bytes
-        };
-        let decode = |bytes: &[u8]| match decode_exact(bytes) {
-            Ok(BrokerMsg::Publication(e)) => Ok(e.publication),
-            other => Err(TestCaseError::fail(format!("not a publication: {other:?}"))),
-        };
-        let bytes = frame(&subject);
-        let cold = std::thread::scope(|s| s.spawn(|| decode(&bytes)).join().expect("decode"))?;
-        decode(&frame(&priming))?;
-        let warm = decode(&bytes)?;
-        prop_assert_eq!(&warm, &cold);
-        prop_assert_eq!(&warm, &subject);
-        prop_assert_eq!(frame(&warm), bytes);
+        let bytes = frame_of(&subject);
+        let cold = std::thread::scope(|s| s.spawn(|| receive(&bytes)).join().expect("check"))?;
+        receive(&frame_of(&priming))?;
+        let warm = receive(&bytes)?;
+        let elsewhere = std::thread::scope(|s| s.spawn(|| decode(&warm)).join().expect("decode"))?;
+        prop_assert_eq!(&decode(&warm)?, &decode(&cold)?);
+        prop_assert_eq!(&elsewhere, &subject);
+        prop_assert_eq!(frame_of(&elsewhere), bytes.clone());
+        prop_assert_eq!(encode(&BrokerMsg::Publication(warm)), bytes);
     }
 
     /// Decoding never panics on arbitrary garbage — it returns a typed
@@ -209,6 +234,219 @@ proptest! {
         msg.encode(&mut bytes);
         if cut < bytes.len() {
             prop_assert!(decode_exact::<BrokerMsg>(&bytes[..cut]).is_err());
+        }
+    }
+}
+
+/// Names of raw frames: the stock ones and one that is not ASCII.
+const NAMES: [&str; 5] = ["class", "symbol", "low", "volume", "größe"];
+
+fn arb_raw_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        proptest::sample::select(vec!["", "Zürich"]).prop_map(Value::str),
+    ]
+}
+
+/// A publication frame with exactly these attributes, repeated names
+/// included, and where its fields are.
+struct RawFrame {
+    bytes: Vec<u8>,
+    /// Offset of the attribute count.
+    count: usize,
+    /// Per attribute, the offset of its name's length prefix.
+    names: Vec<usize>,
+    /// Per attribute, the offset of its value's tag.
+    tags: Vec<usize>,
+}
+
+fn raw_frame(adv: u64, msg: u64, attrs: &[(&str, Value)]) -> RawFrame {
+    let mut bytes = Vec::new();
+    put_u8(&mut bytes, 5); // the publication tag
+    put_u64(&mut bytes, adv);
+    put_u64(&mut bytes, msg);
+    let count = bytes.len();
+    put_seq_len(&mut bytes, attrs.len());
+    let (mut names, mut tags) = (Vec::new(), Vec::new());
+    for (name, value) in attrs {
+        names.push(bytes.len());
+        put_str(&mut bytes, name);
+        tags.push(bytes.len());
+        match value {
+            Value::Int(i) => {
+                put_u8(&mut bytes, 0);
+                put_i64(&mut bytes, *i);
+            }
+            Value::Float(f) => {
+                put_u8(&mut bytes, 1);
+                put_f64(&mut bytes, *f);
+            }
+            Value::Str(s) => {
+                put_u8(&mut bytes, 2);
+                put_str(&mut bytes, s);
+            }
+            Value::Bool(b) => {
+                put_u8(&mut bytes, 3);
+                put_u8(&mut bytes, u8::from(*b));
+            }
+        }
+    }
+    put_u32(&mut bytes, 0); // hops
+    put_u64(&mut bytes, 0); // published_at
+    RawFrame {
+        bytes,
+        count,
+        names,
+        tags,
+    }
+}
+
+/// A structure-aware edit of a publication frame. An index picks a
+/// field modulo how many of that kind the frame has; an edit of a kind
+/// the frame has none of leaves it as it is.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Keep,
+    FlipBit(usize),
+    Truncate(usize),
+    InflateCount(u32),
+    InflateName(usize, u32),
+    InflateString(usize, u32),
+    SwapTag(usize, u8),
+    BadUtf8Name(usize, usize),
+    BadUtf8String(usize, usize),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    let by = || proptest::sample::select(vec![1u32, 2, 7, 1000, 16_000_000]);
+    prop_oneof![
+        Just(Mutation::Keep),
+        any::<usize>().prop_map(Mutation::FlipBit),
+        any::<usize>().prop_map(Mutation::Truncate),
+        by().prop_map(Mutation::InflateCount),
+        (any::<usize>(), by()).prop_map(|(i, n)| Mutation::InflateName(i, n)),
+        (any::<usize>(), by()).prop_map(|(i, n)| Mutation::InflateString(i, n)),
+        (any::<usize>(), 0u8..6).prop_map(|(i, t)| Mutation::SwapTag(i, t)),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, k)| Mutation::BadUtf8Name(i, k)),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, k)| Mutation::BadUtf8String(i, k)),
+    ]
+}
+
+/// The `u32` at `at`.
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
+}
+
+impl Mutation {
+    fn apply(&self, frame: &RawFrame) -> Vec<u8> {
+        let mut bytes = frame.bytes.clone();
+        let pick = |at: &[usize], i: usize| (!at.is_empty()).then(|| at[i % at.len()]);
+        // Length prefixes of the string values.
+        let strings: Vec<usize> = frame
+            .tags
+            .iter()
+            .filter(|&&t| bytes[t] == 2)
+            .map(|t| t + 1)
+            .collect();
+        let inflate = |bytes: &mut Vec<u8>, at: usize, by: u32| {
+            let n = u32_at(bytes, at).wrapping_add(by);
+            bytes[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        };
+        // A byte no UTF-8 string holds, into a non-empty string.
+        let corrupt = |bytes: &mut Vec<u8>, at: usize, k: usize| {
+            let len = u32_at(bytes, at) as usize;
+            if len > 0 {
+                bytes[at + 4 + k % len] = 0xFF;
+            }
+        };
+        match *self {
+            Mutation::Keep => {}
+            Mutation::FlipBit(bit) => {
+                let bit = bit % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            Mutation::Truncate(at) => bytes.truncate(at % bytes.len()),
+            Mutation::InflateCount(by) => inflate(&mut bytes, frame.count, by),
+            Mutation::InflateName(i, by) => {
+                if let Some(at) = pick(&frame.names, i) {
+                    inflate(&mut bytes, at, by);
+                }
+            }
+            Mutation::InflateString(i, by) => {
+                if let Some(at) = pick(&strings, i) {
+                    inflate(&mut bytes, at, by);
+                }
+            }
+            Mutation::SwapTag(i, tag) => {
+                if let Some(at) = pick(&frame.tags, i) {
+                    bytes[at] = tag;
+                }
+            }
+            Mutation::BadUtf8Name(i, k) => {
+                if let Some(at) = pick(&frame.names, i) {
+                    corrupt(&mut bytes, at, k);
+                }
+            }
+            Mutation::BadUtf8String(i, k) => {
+                if let Some(at) = pick(&strings, i) {
+                    corrupt(&mut bytes, at, k);
+                }
+            }
+        }
+        bytes
+    }
+}
+
+/// A whole publication frame read by the reference: the tag,
+/// `read_publication`, the trailer, and nothing after.
+fn reference(frame: &[u8]) -> Result<Publication, WireError> {
+    let mut r = WireReader::new(frame);
+    match r.u8()? {
+        5 => {}
+        t => return Err(WireError::BadTag(t)),
+    }
+    let p = read_publication(&mut r)?;
+    r.u32()?;
+    r.u64()?;
+    if !r.is_empty() {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The receipt check accepts a mutated publication frame exactly
+    /// when `read_publication` does. An accepted frame's publication is
+    /// the reference's, whether this thread's tables were primed with
+    /// the frame's shape or a fresh thread checked it, and it goes out
+    /// again as the bytes it came in as.
+    #[test]
+    fn the_receipt_check_accepts_exactly_what_the_decoder_does(
+        (adv, msg) in (0u64..100, 0u64..1000),
+        attrs in proptest::collection::vec(
+            (proptest::sample::select(NAMES.to_vec()), arb_raw_value()),
+            0..6,
+        ),
+        mutation in arb_mutation(),
+    ) {
+        let base = raw_frame(adv, msg, &attrs);
+        receive(&base.bytes)?;
+        let bytes = mutation.apply(&base);
+        let checked = match decode_exact::<BrokerMsg>(&bytes) {
+            Ok(BrokerMsg::Publication(env)) => Some(env),
+            _ => None,
+        };
+        let expected = reference(&bytes);
+        prop_assert_eq!(checked.is_some(), expected.is_ok(), "{:?}: {:?}", mutation, expected);
+        if let (Some(env), Ok(expected)) = (checked, expected) {
+            let cold = std::thread::scope(|s| s.spawn(|| receive(&bytes)).join().expect("check"))?;
+            prop_assert_eq!(frame_of(&decode(&env)?), frame_of(&expected));
+            prop_assert_eq!(frame_of(&decode(&cold)?), frame_of(&expected));
+            prop_assert_eq!((env.adv_id(), env.msg_id()), (expected.adv_id, expected.msg_id));
+            let out = encode(&BrokerMsg::Publication(env.hopped()));
+            prop_assert_eq!(&out[..out.len() - 12], &bytes[..bytes.len() - 12]);
         }
     }
 }

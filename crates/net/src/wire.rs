@@ -151,6 +151,19 @@ impl<'a> WireReader<'a> {
     pub fn str(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
+
+    /// Runs `read` on this cursor and returns what it returned with the
+    /// bytes it consumed, so a receiver can check a value in place and
+    /// keep its encoding instead of building it.
+    pub fn spanned<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<(T, &'a [u8]), WireError> {
+        let start = self.pos;
+        let value = read(self)?;
+        let span = self.buf.get(start..self.pos).ok_or(WireError::Truncated)?;
+        Ok((value, span))
+    }
 }
 
 /// Appends one byte.
@@ -272,6 +285,20 @@ mod tests {
             Err(WireError::BadLength(3))
         );
         assert_eq!(WireReader::new(&buf).seq_len_of(0), Ok(3));
+    }
+
+    #[test]
+    fn a_span_is_the_bytes_its_read_consumed() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 1);
+        put_str(&mut buf, "YHOO");
+        put_u8(&mut buf, 2);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(r.u8(), Ok(1));
+        let (s, span) = r.spanned(|r| r.str()).unwrap();
+        assert_eq!((s, span), ("YHOO", &buf[1..9]));
+        assert_eq!(r.u8(), Ok(2));
+        assert_eq!(r.spanned(|r| r.u8()), Err(WireError::Truncated));
     }
 
     #[test]
