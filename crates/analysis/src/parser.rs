@@ -7,7 +7,7 @@
 //! each function body. It is not a full Rust parser — generics are
 //! skipped, patterns are reduced to their first identifier, and types
 //! are reduced to a *head* identifier (`&mut Vec<GifKey>` → `Vec`,
-//! `Box<dyn Closeness>` → `Closeness`) — but it never fails: unknown
+//! `Box<dyn Score>` → `Score`) — but it never fails: unknown
 //! constructs are skipped token-wise, so analysis degrades to "no
 //! information" instead of erroring.
 //!
@@ -107,7 +107,7 @@ pub struct FnItem {
     /// Impl type head for methods/associated fns (`impl Engine` →
     /// `Engine`); for trait-declaration methods this is the trait name.
     pub self_ty: Option<String>,
-    /// Trait being implemented (`impl Closeness for X`) or declared.
+    /// Trait being implemented (`impl Score for X`) or declared.
     pub trait_name: Option<String>,
     /// True when the parameter list has a `self` receiver.
     pub has_self: bool,
@@ -1097,7 +1097,7 @@ mod tests {
         let p = parse(
             "crates/core/src/x.rs",
             r#"
-            fn f(m: &dyn Closeness, xs: &mut Vec<(u64, f64)>, b: Box<dyn Matcher>) {
+            fn f(m: &dyn Score, xs: &mut Vec<(u64, f64)>, b: Box<dyn Matcher>) {
                 let n: usize = xs.len();
                 let mut acc: f64 = 0.0;
                 let untyped = 3;
@@ -1108,7 +1108,7 @@ mod tests {
         assert_eq!(
             f.params,
             vec![
-                ("m".to_string(), "Closeness".to_string()),
+                ("m".to_string(), "Score".to_string()),
                 ("xs".to_string(), "Vec".to_string()),
                 ("b".to_string(), "Matcher".to_string()),
             ]

@@ -27,12 +27,12 @@ const SOURCES: &[&str] = &[
     pub fn make() -> Cache { Cache }
     "#,
     r#"
-    pub trait Closeness { fn closeness(&self, a: u64, b: u64) -> f64; }
+    pub trait Score { fn score(&self, a: u64, b: u64) -> f64; }
     pub struct Ios;
-    impl Closeness for Ios {
-        fn closeness(&self, a: u64, b: u64) -> f64 { (a.min(b)) as f64 }
+    impl Score for Ios {
+        fn score(&self, a: u64, b: u64) -> f64 { (a.min(b)) as f64 }
     }
-    pub fn drive(m: &dyn Closeness) -> f64 { m.closeness(1, 2) }
+    pub fn drive(m: &dyn Score) -> f64 { m.score(1, 2) }
     "#,
     r#"
     pub fn fan(items: &[u64], threads: usize) -> Vec<u64> {

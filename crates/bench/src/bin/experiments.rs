@@ -24,14 +24,14 @@ use greenps_core::croc::{plan, PlanConfig};
 use greenps_core::engine::available_threads;
 use greenps_core::model::AllocationInput;
 use greenps_core::overlay::{build_overlay, AllocatorKind, OverlayConfig};
-use greenps_core::pipeline::{CheckpointStore, PhaseKind, ReconfigContext};
+use greenps_core::pipeline::{CheckpointStore, Phase, PhaseKind, ReconfigContext};
 use greenps_core::sorting::{bin_packing, fbf};
 use greenps_profile::{ClosenessMetric, Poset};
 use greenps_telemetry::{JsonExporter, Registry};
+use greenps_workload::pipeline::GatherPhase;
 use greenps_workload::report::{outcome_table, reduction_pct, Table};
-use greenps_workload::runner::{run_approach, Approach, Outcome, RunConfig};
 use greenps_workload::scenario::{Scenario, ScenarioBuilder, Topology};
-use greenps_workload::ReconfigPipeline;
+use greenps_workload::{Approach, Outcome, ReconfigPipeline, RunConfig};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -192,7 +192,9 @@ fn grid_outcomes(opts: &Opts, scenarios: &[Scenario], approaches: &[Approach]) -
     for s in scenarios {
         for &a in approaches {
             let t0 = Instant::now();
-            let o = run_approach(s, a, &run_cfg(s.seed), &opts.ctx());
+            let o = ReconfigPipeline::approach(s, a, run_cfg(s.seed))
+                .run(&opts.ctx())
+                .expect("approach run completed");
             eprintln!(
                 "[{}] {} -> {} brokers, {:.1} msg/s avg ({:.1}s wall)",
                 s.name,
@@ -375,13 +377,10 @@ fn e6(opts: &Opts) {
     for priority in [0.0, 0.5, 1.0] {
         let mut plan_cfg = PlanConfig::cram(ClosenessMetric::Ios);
         plan_cfg.grape = greenps_core::grape::GrapeConfig { priority };
-        let o = greenps_workload::runner::run_custom_plan(
-            &sweep_scenario,
-            &format!("CRAM-IOS/P={priority}"),
-            &plan_cfg,
-            &run_cfg(5),
-            &opts.ctx(),
-        );
+        let label = format!("CRAM-IOS/P={priority}");
+        let o = ReconfigPipeline::custom_plan(&sweep_scenario, &label, &plan_cfg, run_cfg(5))
+            .run(&opts.ctx())
+            .expect("custom plan run completed");
         t.row(vec![
             format!("{priority:.1}"),
             o.allocated_brokers.to_string(),
@@ -581,7 +580,13 @@ fn e10(opts: &Opts) {
     let mut scenario = homogeneous(n, 8);
     scenario.brokers.truncate(20);
     let cfg = run_cfg(8);
-    let (_, input) = greenps_workload::runner::profile_and_gather(&scenario, &cfg, &opts.ctx());
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg,
+    }
+    .run((), &opts.ctx())
+    .expect("phase 1 gather completed")
+    .input;
 
     // Ground truth: exact selectivity over the publication stream.
     let ideal = ideal_input(&scenario);
@@ -631,7 +636,10 @@ fn e10(opts: &Opts) {
         for b in &mut s.brokers {
             b.profile_bits = bits;
         }
-        let (_, input_b) = greenps_workload::runner::profile_and_gather(&s, &cfg, &opts.ctx());
+        let input_b = GatherPhase { scenario: &s, cfg }
+            .run((), &opts.ctx())
+            .expect("phase 1 gather completed")
+            .input;
         let mut errs = Vec::new();
         for entry in &input_b.subscriptions {
             let est = entry.profile.estimate_load(&input_b.publishers).rate;

@@ -13,10 +13,9 @@
 //!   with rate/bandwidth counters (the CBC);
 //! * answers BIR floods with aggregated BIA messages (Phase 1).
 //!
-//! All of that logic lives in the transport-independent
-//! [`BrokerCore`](crate::logic::BrokerCore); this module is the simnet
-//! face of it — a [`Process`] whose `Context` is adapted into the
-//! core's [`BrokerSink`](crate::logic::BrokerSink), preserving the
+//! All of that logic lives in the transport-independent [`BrokerCore`];
+//! this module is the simnet face of it — a [`Process`] whose `Context`
+//! is adapted into the core's [`BrokerSink`], preserving the
 //! discrete-event semantics bit for bit.
 
 use crate::logic::{BrokerCore, BrokerSink};

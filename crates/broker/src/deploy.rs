@@ -23,12 +23,15 @@ pub enum DeployError {
     /// A topology edge or attach call referenced a broker id that is
     /// not part of the deployment.
     UnknownBroker(BrokerId),
+    /// A topology listed the same broker id twice.
+    DuplicateBroker(BrokerId),
 }
 
 impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeployError::UnknownBroker(id) => write!(f, "unknown broker id {id:?}"),
+            DeployError::DuplicateBroker(id) => write!(f, "broker id {id:?} listed twice"),
         }
     }
 }
@@ -103,16 +106,19 @@ impl RunMetrics {
 impl Deployment {
     /// Instantiates every broker and overlay link of a topology.
     ///
-    /// Fails with [`DeployError::UnknownBroker`] when an edge references
-    /// a broker id absent from `spec.brokers`.
+    /// Fails with [`DeployError::DuplicateBroker`] when `spec.brokers`
+    /// repeats an id, and with [`DeployError::UnknownBroker`] when an
+    /// edge references a broker id absent from it.
     pub fn build(spec: &TopologySpec) -> Result<Self, DeployError> {
         let mut net: Network<BrokerMsg> = Network::new();
         let mut brokers = BTreeMap::new();
         for cfg in &spec.brokers {
-            let id = cfg.id;
+            if brokers.contains_key(&cfg.id) {
+                return Err(DeployError::DuplicateBroker(cfg.id));
+            }
             let node =
                 net.add_node_with_capacity(Broker::new(cfg.clone()), Some(cfg.out_bandwidth));
-            brokers.insert(id, node);
+            brokers.insert(cfg.id, node);
         }
         for &(a, b) in &spec.edges {
             let na = *brokers.get(&a).ok_or(DeployError::UnknownBroker(a))?;
@@ -420,6 +426,12 @@ mod tests {
         assert_eq!(
             Deployment::build(&bad).err(),
             Some(DeployError::UnknownBroker(BrokerId::new(9)))
+        );
+        let mut twice = spec(3);
+        twice.brokers.push(twice.brokers[1].clone());
+        assert_eq!(
+            Deployment::build(&twice).err(),
+            Some(DeployError::DuplicateBroker(BrokerId::new(1)))
         );
         let mut d = Deployment::build(&spec(3)).expect("valid topology");
         assert_eq!(

@@ -68,8 +68,8 @@ use crate::model::{AllocError, Allocation, AllocationInput, Unit};
 use crate::pipeline::CancelToken;
 use crate::sorting::{bin_packing_units, units_from_input};
 use greenps_profile::{
-    ArenaKernel, Closeness, ClosenessMetric, Poset, Relation, ShiftingBitVector,
-    SubscriptionProfile, DEFAULT_CAPACITY,
+    ArenaKernel, ClosenessMetric, Poset, Relation, ShiftingBitVector, SubscriptionProfile,
+    DEFAULT_CAPACITY,
 };
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_telemetry::{EventSink, Histogram, Registry, Span};
@@ -407,25 +407,13 @@ impl Pool {
     }
 }
 
-/// The closeness measure a [`CramBuilder`] clusters with: one of the
-/// paper's metrics, or a borrowed user-supplied measure.
-///
-/// Built-in metrics evaluate through the pool's [`ArenaKernel`] (one
-/// batch popcount pass + scalar arithmetic); custom measures see whole
-/// profiles, as their trait contract promises.
-#[derive(Clone, Copy)]
-enum MeasureRef<'a> {
-    Metric(ClosenessMetric),
-    Custom(&'a dyn Closeness),
-}
-
 /// Builder-style entry point for CRAM — the one way to run it.
 ///
-/// Covers everything the former `cram` / `cram_units` /
-/// `cram_units_custom` trio did: a paper metric ([`CramBuilder::new`])
-/// or a custom [`Closeness`] measure ([`CramBuilder::custom`]), the
-/// O2/O3 optimization toggles, and the parallel closest-pair search
-/// ([`CramBuilder::threads`]).
+/// Sets what the paper ablates: the closeness metric
+/// ([`CramBuilder::new`]), the O2/O3 optimization toggles, and the
+/// parallel closest-pair search ([`CramBuilder::threads`]). Every
+/// metric evaluates through the pool's [`ArenaKernel`] (one batch
+/// popcount pass + scalar arithmetic).
 ///
 /// ```
 /// use greenps_core::cram::CramBuilder;
@@ -440,8 +428,8 @@ enum MeasureRef<'a> {
 /// assert_eq!(stats.initial_gifs, 0);
 /// # Ok::<(), greenps_core::model::AllocError>(())
 /// ```
-pub struct CramBuilder<'a> {
-    measure: MeasureRef<'a>,
+pub struct CramBuilder {
+    metric: ClosenessMetric,
     one_to_many: bool,
     poset_pruning: bool,
     threads: usize,
@@ -452,10 +440,12 @@ pub struct CramBuilder<'a> {
     cancel: CancelToken,
 }
 
-impl<'a> CramBuilder<'a> {
-    fn with_measure(measure: MeasureRef<'a>) -> Self {
+impl CramBuilder {
+    /// CRAM with a paper metric, all optimizations on, sequential
+    /// search.
+    pub fn new(metric: ClosenessMetric) -> Self {
         CramBuilder {
-            measure,
+            metric,
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
@@ -463,18 +453,6 @@ impl<'a> CramBuilder<'a> {
             telemetry: Registry::disabled(),
             cancel: CancelToken::never(),
         }
-    }
-
-    /// CRAM with a paper metric, all optimizations on, sequential
-    /// search.
-    pub fn new(metric: ClosenessMetric) -> Self {
-        Self::with_measure(MeasureRef::Metric(metric))
-    }
-
-    /// CRAM with a user-supplied [`Closeness`] measure — the plug-in
-    /// point for custom clustering heuristics.
-    pub fn custom(measure: &'a dyn Closeness) -> Self {
-        Self::with_measure(MeasureRef::Custom(measure))
     }
 
     /// Builder from a [`CramConfig`] (the form the ablation experiments
@@ -515,7 +493,7 @@ impl<'a> CramBuilder<'a> {
     }
 
     /// Toggles optimization 2 (poset search pruning; only effective
-    /// when the measure supports empty-relationship pruning).
+    /// when the metric supports empty-relationship pruning).
     #[must_use]
     pub fn poset_pruning(mut self, on: bool) -> Self {
         self.poset_pruning = on;
@@ -568,7 +546,7 @@ impl<'a> CramBuilder<'a> {
 
     /// Publishes the run's counters and gauges. Pure observation of
     /// already-final values, after the allocation is decided.
-    fn report(&self, engine: &Engine<'_>) {
+    fn report(&self, engine: &Engine) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -603,9 +581,9 @@ impl<'a> CramBuilder<'a> {
     }
 }
 
-struct Engine<'a> {
+struct Engine {
     pool: Pool,
-    measure: MeasureRef<'a>,
+    metric: ClosenessMetric,
     one_to_many: bool,
     poset_pruning: bool,
     /// Worker threads for the sharded partner refresh.
@@ -734,7 +712,7 @@ struct CgsScratch {
 
 /// Finds the closest non-blacklisted partner of `g` against a frozen
 /// snapshot of the pool and pair cache (optimization 2 when the
-/// measure allows). A free function over shared references so
+/// metric allows). A free function over shared references so
 /// [`shard_map_scratch`] workers can run it concurrently; because every
 /// worker sees the same snapshot — never another worker's fresh results
 /// — the outcome is independent of sharding, which is what makes
@@ -743,14 +721,10 @@ struct CgsScratch {
 /// Ties break to the lowest candidate key, matching the sequential
 /// scan order over the `BTreeMap` pool. Computed closenesses and the
 /// evaluation tally accumulate in `scratch` for the caller to merge.
-#[expect(
-    clippy::expect_used,
-    reason = "the walk visits only nodes the poset hands out, and every poset node has a profile"
-)]
 #[allow(clippy::too_many_arguments)]
 fn scan_partner(
     pool: &Pool,
-    measure: MeasureRef<'_>,
+    metric: ClosenessMetric,
     poset_pruning: bool,
     use_tiles: bool,
     blacklist: &BTreeSet<(GifKey, GifKey)>,
@@ -772,17 +746,14 @@ fn scan_partner(
         tile_checks,
         tile_pruned,
     } = scratch;
-    let mut eval = |cand: GifKey, profile: &SubscriptionProfile| -> f64 {
+    let mut eval = |cand: GifKey| -> f64 {
         if let Some(c) = cache.get(g, cand) {
             return c;
         }
         *computations += 1;
-        // Built-in metrics: one batch popcount pass through the
-        // kernel, then scalar arithmetic.
-        let c = match measure {
-            MeasureRef::Metric(m) => m.from_cardinalities(pool.kernel.pair_cardinalities(g, cand)),
-            MeasureRef::Custom(m) => m.closeness(g_profile, profile),
-        };
+        // One batch popcount pass through the kernel, then scalar
+        // arithmetic.
+        let c = metric.from_cardinalities(pool.kernel.pair_cardinalities(g, cand));
         computed.push((g, cand, c));
         c
     };
@@ -800,12 +771,7 @@ fn scan_partner(
         }
     };
 
-    let prune = poset_pruning
-        && match measure {
-            MeasureRef::Metric(m) => m.supports_empty_pruning(),
-            MeasureRef::Custom(m) => m.supports_empty_pruning(),
-        };
-    if prune {
+    if poset_pruning && metric.supports_empty_pruning() {
         // BFS from the roots; prune empty subtrees and stop
         // descending once closeness decreases.
         frontier.clear();
@@ -842,8 +808,7 @@ fn scan_partner(
                     continue;
                 }
             }
-            let n_profile = pool.poset.profile(n).expect("poset node");
-            let c = eval(n, n_profile);
+            let c = eval(n);
             if c == 0.0 {
                 continue; // empty relationship: prune subtree
             }
@@ -853,8 +818,8 @@ fn scan_partner(
             }
         }
     } else {
-        for (&cand, gif) in &pool.gifs {
-            let c = eval(cand, &gif.profile);
+        for &cand in pool.gifs.keys() {
+            let c = eval(cand);
             consider(cand, c);
         }
     }
@@ -862,13 +827,13 @@ fn scan_partner(
     best
 }
 
-impl<'a> Engine<'a> {
+impl Engine {
     /// Initialization (paper §IV-C): allocate without clustering —
     /// abort when even that fails — then group the units into the GIF
     /// pool and mark every GIF stale for the first partner scan. The
     /// baseline seeds `best`, which keeps the fallback guarantee.
     fn new(
-        builder: &CramBuilder<'a>,
+        builder: &CramBuilder,
         input: &AllocationInput,
         units: Vec<Unit>,
     ) -> Result<Self, AllocError> {
@@ -890,7 +855,7 @@ impl<'a> Engine<'a> {
             .collect();
         order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
         Ok(Engine {
-            measure: builder.measure,
+            metric: builder.metric,
             one_to_many: builder.one_to_many,
             poset_pruning: builder.poset_pruning,
             threads: builder.threads,
@@ -988,7 +953,7 @@ impl<'a> Engine<'a> {
         self.pool.tiles.rebuild(&self.pool.gifs);
         let use_tiles = self.use_tiles();
         let pool = &self.pool;
-        let measure = self.measure;
+        let metric = self.metric;
         let pruning = self.poset_pruning;
         let blacklist = &self.blacklist;
         let cache = &self.cache;
@@ -1000,7 +965,7 @@ impl<'a> Engine<'a> {
         let (partners, scratches) =
             shard_map_scratch(&stale, threads, ScanScratch::default, |scratch, &g| {
                 scan_partner(
-                    pool, measure, pruning, use_tiles, blacklist, cache, timer, scratch, g,
+                    pool, metric, pruning, use_tiles, blacklist, cache, timer, scratch, g,
                 )
             });
         for (&g, partner) in stale.iter().zip(partners) {
@@ -1020,16 +985,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whole-tile rejection applies only on the poset-pruned search
-    /// with a built-in metric: a disjoint summary proves member
-    /// closeness is zero because the metrics derive from pair
-    /// cardinalities — a guarantee a custom [`Closeness`] measure's
-    /// `supports_empty_pruning` flag does not extend to profiles it
-    /// never saw.
+    /// Whole-tile rejection applies only on the poset-pruned search: a
+    /// disjoint summary proves member closeness is zero because the
+    /// metrics derive from pair cardinalities.
     fn use_tiles(&self) -> bool {
-        self.poset_pruning
-            && self.pool.tiles.enabled()
-            && matches!(self.measure, MeasureRef::Metric(m) if m.supports_empty_pruning())
+        self.poset_pruning && self.pool.tiles.enabled() && self.metric.supports_empty_pruning()
     }
 
     /// Sequential single-GIF variant of [`Engine::refresh_partners`],
@@ -1042,7 +1002,7 @@ impl<'a> Engine<'a> {
         let mut scratch = std::mem::take(&mut self.scan_scratch);
         let partner = scan_partner(
             &self.pool,
-            self.measure,
+            self.metric,
             self.poset_pruning,
             use_tiles,
             &self.blacklist,
@@ -1092,14 +1052,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Closeness of two ad-hoc profiles (CGS unions and the like) —
-    /// these never live in the kernel, so built-in metrics take the
-    /// per-profile pass here (same `f64` by construction).
+    /// these never live in the kernel, so they take the per-profile
+    /// pass here (same `f64` by construction).
     fn closeness(&mut self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64 {
         self.stats.closeness_computations += 1;
-        match self.measure {
-            MeasureRef::Metric(m) => m.closeness(a, b),
-            MeasureRef::Custom(m) => m.closeness(a, b),
-        }
+        self.metric.closeness(a, b)
     }
 
     /// Cache-aware closeness between two live GIFs' profiles.
@@ -1108,14 +1065,9 @@ impl<'a> Engine<'a> {
             return c;
         }
         self.stats.closeness_computations += 1;
-        let c = match self.measure {
-            MeasureRef::Metric(m) => {
-                m.from_cardinalities(self.pool.kernel.pair_cardinalities(g, h))
-            }
-            MeasureRef::Custom(m) => {
-                m.closeness(&self.pool.gifs[&g].profile, &self.pool.gifs[&h].profile)
-            }
-        };
+        let c = self
+            .metric
+            .from_cardinalities(self.pool.kernel.pair_cardinalities(g, h));
         self.cache.insert(g, h, c);
         c
     }
@@ -1692,44 +1644,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_closeness_measure_plugs_in() {
-        // A measure that only values exact-equality clustering: CRAM
-        // still terminates and produces a feasible allocation.
-        struct EqualOnly;
-        impl greenps_profile::Closeness for EqualOnly {
-            fn closeness(&self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64 {
-                if a == b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            fn supports_empty_pruning(&self) -> bool {
-                true
-            }
-        }
-        let subs: Vec<SubscriptionEntry> = (0..10)
-            .map(|i| entry(i, &((i % 2) * 30..(i % 2) * 30 + 10).collect::<Vec<_>>()))
-            .collect();
-        let input = AllocationInput {
-            brokers: brokers(10, 100_000.0),
-            subscriptions: subs,
-            publishers: publishers(),
-        };
-        let units = crate::sorting::units_from_input(&input);
-        let (alloc, stats) = CramBuilder::custom(&EqualOnly)
-            .run_units(&input, units)
-            .unwrap();
-        assert_eq!(alloc.sub_count(), 10);
-        assert!(stats.merges > 0, "equal groups merged");
-        // Only equal-profile merges happened: every unit's members share
-        // one profile → per-broker input rate stays at one group's rate.
-        for load in &alloc.loads {
-            assert!(load.in_rate <= 20.0 + 1e-9);
-        }
-    }
-
-    #[test]
     fn blacklisted_pairs_are_not_retried() {
         // Two heavy intersecting groups whose merge cannot fit any
         // broker: CRAM must terminate (blacklist) rather than loop.
@@ -1782,16 +1696,13 @@ mod tests {
 
     /// Builds a ready-to-run [`Engine`] the way `run_units` does, for
     /// tests that need to poke at engine internals.
-    fn engine_for<'a>(
-        input: &'a AllocationInput,
-        metric: &'a dyn greenps_profile::Closeness,
-    ) -> Engine<'a> {
+    fn engine_for(input: &AllocationInput, metric: ClosenessMetric) -> Engine {
         let units = crate::sorting::units_from_input(input);
-        Engine::new(&CramBuilder::custom(metric), input, units).unwrap()
+        Engine::new(&CramBuilder::new(metric), input, units).unwrap()
     }
 
     /// CRAM with an explicit tile width (`0` scans untiled).
-    fn tiled(metric: ClosenessMetric, tile: usize) -> CramBuilder<'static> {
+    fn tiled(metric: ClosenessMetric, tile: usize) -> CramBuilder {
         let mut builder = CramBuilder::new(metric);
         builder.tile = tile;
         builder
@@ -1828,8 +1739,7 @@ mod tests {
             ],
             publishers: publishers(),
         };
-        let metric = ClosenessMetric::Ios;
-        let mut engine = engine_for(&input, &metric);
+        let mut engine = engine_for(&input, ClosenessMetric::Ios);
         engine.cancel.cancel();
         assert!(!engine.run(), "tripped token stops the merge loop");
         assert_eq!(engine.stats.merges, 0, "no merge ran after the trip");
@@ -1849,8 +1759,7 @@ mod tests {
             ],
             publishers: publishers(),
         };
-        let metric = ClosenessMetric::Ios;
-        let mut engine = engine_for(&input, &metric);
+        let mut engine = engine_for(&input, ClosenessMetric::Ios);
         engine.refresh_partners();
         let (g, h, _) = engine.global_best().unwrap();
         assert!(g != h);
@@ -1888,8 +1797,7 @@ mod tests {
             ],
             publishers: publishers(),
         };
-        let metric = ClosenessMetric::Ios;
-        let mut engine = engine_for(&input, &metric);
+        let mut engine = engine_for(&input, ClosenessMetric::Ios);
         engine.refresh_partners();
         let a = engine
             .pool
@@ -1978,7 +1886,7 @@ mod tests {
         };
         let pubs = &input.publishers;
         for metric in ClosenessMetric::ALL {
-            let mut engine = engine_for(&input, &metric);
+            let mut engine = engine_for(&input, metric);
             let (mut equal, mut covering, mut recorded) = (0, 0, 0);
             loop {
                 // Peek at the pair the step will attempt, to classify it.

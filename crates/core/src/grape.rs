@@ -1,5 +1,5 @@
 //! GRAPE — publisher relocation on the constructed overlay (paper §V,
-//! after Phase 3; algorithm from Cheung & Jacobsen's prior work [5]).
+//! after Phase 3; algorithm from Cheung & Jacobsen's prior work \[5\]).
 //!
 //! After the tree is built with publishers at the root, GRAPE moves each
 //! publisher to the broker that minimizes a priority-weighted mix of

@@ -676,32 +676,6 @@ fn best_fit_swap(
     }
 }
 
-/// Convenience: a trivial overlay for a single allocated broker.
-pub fn single_broker_overlay(load: &crate::model::BrokerLoad) -> Overlay {
-    let mut nodes = BTreeMap::new();
-    nodes.insert(
-        load.broker,
-        OverlayNode {
-            broker: load.broker,
-            children: Vec::new(),
-            units: load.units.clone(),
-            profile: load.union_profile.clone(),
-            in_bandwidth: load.in_bandwidth,
-            in_rate: load.in_rate,
-            out_bw_used: load.out_bw_used,
-            route_entries: load.sub_count(),
-        },
-    );
-    Overlay {
-        nodes,
-        root: load.broker,
-        stats: OverlayStats {
-            layers: 1,
-            ..Default::default()
-        },
-    }
-}
-
 /// Used by `LinearFn` in doc headers; re-export for convenience.
 pub use crate::model::LinearFn as MatchingDelay;
 

@@ -1,14 +1,12 @@
 //! The one context every reconfiguration layer receives.
 //!
 //! [`ReconfigContext`] bundles the cross-cutting run parameters —
-//! telemetry registry, deterministic seed, thread budget, cancellation
-//! flag — that used to be threaded through ad-hoc per-function twins.
+//! telemetry registry, thread budget, cancellation flag — that used to
+//! be threaded through ad-hoc per-function twins.
 //! Clones share the cancellation flag and the registry, so a context
 //! can be handed to every phase (and every thread) of a run.
 
 use greenps_telemetry::Registry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -58,36 +56,16 @@ impl CancelToken {
     }
 }
 
-/// Which transport backend the Deploy/Measure phases should run the
-/// broker overlay on.
-///
-/// The reconfiguration algorithms themselves are transport-blind; this
-/// choice only selects how the measurement harness carries broker
-/// messages (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TransportChoice {
-    /// The deterministic discrete-event simulator — bit-identical runs,
-    /// virtual time. The default, and the only backend used by the
-    /// repeatability suites.
-    #[default]
-    Sim,
-    /// Real loopback TCP sockets with one thread per connection:
-    /// wall-clock time, actual kernel queues, epoch-fenced sessions.
-    TcpLoopback,
-}
-
-/// Shared per-run context: telemetry, seed, thread budget, cancellation.
+/// Shared per-run context: telemetry, thread budget, cancellation.
 ///
 /// Telemetry is observation only — a run with an enabled registry is
 /// bit-identical to one with [`Registry::disabled`]. The default
-/// context is exactly that: untraced, seed 1, single-threaded.
+/// context is exactly that: untraced and single-threaded.
 #[derive(Debug, Clone)]
 pub struct ReconfigContext {
     registry: Registry,
-    seed: u64,
     threads: usize,
     cancel: CancelToken,
-    transport: TransportChoice,
 }
 
 impl Default for ReconfigContext {
@@ -97,41 +75,19 @@ impl Default for ReconfigContext {
 }
 
 impl ReconfigContext {
-    /// An untraced, single-threaded context with seed 1.
+    /// An untraced, single-threaded context.
     pub fn new() -> Self {
         Self {
             registry: Registry::disabled(),
-            seed: 1,
             threads: 1,
             cancel: CancelToken::new(),
-            transport: TransportChoice::Sim,
         }
-    }
-
-    /// Selects the transport backend for deployment phases (builder
-    /// style). Pure simulation phases ignore it.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportChoice) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// The transport backend deployment phases should use.
-    pub fn transport(&self) -> TransportChoice {
-        self.transport
     }
 
     /// Replaces the telemetry registry (builder style).
     #[must_use]
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.registry = registry.clone();
-        self
-    }
-
-    /// Replaces the deterministic seed (builder style).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -147,20 +103,9 @@ impl ReconfigContext {
         &self.registry
     }
 
-    /// The deterministic seed for placements and shuffles.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The worker-thread budget for parallel stages (at least 1).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// A fresh RNG seeded from [`ReconfigContext::seed`]; every call
-    /// returns an identical stream.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed)
     }
 
     /// Requests cancellation: the next poll point stops the run.
@@ -199,39 +144,21 @@ impl ReconfigContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn defaults() {
         let ctx = ReconfigContext::default();
         assert!(!ctx.registry().is_enabled());
-        assert_eq!(ctx.seed(), 1);
         assert_eq!(ctx.threads(), 1);
         assert!(!ctx.is_cancelled());
-        assert_eq!(ctx.transport(), TransportChoice::Sim);
     }
 
     #[test]
-    fn transport_choice_is_a_plain_setting() {
-        let ctx = ReconfigContext::new().with_transport(TransportChoice::TcpLoopback);
-        assert_eq!(ctx.transport(), TransportChoice::TcpLoopback);
-        assert_eq!(ctx.clone().transport(), TransportChoice::TcpLoopback);
-    }
-
-    #[test]
-    fn builders_and_rng_determinism() {
+    fn builders() {
         let reg = Registry::new();
-        let ctx = ReconfigContext::new()
-            .with_registry(&reg)
-            .with_seed(42)
-            .with_threads(0);
+        let ctx = ReconfigContext::new().with_registry(&reg).with_threads(0);
         assert!(ctx.registry().is_enabled());
         assert_eq!(ctx.threads(), 1, "0 clamps to 1");
-        assert_eq!(ctx.rng().next_u64(), ctx.rng().next_u64());
-        assert_ne!(
-            ctx.rng().next_u64(),
-            ctx.clone().with_seed(43).rng().next_u64()
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! interruption mid-loop. This module provides the machinery:
 //!
 //! * [`ReconfigContext`] — the one context every layer takes (telemetry
-//!   registry, seed, thread budget, cancellation flag).
+//!   registry, thread budget, cancellation flag).
 //! * [`Phase`] — a typed pipeline stage whose output is a serializable
 //!   [`Artifact`].
 //! * [`Pipeline`] — the orchestrator: runs phases in order, records a
@@ -25,7 +25,7 @@ mod context;
 mod store;
 
 pub use artifact::{Artifact, ArtifactError};
-pub use context::{CancelToken, ReconfigContext, TransportChoice};
+pub use context::{CancelToken, ReconfigContext};
 pub use store::{CheckpointStore, CHECKPOINT_SCHEMA};
 
 use crate::croc::PlanError;

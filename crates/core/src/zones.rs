@@ -278,11 +278,6 @@ impl<'a> InputZoneFeed<'a> {
             zones: partition(input, plan, cancel)?,
         })
     }
-
-    /// Subscriptions per zone.
-    pub fn zone_sizes(&self) -> Vec<usize> {
-        self.zones.iter().map(Vec::len).collect()
-    }
 }
 
 impl ZoneFeed for InputZoneFeed<'_> {

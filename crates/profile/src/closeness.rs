@@ -19,39 +19,6 @@ use crate::profile::SubscriptionProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A pluggable closeness measure between subscription profiles.
-///
-/// The paper's four metrics implement this via [`ClosenessMetric`];
-/// downstream users can supply their own measure to CRAM
-/// (`greenps_core::cram::CramBuilder::custom`). Higher values indicate
-/// more favourable clustering candidates; a measure that returns `0.0`
-/// exactly for empty relationships should report
-/// [`Closeness::supports_empty_pruning`] so CRAM can prune its poset
-/// search.
-///
-/// The `Sync` bound lets the parallel closeness engine share a measure
-/// across its scoped worker threads; stateless measures (like the four
-/// paper metrics) satisfy it automatically.
-pub trait Closeness: Sync {
-    /// Closeness between two profiles; higher is more favourable.
-    fn closeness(&self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64;
-
-    /// True when the measure is zero exactly for empty relationships.
-    fn supports_empty_pruning(&self) -> bool {
-        false
-    }
-}
-
-impl Closeness for ClosenessMetric {
-    fn closeness(&self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64 {
-        ClosenessMetric::closeness(*self, a, b)
-    }
-
-    fn supports_empty_pruning(&self) -> bool {
-        ClosenessMetric::supports_empty_pruning(*self)
-    }
-}
-
 /// Cap applied to the XOR metric when `|S1 ⊕ S2| = 0` (identical sets),
 /// standing in for "division by zero handled with a capped maximum".
 pub const XOR_CAP: f64 = 1e9;
@@ -284,28 +251,6 @@ mod tests {
         }
         // identical empties under XOR hit the cap (xor = 0)
         assert_eq!(ClosenessMetric::Xor.closeness(&e, &e), XOR_CAP);
-    }
-
-    #[test]
-    fn trait_object_dispatch() {
-        let a = profile(32, 0, 10);
-        let b = profile(32, 5, 10);
-        let dyn_metric: &dyn Closeness = &ClosenessMetric::Ios;
-        assert_eq!(
-            dyn_metric.closeness(&a, &b),
-            ClosenessMetric::Ios.closeness(&a, &b)
-        );
-        assert!(dyn_metric.supports_empty_pruning());
-
-        /// A custom measure: plain union cardinality.
-        struct UnionSize;
-        impl Closeness for UnionSize {
-            fn closeness(&self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64 {
-                a.union_count(b) as f64
-            }
-        }
-        assert_eq!(UnionSize.closeness(&a, &b), 15.0);
-        assert!(!UnionSize.supports_empty_pruning());
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod profile;
 
 pub use arena::{BitsetArena, RowId};
 pub use bitvec::{PairCardinalities, ShiftingBitVector, DEFAULT_CAPACITY};
-pub use closeness::{Closeness, ClosenessMetric, XOR_CAP};
+pub use closeness::{ClosenessMetric, XOR_CAP};
 pub use kernel::ArenaKernel;
 pub use poset::Poset;
 pub use profile::{

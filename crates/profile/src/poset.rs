@@ -69,11 +69,6 @@ impl<K: Copy + Ord + Eq + Hash> Poset<K> {
         self.nodes.contains_key(&k)
     }
 
-    /// The profile stored at `k`.
-    pub fn profile(&self, k: K) -> Option<&SubscriptionProfile> {
-        self.nodes.get(&k).map(|n| &n.profile)
-    }
-
     /// Keys with no parents (maximal profiles).
     pub fn roots(&self) -> impl Iterator<Item = K> + '_ {
         self.roots.iter().copied()

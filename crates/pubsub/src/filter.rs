@@ -7,9 +7,8 @@
 //! * an **advertisement** filter describes the publications a publisher
 //!   will emit, usually with presence or range predicates.
 //!
-//! Filters support evaluation against publications, plus the *covering*
-//! and *overlap* relations needed by advertisement-based routing and the
-//! poset of Phase 2.
+//! Filters support evaluation against publications, plus the *overlap*
+//! relation needed by advertisement-based routing.
 //!
 //! Every filter also carries a fixed-size summary of its predicates,
 //! kept current by each builder, from which
@@ -188,17 +187,6 @@ impl Filter {
             .all(|p| publication.get(&p.attr).is_some_and(|v| p.eval(v)))
     }
 
-    /// True when every publication matching `other` also matches `self`
-    /// (conservative — only provable coverings return `true`).
-    ///
-    /// A filter covers another when each of its predicates is implied by
-    /// some predicate of the other filter on the same attribute.
-    pub fn covers(&self, other: &Filter) -> bool {
-        self.predicates()
-            .iter()
-            .all(|p1| other.predicates().iter().any(|p2| p1.covers(p2)))
-    }
-
     /// True when some publication can match both filters (conservative —
     /// only provably disjoint pairs return `false`).
     pub fn overlaps(&self, other: &Filter) -> bool {
@@ -250,29 +238,6 @@ impl Filter {
                     }
             })
         })
-    }
-
-    /// Classifies the relationship between two filters from the
-    /// *language* (the classical poset approach the paper contrasts
-    /// with its bit-vector method). Conservative in the covering tests,
-    /// so `Equal`/`Superset`/`Subset` are only reported when provable;
-    /// `Empty` is reported only when the filters provably cannot both
-    /// match a publication.
-    pub fn relationship(&self, other: &Filter) -> FilterRelation {
-        let ab = self.covers(other);
-        let ba = other.covers(self);
-        match (ab, ba) {
-            (true, true) => FilterRelation::Equal,
-            (true, false) => FilterRelation::Superset,
-            (false, true) => FilterRelation::Subset,
-            (false, false) => {
-                if self.overlaps(other) {
-                    FilterRelation::Intersect
-                } else {
-                    FilterRelation::Empty
-                }
-            }
-        }
     }
 
     /// Approximate serialized size in bytes for bandwidth accounting.
@@ -327,23 +292,6 @@ impl fmt::Display for Filter {
         }
         Ok(())
     }
-}
-
-/// How two filters relate, derived from the subscription language (cf.
-/// `greenps_profile`'s bit-vector `Relation`, which the paper uses
-/// instead to stay language-independent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FilterRelation {
-    /// Each filter provably covers the other.
-    Equal,
-    /// `self` provably covers `other`.
-    Superset,
-    /// `other` provably covers `self`.
-    Subset,
-    /// Neither covers the other but they may share matches.
-    Intersect,
-    /// Provably disjoint.
-    Empty,
 }
 
 /// Builds the stock-quote subscription template from the paper:
@@ -419,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_between_templates() {
-        let broad = stock_template("YHOO");
-        let narrow = stock_template("YHOO").and(Predicate::new("low", Op::Lt, 18.0));
-        assert!(broad.covers(&narrow));
-        assert!(!narrow.covers(&broad));
-        assert!(broad.covers(&broad));
-    }
-
-    #[test]
-    fn empty_filter_covers_all() {
-        assert!(Filter::new().covers(&stock_template("YHOO")));
-        assert!(!stock_template("YHOO").covers(&Filter::new()));
-    }
-
-    #[test]
     fn overlap_between_sibling_ranges() {
         let lo = stock_template("YHOO").and(Predicate::new("low", Op::Lt, 20.0));
         let hi = stock_template("YHOO").and(Predicate::new("low", Op::Gt, 10.0));
@@ -457,23 +390,6 @@ mod tests {
         // attribute the advertisement does not declare
         let odd = stock_template("YHOO").and(Predicate::eq("undeclared", 1i64));
         assert!(!odd.intersects_advertisement(&adv));
-    }
-
-    #[test]
-    fn filter_relationship_classification() {
-        use super::FilterRelation;
-        let broad = stock_template("YHOO");
-        let narrow = stock_template("YHOO").and(Predicate::new("low", Op::Lt, 18.0));
-        assert_eq!(broad.relationship(&narrow), FilterRelation::Superset);
-        assert_eq!(narrow.relationship(&broad), FilterRelation::Subset);
-        assert_eq!(broad.relationship(&broad.clone()), FilterRelation::Equal);
-        assert_eq!(
-            stock_template("YHOO").relationship(&stock_template("GOOG")),
-            FilterRelation::Empty
-        );
-        let lo = stock_template("YHOO").and(Predicate::new("low", Op::Lt, 20.0));
-        let hi = stock_template("YHOO").and(Predicate::new("low", Op::Gt, 10.0));
-        assert_eq!(lo.relationship(&hi), FilterRelation::Intersect);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod predicate;
 pub mod routing;
 pub mod value;
 
-pub use filter::{Filter, FilterRelation};
+pub use filter::Filter;
 pub use ids::{AdvId, BrokerId, ClientId, MsgId, SubId};
 pub use matching::{BucketMatcher, CountingMatcher, Matcher, NaiveMatcher};
 pub use message::{Advertisement, Message, Publication, Subscription};

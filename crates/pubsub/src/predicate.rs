@@ -5,9 +5,8 @@
 //! conjunctions of predicates (see [`crate::filter`]).
 //!
 //! Besides evaluation against publication values, predicates support the
-//! *covering* and *overlap* relations that advertisement-based routing
-//! needs: `p.covers(q)` means every value satisfying `q` also satisfies
-//! `p`, and `p.overlaps(q)` means some value satisfies both.
+//! *overlap* relation that advertisement-based routing needs:
+//! `p.overlaps(q)` means some value satisfies both.
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -121,82 +120,11 @@ impl Predicate {
         }
     }
 
-    /// True when every value satisfying `other` also satisfies `self`.
-    ///
-    /// The implementation is conservative: it returns `true` only when
-    /// coverage is provable, which is sound for routing (a missed
-    /// covering only costs an extra routing-table entry, never a missed
-    /// delivery).
-    pub fn covers(&self, other: &Predicate) -> bool {
-        if self.attr != other.attr {
-            return false;
-        }
-        if self.op == Op::Present {
-            return true;
-        }
-        if self == other {
-            return true;
-        }
-        use Op::*;
-        match (self.op, other.op) {
-            (Eq, Eq) => self.value == other.value,
-            // x < a covers x < b when b <= a; x < a covers x <= b when b < a
-            (Lt, Lt) | (Le, Le) | (Le, Lt) => le(&other.value, &self.value),
-            (Lt, Le) => lt(&other.value, &self.value),
-            (Gt, Gt) | (Ge, Ge) | (Ge, Gt) => ge(&other.value, &self.value),
-            (Gt, Ge) => gt(&other.value, &self.value),
-            (Lt, Eq) => lt(&other.value, &self.value),
-            (Le, Eq) => le(&other.value, &self.value),
-            (Gt, Eq) => gt(&other.value, &self.value),
-            (Ge, Eq) => ge(&other.value, &self.value),
-            (Neq, Neq) => self.value == other.value,
-            (Neq, Eq) => self.value.same_domain(&other.value) && self.value != other.value,
-            (Neq, Lt) | (Neq, Gt) => {
-                // x != a covers x < b if a >= b; covers x > b if a <= b
-                match self.op {
-                    _ if other.op == Lt => ge(&self.value, &other.value),
-                    _ => le(&self.value, &other.value),
-                }
-            }
-            (Prefix, Prefix) | (Suffix, Suffix) | (Contains, Contains) => {
-                match (self.value.as_str(), other.value.as_str()) {
-                    (Some(a), Some(b)) => match self.op {
-                        Prefix => b.starts_with(a),
-                        Suffix => b.ends_with(a),
-                        _ => b.contains(a),
-                    },
-                    _ => false,
-                }
-            }
-            (Prefix, Eq) => match (self.value.as_str(), other.value.as_str()) {
-                (Some(a), Some(b)) => b.starts_with(a),
-                _ => false,
-            },
-            (Suffix, Eq) => match (self.value.as_str(), other.value.as_str()) {
-                (Some(a), Some(b)) => b.ends_with(a),
-                _ => false,
-            },
-            (Contains, Eq) => match (self.value.as_str(), other.value.as_str()) {
-                (Some(a), Some(b)) => b.contains(a),
-                _ => false,
-            },
-            (Contains, Prefix) | (Contains, Suffix) => {
-                match (self.value.as_str(), other.value.as_str()) {
-                    // "contains a" covers "prefix b" only if every string with
-                    // prefix b contains a, i.e. a is a substring of b.
-                    (Some(a), Some(b)) => b.contains(a),
-                    _ => false,
-                }
-            }
-            _ => false,
-        }
-    }
-
     /// True when some value can satisfy both predicates.
     ///
-    /// Conservative in the other direction from [`Predicate::covers`]:
-    /// it may report `true` for a disjoint pair (never `false` for an
-    /// overlapping one), which is again the safe direction for routing.
+    /// Conservative: it may report `true` for a disjoint pair (never
+    /// `false` for an overlapping one), which is the safe direction for
+    /// routing.
     pub fn overlaps(&self, other: &Predicate) -> bool {
         if self.attr != other.attr {
             // Different attributes constrain different dimensions; a
@@ -296,49 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn covers_numeric_ranges() {
-        // low < 20 covers low < 10
-        assert!(p("low", Op::Lt, 20.0).covers(&p("low", Op::Lt, 10.0)));
-        assert!(!p("low", Op::Lt, 10.0).covers(&p("low", Op::Lt, 20.0)));
-        // low <= 10 covers low < 10
-        assert!(p("low", Op::Le, 10.0).covers(&p("low", Op::Lt, 10.0)));
-        // low < 10 does NOT cover low <= 10
-        assert!(!p("low", Op::Lt, 10.0).covers(&p("low", Op::Le, 10.0)));
-        // volume > 100 covers volume > 200 and volume = 500
-        assert!(p("v", Op::Gt, 100i64).covers(&p("v", Op::Gt, 200i64)));
-        assert!(p("v", Op::Gt, 100i64).covers(&p("v", Op::Eq, 500i64)));
-        assert!(!p("v", Op::Gt, 100i64).covers(&p("v", Op::Eq, 50i64)));
-    }
-
-    #[test]
-    fn covers_requires_same_attribute() {
-        assert!(!p("high", Op::Lt, 20.0).covers(&p("low", Op::Lt, 10.0)));
-    }
-
-    #[test]
-    fn present_covers_everything_on_attribute() {
-        assert!(Predicate::present("v").covers(&p("v", Op::Gt, 10i64)));
-        assert!(Predicate::present("v").covers(&Predicate::eq("v", "x")));
-        assert!(!Predicate::present("w").covers(&p("v", Op::Gt, 10i64)));
-    }
-
-    #[test]
-    fn covers_string_patterns() {
-        assert!(p("s", Op::Prefix, "YH").covers(&p("s", Op::Prefix, "YHO")));
-        assert!(!p("s", Op::Prefix, "YHO").covers(&p("s", Op::Prefix, "YH")));
-        assert!(p("s", Op::Prefix, "YH").covers(&Predicate::eq("s", "YHOO")));
-        assert!(p("s", Op::Contains, "HO").covers(&Predicate::eq("s", "YHOO")));
-    }
-
-    #[test]
-    fn covers_neq() {
-        assert!(p("s", Op::Neq, "A").covers(&Predicate::eq("s", "B")));
-        assert!(!p("s", Op::Neq, "A").covers(&Predicate::eq("s", "A")));
-        assert!(p("v", Op::Neq, 10i64).covers(&p("v", Op::Lt, 5i64)));
-        assert!(!p("v", Op::Neq, 3i64).covers(&p("v", Op::Lt, 5i64)));
-    }
-
-    #[test]
     fn overlap_numeric() {
         // x < 10 and x > 5 overlap; x < 5 and x > 10 do not
         assert!(p("x", Op::Lt, 10i64).overlaps(&p("x", Op::Gt, 5i64)));
@@ -360,20 +245,6 @@ mod tests {
     #[test]
     fn overlap_different_attributes_is_true() {
         assert!(Predicate::eq("a", 1i64).overlaps(&Predicate::eq("b", 2i64)));
-    }
-
-    #[test]
-    fn covers_implies_overlaps_on_samples() {
-        let cases = [
-            (p("x", Op::Lt, 20i64), p("x", Op::Lt, 10i64)),
-            (p("x", Op::Ge, 5i64), p("x", Op::Gt, 5i64)),
-            (Predicate::present("x"), Predicate::eq("x", 3i64)),
-            (p("s", Op::Prefix, "Y"), Predicate::eq("s", "YHOO")),
-        ];
-        for (a, b) in cases {
-            assert!(a.covers(&b), "{a} should cover {b}");
-            assert!(a.overlaps(&b), "{a} should overlap {b}");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property-based tests of the content-based language: covering and
-//! overlap soundness against sampled publications, matcher agreement,
+//! Property-based tests of the content-based language: overlap
+//! soundness against sampled publications, matcher agreement,
 //! the routing index against the naive matcher (deliveries and send
 //! order), and parser round-trips.
 
@@ -268,23 +268,6 @@ proptest! {
         }
     }
 
-    /// Covering soundness: if `a.covers(b)`, every publication matching
-    /// `b` matches `a`.
-    #[test]
-    fn covers_is_sound(
-        a in arb_filter(),
-        b in arb_filter(),
-        pubs in proptest::collection::vec(arb_publication(), 0..40),
-    ) {
-        if a.covers(&b) {
-            for p in &pubs {
-                if b.matches(p) {
-                    prop_assert!(a.matches(p), "{a} claims to cover {b} but missed {p}");
-                }
-            }
-        }
-    }
-
     /// Overlap soundness: a publication matching both filters implies
     /// `overlaps` returned true (never a false "disjoint").
     #[test]
@@ -299,22 +282,6 @@ proptest! {
                     !(a.matches(p) && b.matches(p)),
                     "{a} and {b} claimed disjoint but {p} matches both"
                 );
-            }
-        }
-    }
-
-    /// Predicate-level covering soundness over raw values.
-    #[test]
-    fn predicate_covers_is_sound(
-        a in arb_predicate(),
-        b in arb_predicate(),
-        values in proptest::collection::vec(arb_value(), 0..40),
-    ) {
-        if a.covers(&b) {
-            for v in &values {
-                if b.eval(v) {
-                    prop_assert!(a.eval(v), "{a} covers {b} but missed value {v}");
-                }
             }
         }
     }

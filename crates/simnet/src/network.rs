@@ -421,11 +421,6 @@ impl<M: Payload + 'static> Network<M> {
         self.inner.now
     }
 
-    /// Number of nodes ever added (dead nodes keep their slots).
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.len()
-    }
-
     /// Number of links currently up.
     pub fn link_count(&self) -> usize {
         self.inner.links.len()

@@ -1,6 +1,6 @@
-//! Deterministic snapshot serializers.
+//! Deterministic snapshot serializer.
 //!
-//! Both exporters walk a [`Snapshot`] — whose collections are all
+//! The exporter walks a [`Snapshot`] — whose collections are all
 //! `BTreeMap`s — so two snapshots with equal contents always serialize
 //! to byte-identical output, with no dependency on hash ordering or
 //! locale. JSON is hand-rolled (the workspace builds offline against
@@ -87,88 +87,6 @@ impl JsonExporter {
 
         out.push_str("\n}\n");
         out
-    }
-}
-
-/// Serializes a [`Snapshot`] as flat CSV with a
-/// `section,name,field,value` header — convenient for spreadsheets and
-/// quick `grep`s over many runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CsvExporter;
-
-impl CsvExporter {
-    /// Renders `snapshot` to a CSV string.
-    pub fn export(snapshot: &Snapshot) -> String {
-        let mut out = String::from("section,name,field,value\n");
-        for (name, v) in &snapshot.counters {
-            push_row(&mut out, "counter", name, "value", &v.to_string());
-        }
-        for (name, v) in &snapshot.gauges {
-            push_row(&mut out, "gauge", name, "value", &v.to_string());
-        }
-        for (name, h) in &snapshot.histograms {
-            push_row(&mut out, "histogram", name, "count", &h.count.to_string());
-            push_row(&mut out, "histogram", name, "sum", &h.sum.to_string());
-            push_row(&mut out, "histogram", name, "min", &h.min.to_string());
-            push_row(&mut out, "histogram", name, "max", &h.max.to_string());
-            for (bound, count) in &h.buckets {
-                push_row(
-                    &mut out,
-                    "histogram",
-                    name,
-                    &format!("le_{bound}"),
-                    &count.to_string(),
-                );
-            }
-        }
-        for (path, stat) in &snapshot.spans {
-            push_row(
-                &mut out,
-                "span",
-                path,
-                "wall_nanos",
-                &stat.wall_nanos.to_string(),
-            );
-            push_row(&mut out, "span", path, "count", &stat.count.to_string());
-        }
-        for (name, ring) in &snapshot.rings {
-            push_row(&mut out, "ring", name, "dropped", &ring.dropped.to_string());
-            for event in &ring.events {
-                push_row(
-                    &mut out,
-                    "event",
-                    name,
-                    &format!("{}:{}", event.seq, event.kind),
-                    &event.detail,
-                );
-            }
-        }
-        out
-    }
-}
-
-fn push_row(out: &mut String, section: &str, name: &str, field: &str, value: &str) {
-    for (i, cell) in [section, name, field, value].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_csv_cell(out, cell);
-    }
-    out.push('\n');
-}
-
-fn push_csv_cell(out: &mut String, cell: &str) {
-    if cell.contains([',', '"', '\n', '\r']) {
-        out.push('"');
-        for ch in cell.chars() {
-            if ch == '"' {
-                out.push('"');
-            }
-            out.push(ch);
-        }
-        out.push('"');
-    } else {
-        out.push_str(cell);
     }
 }
 
@@ -302,23 +220,5 @@ mod tests {
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"spans\": {}"));
         assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = CsvExporter::export(&sample());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("section,name,field,value"));
-        assert!(csv.contains("counter,cram.closeness_computations,value,280000"));
-        assert!(csv.contains("span,phase2.allocation,count,1"));
-        assert!(csv.contains("ring,cram,dropped,0"));
-        assert!(csv.contains("event,cram,1:gif.merge,g1+g2"));
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut out = String::new();
-        push_csv_cell(&mut out, "a,b\"c");
-        assert_eq!(out, "\"a,b\"\"c\"");
     }
 }

@@ -19,8 +19,8 @@
 //! * [`EventSink`] — bounded, drop-oldest structured event rings for
 //!   trace events (GIF merges, pair-cache hits, broker queue stalls),
 //!   one ring per component/thread, with an exposed drop counter.
-//! * [`JsonExporter`] / [`CsvExporter`] — deterministic whole-run
-//!   snapshot serialization (`BTreeMap` ordering throughout).
+//! * [`JsonExporter`] — deterministic whole-run snapshot serialization
+//!   (`BTreeMap` ordering throughout).
 //!
 //! ## Zero cost when disabled
 //!
@@ -85,7 +85,7 @@ pub mod registry;
 pub mod ring;
 pub mod span;
 
-pub use export::{CsvExporter, JsonExporter};
+pub use export::JsonExporter;
 pub use local::{BucketHistogram, Summary};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
 pub use registry::{Registry, Snapshot};

@@ -172,7 +172,7 @@ impl Registry {
 /// A point-in-time view of a whole registry, ready for export.
 ///
 /// Every collection is a `BTreeMap`, so iteration — and therefore the
-/// JSON/CSV output built from it — is deterministically ordered.
+/// JSON output built from it — is deterministically ordered.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.

@@ -93,7 +93,7 @@ impl Drop for Span {
     }
 }
 
-/// One node of the folded span tree (see [`span_tree`]).
+/// One node of the folded span tree (see [`crate::Snapshot::span_tree`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanNode {
     /// Stats recorded directly at this path (zero for pure ancestors).

@@ -4,7 +4,7 @@
 //! series (the paper's Yahoo! Finance substitute), the 40%/60%
 //! subscription template workload, the homogeneous / heterogeneous /
 //! SciNet scenarios, the MANUAL and AUTOMATIC baseline topologies, and
-//! the end-to-end runner that deploys, profiles, reconfigures and
+//! the checkpointable pipeline that deploys, profiles, reconfigures and
 //! measures each approach.
 
 #![forbid(unsafe_code)]
@@ -34,15 +34,13 @@
 
 pub mod pipeline;
 pub mod report;
-pub mod runner;
 pub mod scenario;
 pub mod stock;
 pub mod subs;
 pub mod topology;
 pub mod zones;
 
-pub use pipeline::ReconfigPipeline;
-pub use runner::{run_approach, Approach, Outcome, RunConfig};
+pub use pipeline::{Approach, Outcome, ReconfigPipeline, RunConfig};
 pub use scenario::{Scenario, ScenarioBuilder, Topology};
 pub use stock::{symbols, StockSeries};
 pub use topology::{

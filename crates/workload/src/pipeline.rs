@@ -1,27 +1,25 @@
 //! The workload half of the reconfiguration pipeline: Gather, Deploy
 //! and Measure phases over a [`Scenario`], composed with the core
 //! Allocate/BuildOverlay phases into one checkpointable
-//! [`ReconfigPipeline`].
+//! [`ReconfigPipeline`] — deploy MANUAL, profile, gather, plan with an
+//! [`Approach`], redeploy, measure: the run behind every figure in the
+//! evaluation.
 //!
 //! Every phase output is a serializable [`Artifact`], so an interrupted
 //! run exports its [`CheckpointStore`] as JSON and a later process
 //! resumes bit-identically from the last completed phase (see
 //! DESIGN.md §11).
 
-use crate::runner::{Approach, Outcome, RunConfig};
 use crate::scenario::Scenario;
-use crate::topology::{
-    automatic, deploy, from_allocation, from_plan, manual, net_scenario, Placement,
-};
-use greenps_broker::{
-    BrokerConfig, Deployment, NetDeployError, NetDeployment, RunMetrics, TopologySpec,
-};
-use greenps_core::cram::CramBuilder;
+use crate::topology::{automatic, deploy, from_allocation, from_plan, manual, Placement};
+use greenps_broker::{BrokerConfig, Deployment, RunMetrics, TopologySpec};
+use greenps_core::cram::{CramBuilder, CramStats};
 use greenps_core::croc::{
     AllocatePhase, BuildOverlayPhase, PlanConfig, PlannedAllocation, ReconfigurationPlan,
 };
 use greenps_core::grape::{place_publishers, GrapeConfig, InterestTree};
 use greenps_core::model::{AllocError, AllocationInput};
+use greenps_core::overlay::OverlayStats;
 use greenps_core::pairwise::{pairwise_k, pairwise_n};
 use greenps_core::pipeline::artifact::{
     self, arr_field, f64_field, ids_from_json, ids_to_json, linear_fn_from_json, linear_fn_to_json,
@@ -30,15 +28,117 @@ use greenps_core::pipeline::artifact::{
 use greenps_core::pipeline::json::JsonValue;
 use greenps_core::pipeline::{
     Artifact, ArtifactError, CheckpointStore, Phase, PhaseKind, Pipeline, PipelineError,
-    ReconfigContext, TransportChoice,
+    ReconfigContext,
 };
-use greenps_net::TcpTransport;
 use greenps_profile::{ClosenessMetric, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_simnet::{LinkSpec, SimDuration};
 use greenps_telemetry::Span;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
+
+// ---------------------------------------------------------------------
+// Runs
+// ---------------------------------------------------------------------
+
+/// The approaches compared in the evaluation (paper §VI).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Approach {
+    /// Baseline: fan-out-2 tree, capacity-aware manual placement.
+    Manual,
+    /// Baseline: random tree, random placement.
+    Automatic,
+    /// Related work: pairwise clustering, K = CRAM-XOR's cluster count.
+    PairwiseK,
+    /// Related work: pairwise clustering, one cluster per broker.
+    PairwiseN,
+    /// Fastest Broker First.
+    Fbf,
+    /// BIN PACKING.
+    BinPacking,
+    /// CRAM with a closeness metric.
+    Cram(ClosenessMetric),
+    /// Publisher relocation only (GRAPE on the MANUAL topology) — the
+    /// §II-B limitation experiment.
+    GrapeOnly,
+}
+
+impl Approach {
+    /// Every approach in the paper's comparison, in presentation order.
+    pub const ALL_PAPER: [Approach; 10] = [
+        Approach::Manual,
+        Approach::Automatic,
+        Approach::PairwiseK,
+        Approach::PairwiseN,
+        Approach::Fbf,
+        Approach::BinPacking,
+        Approach::Cram(ClosenessMetric::Intersect),
+        Approach::Cram(ClosenessMetric::Xor),
+        Approach::Cram(ClosenessMetric::Ios),
+        Approach::Cram(ClosenessMetric::Iou),
+    ];
+
+    /// Human-readable label.
+    pub fn label(&self) -> String {
+        match self {
+            Approach::Manual => "MANUAL".into(),
+            Approach::Automatic => "AUTOMATIC".into(),
+            Approach::PairwiseK => "PAIRWISE-K".into(),
+            Approach::PairwiseN => "PAIRWISE-N".into(),
+            Approach::Fbf => "FBF".into(),
+            Approach::BinPacking => "BINPACKING".into(),
+            Approach::Cram(m) => format!("CRAM-{m}"),
+            Approach::GrapeOnly => "GRAPE-ONLY".into(),
+        }
+    }
+}
+
+/// Timing knobs of one run (simulated durations).
+#[derive(Debug, Clone, Copy)]
+pub struct RunConfig {
+    /// Warm-up before profiling (advertisements/subscriptions settle).
+    pub warmup: SimDuration,
+    /// Profiling window (fills bit vectors).
+    pub profile: SimDuration,
+    /// Measurement window.
+    pub measure: SimDuration,
+    /// Seed for placements and FBF order.
+    pub seed: u64,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        Self {
+            warmup: SimDuration::from_secs(5),
+            profile: SimDuration::from_secs(120),
+            measure: SimDuration::from_secs(120),
+            seed: 1,
+        }
+    }
+}
+
+/// The outcome of running one approach on one scenario.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// Which approach.
+    pub approach: String,
+    /// Scenario label.
+    pub scenario: String,
+    /// Total subscriptions.
+    pub subscriptions: usize,
+    /// Brokers deployed after reconfiguration (pool size for the
+    /// baselines).
+    pub allocated_brokers: usize,
+    /// Measured deployment metrics.
+    pub metrics: RunMetrics,
+    /// Wall-clock time spent computing the allocation + overlay +
+    /// placement (zero for phases replayed from checkpoints).
+    pub plan_time: Duration,
+    /// CRAM counters, when CRAM ran.
+    pub cram_stats: Option<CramStats>,
+    /// Overlay-construction counters, when Phase 3 ran.
+    pub overlay_stats: Option<OverlayStats>,
+}
 
 // ---------------------------------------------------------------------
 // Artifacts
@@ -120,6 +220,9 @@ fn placement_to_json(p: &Placement) -> JsonValue {
         )
 }
 
+/// Decodes a placement and checks that it names each broker once and
+/// every edge end and client home among them, so a corrupt checkpoint
+/// fails here instead of deploying a different overlay.
 fn placement_from_json(value: &JsonValue) -> Result<Placement, ArtifactError> {
     let spec = artifact::field(value, "spec")?;
     let edges = arr_field(spec, "edges")?
@@ -133,7 +236,7 @@ fn placement_from_json(value: &JsonValue) -> Result<Placement, ArtifactError> {
             Ok((ends[0], ends[1]))
         })
         .collect::<Result<Vec<_>, ArtifactError>>()?;
-    Ok(Placement {
+    let placement = Placement {
         spec: TopologySpec {
             brokers: arr_field(spec, "brokers")?
                 .iter()
@@ -144,7 +247,28 @@ fn placement_from_json(value: &JsonValue) -> Result<Placement, ArtifactError> {
         },
         publisher_homes: ids_from_json(arr_field(value, "publisher_homes")?)?,
         subscriber_homes: ids_from_json(arr_field(value, "subscriber_homes")?)?,
-    })
+    };
+    let mut listed = BTreeSet::new();
+    if let Some(b) = placement.spec.brokers.iter().find(|b| !listed.insert(b.id)) {
+        return Err(ArtifactError::new(format!(
+            "placement lists broker {} twice",
+            b.id
+        )));
+    }
+    let unlisted = placement
+        .spec
+        .edges
+        .iter()
+        .flat_map(|&(a, b)| [a, b])
+        .chain(placement.publisher_homes.iter().copied())
+        .chain(placement.subscriber_homes.iter().copied())
+        .find(|id| !listed.contains(id));
+    match unlisted {
+        Some(id) => Err(ArtifactError::new(format!(
+            "placement names unlisted broker {id}"
+        ))),
+        None => Ok(placement),
+    }
 }
 
 /// Phase-1 output: the profiled MANUAL placement plus the gathered
@@ -458,105 +582,15 @@ fn relocate_publishers_only(scenario: &Scenario, gathered: GatherOut) -> Placeme
     placement
 }
 
-/// Final stage: deploy the placement, warm up, and measure; the pool
-/// average is renormalized to the scenario's full broker pool.
-///
-/// The transport backend comes from
-/// [`ReconfigContext::transport`]: the default
-/// [`TransportChoice::Sim`] path runs the discrete-event deployment
-/// bit-identically to every previous release, while
-/// [`TransportChoice::TcpLoopback`] replays a pre-generated slice of
-/// the workload over real loopback sockets via
-/// [`greenps_broker::NetDeployment`].
+/// Final stage: deploy the placement on the simulator, warm up, and
+/// measure; the pool average is renormalized to the scenario's full
+/// broker pool.
 #[derive(Debug)]
 pub struct MeasurePhase<'a> {
     /// The scenario being measured.
     pub scenario: &'a Scenario,
     /// Timing knobs (warmup and measurement windows).
     pub cfg: RunConfig,
-}
-
-/// Cap on materialized publications per publisher for loopback runs:
-/// the stream is generated up front, so a long simulated measurement
-/// window must not translate into an unbounded allocation.
-const TCP_PUBS_CAP: u64 = 200;
-
-impl MeasurePhase<'_> {
-    /// The simulator path — unchanged semantics, virtual time.
-    fn measure_sim(&self, placement: &Placement, ctx: &ReconfigContext) -> RunMetrics {
-        let registry = ctx.registry();
-        let mut d = {
-            let _span = Span::enter(registry, "phase3.deployment");
-            let mut d = deploy(self.scenario, placement);
-            d.set_telemetry(registry);
-            d.run_for(self.cfg.warmup);
-            d
-        };
-        d.measure(self.cfg.measure)
-    }
-
-    /// The loopback path: the measurement window is mapped onto a
-    /// pre-generated publication stream (one publication per publish
-    /// period, capped) and replayed over TCP; wall-clock readings take
-    /// the place of the virtual clock.
-    fn measure_tcp(
-        &self,
-        placement: &Placement,
-        ctx: &ReconfigContext,
-    ) -> Result<RunMetrics, PipelineError> {
-        let period = self.scenario.publish_period.as_micros().max(1);
-        let per_publisher = (self.cfg.measure.as_micros() / period).clamp(1, TCP_PUBS_CAP);
-        let net = net_scenario(self.scenario, placement, per_publisher as usize);
-        let mut transport = TcpTransport::with_telemetry(ctx.registry());
-        let _span = Span::enter(ctx.registry(), "phase3.deployment");
-        let report = NetDeployment::build(&mut transport, &net)
-            .and_then(|d| d.run(&ctx.cancel_token()))
-            .map_err(|e| match e {
-                NetDeployError::Cancelled => PipelineError::Cancelled {
-                    phase: PhaseKind::Measure,
-                },
-                other => PipelineError::Phase {
-                    phase: PhaseKind::Measure,
-                    message: other.to_string(),
-                },
-            })?;
-        Ok(net_run_metrics(&report))
-    }
-}
-
-/// Folds a transport deployment report into the simulator's metric
-/// shape so downstream reporting is backend-agnostic.
-fn net_run_metrics(report: &greenps_broker::NetDeployReport) -> RunMetrics {
-    let secs = report.elapsed.as_secs_f64().max(1e-9);
-    let broker_msg_rates: Vec<(BrokerId, f64)> = report
-        .broker_stats
-        .iter()
-        .map(|(&b, s)| (b, s.matched as f64 / secs))
-        .collect();
-    let total_rate: f64 = broker_msg_rates.iter().map(|(_, r)| r).sum();
-    let active = broker_msg_rates.len().max(1) as f64;
-    let lat_sum: u64 = report.latency_us_by_broker.values().flatten().sum();
-    let lat_n = report
-        .latency_us_by_broker
-        .values()
-        .map(|v| v.len() as u64)
-        .sum::<u64>();
-    RunMetrics {
-        window: SimDuration::from_micros(
-            u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX),
-        ),
-        avg_broker_msg_rate: total_rate / active,
-        avg_active_broker_msg_rate: total_rate / active,
-        broker_msg_rates,
-        total_msgs: report.broker_stats.values().map(|s| s.matched).sum(),
-        deliveries: report.total_delivered(),
-        mean_hops: report.mean_hops.unwrap_or(0.0),
-        mean_delay_s: if lat_n == 0 {
-            0.0
-        } else {
-            lat_sum as f64 / lat_n as f64 / 1e6
-        },
-    }
 }
 
 impl Phase for MeasurePhase<'_> {
@@ -569,10 +603,15 @@ impl Phase for MeasurePhase<'_> {
         placement: PlacementOut,
         ctx: &ReconfigContext,
     ) -> Result<MeasureOut, PipelineError> {
-        let mut m = match ctx.transport() {
-            TransportChoice::Sim => self.measure_sim(&placement.0, ctx),
-            TransportChoice::TcpLoopback => self.measure_tcp(&placement.0, ctx)?,
+        let registry = ctx.registry();
+        let mut d = {
+            let _span = Span::enter(registry, "phase3.deployment");
+            let mut d = deploy(self.scenario, &placement.0);
+            d.set_telemetry(registry);
+            d.run_for(self.cfg.warmup);
+            d
         };
+        let mut m = d.measure(self.cfg.measure);
         m.rescale_to_pool(self.scenario.broker_count());
         Ok(MeasureOut(m))
     }
@@ -830,6 +869,7 @@ impl<'a> ReconfigPipeline<'a> {
 mod tests {
     use super::*;
     use crate::scenario::{ScenarioBuilder, Topology};
+    use greenps_telemetry::Registry;
 
     fn small() -> (Scenario, RunConfig) {
         let mut s = ScenarioBuilder::new(Topology::Homogeneous)
@@ -894,30 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_phase_tcp_loopback_delivers() {
-        let mut s = ScenarioBuilder::new(Topology::Homogeneous)
-            .total_subs(16)
-            .seed(3)
-            .build();
-        s.brokers.truncate(4);
-        let cfg = RunConfig {
-            warmup: SimDuration::from_secs(1),
-            profile: SimDuration::from_secs(1),
-            measure: SimDuration::from_secs(5),
-            seed: 3,
-        };
-        let placement = manual(&s, 3);
-        let ctx = ReconfigContext::new().with_transport(TransportChoice::TcpLoopback);
-        let out = MeasurePhase { scenario: &s, cfg }
-            .run(PlacementOut(placement), &ctx)
-            .expect("tcp measure phase");
-        let m = out.0;
-        assert!(m.deliveries > 0, "loopback overlay carried traffic");
-        assert!(m.window.as_micros() > 0, "wall-clock window recorded");
-        assert!(m.total_msgs > 0);
-    }
-
-    #[test]
     fn deploy_phase_rejects_mismatched_input() {
         let (s, cfg) = small();
         let mut phase = DeployPhase {
@@ -929,5 +945,161 @@ mod tests {
             .run(DeployInput::None, &ReconfigContext::new())
             .expect_err("wrong input kind");
         assert!(err.to_string().contains("reconfiguration-plan"));
+    }
+
+    #[test]
+    fn resume_rejects_a_placement_that_repeats_a_broker() {
+        let (s, cfg) = small();
+        let run = ReconfigPipeline::approach(&s, Approach::Manual, cfg);
+        let ctx = ReconfigContext::new();
+        let json = run
+            .run_until(&ctx, PhaseKind::Deploy)
+            .expect("interrupted run")
+            .to_json();
+        // Repeat the first broker object of the deploy checkpoint.
+        let key = "\"brokers\":[";
+        let list = json.find("\"deploy\"").expect("deploy checkpoint");
+        let first = list + json[list..].find(key).expect("broker list") + key.len();
+        let end = first
+            + json[first..]
+                .find("\"profile_bits\":")
+                .expect("broker fields");
+        let end = end + json[end..].find('}').expect("broker object end") + 1;
+        let broker = &json[first..end];
+        let edited = format!("{}{broker},{}", &json[..first], &json[first..]);
+        let store = CheckpointStore::from_json(&edited).expect("still a valid store");
+        let err = run
+            .resume(&ctx, store)
+            .expect_err("a repeated broker is refused");
+        assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn placement_decode_rejects_unlisted_brokers() {
+        let (s, cfg) = small();
+        let unlisted = BrokerId::new(999);
+        let mut edge = manual(&s, cfg.seed);
+        edge.spec.edges.push((edge.spec.brokers[0].id, unlisted));
+        let mut home = manual(&s, cfg.seed);
+        home.subscriber_homes[0] = unlisted;
+        for placement in [edge, home] {
+            let err = PlacementOut::from_json(&PlacementOut(placement).to_json())
+                .expect_err("an unlisted broker is refused");
+            assert!(err.to_string().contains("unlisted broker"), "{err}");
+        }
+    }
+
+    /// 120 subscriptions over 16 brokers: enough load for every
+    /// approach to allocate differently.
+    fn sixteen_brokers() -> (Scenario, RunConfig) {
+        let mut s = ScenarioBuilder::new(Topology::Homogeneous)
+            .total_subs(120)
+            .seed(7)
+            .build();
+        s.brokers.truncate(16);
+        let cfg = RunConfig {
+            warmup: SimDuration::from_secs(3),
+            profile: SimDuration::from_secs(60),
+            measure: SimDuration::from_secs(60),
+            seed: 7,
+        };
+        (s, cfg)
+    }
+
+    #[test]
+    fn manual_baseline_runs() {
+        let (s, cfg) = sixteen_brokers();
+        let o = ReconfigPipeline::approach(&s, Approach::Manual, cfg)
+            .run(&ReconfigContext::new())
+            .unwrap();
+        assert_eq!(o.approach, "MANUAL");
+        assert_eq!(o.allocated_brokers, 16);
+        assert!(o.metrics.deliveries > 0);
+    }
+
+    #[test]
+    fn cram_reduces_brokers_and_message_rate_vs_manual() {
+        let (s, cfg) = sixteen_brokers();
+        let ctx = ReconfigContext::new();
+        let base = ReconfigPipeline::approach(&s, Approach::Manual, cfg)
+            .run(&ctx)
+            .unwrap();
+        let cram = ReconfigPipeline::approach(&s, Approach::Cram(ClosenessMetric::Ios), cfg)
+            .run(&ctx)
+            .unwrap();
+        assert!(cram.allocated_brokers < base.allocated_brokers);
+        assert!(
+            cram.metrics.avg_broker_msg_rate < base.metrics.avg_broker_msg_rate,
+            "cram {} vs manual {}",
+            cram.metrics.avg_broker_msg_rate,
+            base.metrics.avg_broker_msg_rate
+        );
+        assert!(cram.cram_stats.is_some());
+        // Deliveries are preserved (same workload, same windows; allow
+        // small edge effects).
+        let ratio = cram.metrics.deliveries as f64 / base.metrics.deliveries as f64;
+        assert!((0.8..1.25).contains(&ratio), "delivery ratio {ratio}");
+    }
+
+    #[test]
+    fn bin_packing_and_fbf_run() {
+        let (s, cfg) = sixteen_brokers();
+        let ctx = ReconfigContext::new();
+        let bp = ReconfigPipeline::approach(&s, Approach::BinPacking, cfg)
+            .run(&ctx)
+            .unwrap();
+        let fbf = ReconfigPipeline::approach(&s, Approach::Fbf, cfg)
+            .run(&ctx)
+            .unwrap();
+        assert!(bp.allocated_brokers <= fbf.allocated_brokers);
+        assert!(bp.metrics.deliveries > 0 && fbf.metrics.deliveries > 0);
+    }
+
+    #[test]
+    fn pairwise_baselines_run() {
+        let (s, cfg) = sixteen_brokers();
+        let ctx = ReconfigContext::new();
+        let pk = ReconfigPipeline::approach(&s, Approach::PairwiseK, cfg)
+            .run(&ctx)
+            .unwrap();
+        let pn = ReconfigPipeline::approach(&s, Approach::PairwiseN, cfg)
+            .run(&ctx)
+            .unwrap();
+        assert!(pk.metrics.deliveries > 0);
+        assert!(pn.metrics.deliveries > 0);
+        assert!(pn.allocated_brokers <= 16);
+    }
+
+    #[test]
+    fn telemetry_traces_the_pipeline_without_changing_it() {
+        let (s, cfg) = sixteen_brokers();
+        let registry = Registry::new();
+        let ctx = ReconfigContext::new().with_registry(&registry);
+        let run = ReconfigPipeline::approach(&s, Approach::Manual, cfg);
+        let traced = run.run(&ctx).unwrap();
+        let plain = run.run(&ReconfigContext::new()).unwrap();
+        assert_eq!(
+            traced.metrics.deliveries, plain.metrics.deliveries,
+            "telemetry must not perturb the simulation"
+        );
+        let snap = registry.snapshot();
+        assert!(snap.spans.contains_key("phase3.deployment"));
+        assert!(snap.spans.contains_key("measure.window"));
+        assert!(snap.spans.contains_key("pipeline.phase.deploy"));
+        assert!(snap.spans.contains_key("pipeline.phase.measure"));
+        assert!(
+            snap.counters
+                .get("pipeline.checkpoint.misses")
+                .copied()
+                .unwrap_or(0)
+                > 0
+        );
+        assert!(snap.counters.get("simnet.delivered").copied().unwrap_or(0) > 0);
+    }
+
+    #[test]
+    fn labels() {
+        assert_eq!(Approach::Cram(ClosenessMetric::Iou).label(), "CRAM-IOU");
+        assert_eq!(Approach::ALL_PAPER.len(), 10);
     }
 }

@@ -1,6 +1,6 @@
 //! Plain-text tables and CSV output for experiment results.
 
-use crate::runner::Outcome;
+use crate::pipeline::Outcome;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;

@@ -18,9 +18,7 @@
 //! over its own publishers, so generating a zone never requires
 //! generating any other.
 
-use crate::scenario::{
-    broker, default_matching_delay, stocks_for, FULL_BANDWIDTH, PUBLISH_PERIOD_US,
-};
+use crate::scenario::{broker, stocks_for, FULL_BANDWIDTH, PUBLISH_PERIOD_US};
 use crate::stock::StockSeries;
 use crate::subs::{generate, GeneratedSub};
 use greenps_core::model::{AllocError, BrokerSpec, Unit};
@@ -209,12 +207,6 @@ impl ZoneFeed for ZonedStreamFeed {
         }
         Ok(())
     }
-}
-
-/// The default matching-delay model, re-exported for callers building
-/// broker pools outside a [`crate::Scenario`].
-pub fn zone_broker_delay() -> greenps_core::model::LinearFn {
-    default_matching_delay()
 }
 
 #[cfg(test)]

@@ -4,11 +4,11 @@
 
 use greenps_core::cram::CramBuilder;
 use greenps_core::pairwise::pairwise_n;
-use greenps_core::pipeline::{CancelToken, ReconfigContext};
+use greenps_core::pipeline::{CancelToken, Phase, ReconfigContext};
 use greenps_profile::ClosenessMetric;
 use greenps_simnet::SimDuration;
-use greenps_workload::runner::{profile_and_gather, RunConfig};
-use greenps_workload::{deploy, from_allocation, manual, ScenarioBuilder, Topology};
+use greenps_workload::pipeline::GatherPhase;
+use greenps_workload::{deploy, from_allocation, manual, RunConfig, ScenarioBuilder, Topology};
 
 fn cfg(seed: u64) -> RunConfig {
     RunConfig {
@@ -39,7 +39,13 @@ fn adversarial_scenario_gathers_identical_profiles() {
         .brokers(10)
         .seed(82)
         .build();
-    let (_, input) = profile_and_gather(&scenario, &cfg(82), &ReconfigContext::new());
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg: cfg(82),
+    }
+    .run((), &ReconfigContext::new())
+    .expect("phase 1 gather completed")
+    .input;
     assert_eq!(input.subscriptions.len(), 10);
     // All subscriptions sink the identical publication set: one GIF.
     let (_, stats) = CramBuilder::new(ClosenessMetric::Ios).run(&input).unwrap();
@@ -53,7 +59,13 @@ fn pairwise_allocation_deploys_and_delivers() {
         .seed(83)
         .build();
     scenario.brokers.truncate(10);
-    let (_, input) = profile_and_gather(&scenario, &cfg(83), &ReconfigContext::new());
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg: cfg(83),
+    }
+    .run((), &ReconfigContext::new())
+    .expect("phase 1 gather completed")
+    .input;
     let result = pairwise_n(&input, 83, &CancelToken::never()).unwrap();
     let placement = from_allocation(&scenario, &result.allocation, 83);
     let mut d = deploy(&scenario, &placement);

@@ -7,12 +7,12 @@
 //! ```
 
 use greenps::core::croc::{plan, PlanConfig};
-use greenps::core::pipeline::ReconfigContext;
+use greenps::core::pipeline::{Phase, ReconfigContext};
 use greenps::profile::ClosenessMetric;
 use greenps::simnet::SimDuration;
+use greenps::workload::pipeline::GatherPhase;
 use greenps::workload::report::reduction_pct;
-use greenps::workload::runner::{profile_and_gather, RunConfig};
-use greenps::workload::{deploy, from_plan, manual, ScenarioBuilder, Topology};
+use greenps::workload::{deploy, from_plan, manual, RunConfig, ScenarioBuilder, Topology};
 
 fn main() {
     // A scaled-down homogeneous scenario: 32 brokers, 40 publishers at
@@ -43,7 +43,13 @@ fn main() {
     // Phase 1 (on a fresh deployment), Phases 2–3 + GRAPE.
     println!("profiling and gathering (Phase 1)…");
     let ctx = ReconfigContext::new();
-    let (_, input) = profile_and_gather(&scenario, &cfg, &ctx);
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg,
+    }
+    .run((), &ctx)
+    .expect("phase 1 gather completed")
+    .input;
     println!(
         "gathered {} brokers, {} subscriptions, {} publishers",
         input.brokers.len(),

@@ -10,8 +10,7 @@ use greenps::core::pipeline::ReconfigContext;
 use greenps::profile::ClosenessMetric;
 use greenps::simnet::SimDuration;
 use greenps::workload::report::outcome_table;
-use greenps::workload::runner::{run_approach, Approach, RunConfig};
-use greenps::workload::{ScenarioBuilder, Topology};
+use greenps::workload::{Approach, ReconfigPipeline, RunConfig, ScenarioBuilder, Topology};
 
 fn main() {
     let scenario = ScenarioBuilder::new(Topology::Heterogeneous)
@@ -40,7 +39,9 @@ fn main() {
     .into_iter()
     .map(|a| {
         eprintln!("running {}…", a.label());
-        run_approach(&scenario, a, &cfg, &ctx)
+        ReconfigPipeline::approach(&scenario, a, cfg)
+            .run(&ctx)
+            .expect("approach run completed")
     })
     .collect();
     print!("{}", outcome_table(&outcomes).render());

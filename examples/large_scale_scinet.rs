@@ -13,8 +13,7 @@ use greenps::core::pipeline::ReconfigContext;
 use greenps::profile::ClosenessMetric;
 use greenps::simnet::SimDuration;
 use greenps::workload::report::{outcome_table, reduction_pct};
-use greenps::workload::runner::{run_approach, Approach, RunConfig};
-use greenps::workload::{ScenarioBuilder, Topology};
+use greenps::workload::{Approach, ReconfigPipeline, RunConfig, ScenarioBuilder, Topology};
 
 fn main() {
     // 200 brokers, 36 publishers, 50 subscriptions per publisher.
@@ -37,8 +36,12 @@ fn main() {
         seed: 11,
     };
     let ctx = ReconfigContext::new();
-    let manual = run_approach(&scenario, Approach::Manual, &cfg, &ctx);
-    let cram = run_approach(&scenario, Approach::Cram(ClosenessMetric::Ios), &cfg, &ctx);
+    let manual = ReconfigPipeline::approach(&scenario, Approach::Manual, cfg)
+        .run(&ctx)
+        .expect("MANUAL run completed");
+    let cram = ReconfigPipeline::approach(&scenario, Approach::Cram(ClosenessMetric::Ios), cfg)
+        .run(&ctx)
+        .expect("CRAM run completed");
     print!(
         "{}",
         outcome_table(&[manual.clone(), cram.clone()]).render()

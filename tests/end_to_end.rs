@@ -2,11 +2,13 @@
 //! small simulated cluster, asserting the paper's qualitative results.
 
 use greenps::core::croc::{plan, PlanConfig};
-use greenps::core::pipeline::ReconfigContext;
+use greenps::core::pipeline::{Phase, ReconfigContext};
 use greenps::profile::ClosenessMetric;
 use greenps::simnet::SimDuration;
-use greenps::workload::runner::{profile_and_gather, run_approach, Approach, RunConfig};
-use greenps::workload::{deploy, from_plan, Scenario, ScenarioBuilder, Topology};
+use greenps::workload::pipeline::GatherPhase;
+use greenps::workload::{
+    deploy, from_plan, Approach, ReconfigPipeline, RunConfig, Scenario, ScenarioBuilder, Topology,
+};
 
 fn homogeneous(total_subs: usize, seed: u64) -> Scenario {
     ScenarioBuilder::new(Topology::Homogeneous)
@@ -32,7 +34,13 @@ fn three_phase_pipeline_preserves_traffic_and_reduces_brokers() {
     let ctx = ReconfigContext::new();
 
     // Phase 1 against the MANUAL deployment.
-    let (_, input) = profile_and_gather(&scenario, &cfg, &ctx);
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg,
+    }
+    .run((), &ctx)
+    .expect("phase 1 gather completed")
+    .input;
     assert_eq!(input.brokers.len(), 20);
     assert_eq!(input.subscriptions.len(), 160);
     assert_eq!(input.publishers.len(), 40);
@@ -63,7 +71,9 @@ fn three_phase_pipeline_preserves_traffic_and_reduces_brokers() {
     let after = d.measure(cfg.measure);
     assert!(after.deliveries > 0);
     // Compare against the MANUAL deployment's delivery volume.
-    let manual = run_approach(&scenario, Approach::Manual, &cfg, &ctx);
+    let manual = ReconfigPipeline::approach(&scenario, Approach::Manual, cfg)
+        .run(&ctx)
+        .expect("manual run");
     let ratio = after.deliveries as f64 / manual.metrics.deliveries as f64;
     assert!(
         (0.85..1.18).contains(&ratio),
@@ -78,7 +88,13 @@ fn all_four_metrics_produce_valid_plans() {
     let mut scenario = homogeneous(100, 32);
     scenario.brokers.truncate(16);
     let ctx = ReconfigContext::new();
-    let (_, input) = profile_and_gather(&scenario, &cfg(32), &ctx);
+    let input = GatherPhase {
+        scenario: &scenario,
+        cfg: cfg(32),
+    }
+    .run((), &ctx)
+    .expect("phase 1 gather completed")
+    .input;
     for metric in ClosenessMetric::ALL {
         let plan = plan(&input, &PlanConfig::cram(metric), &ctx).expect("plan");
         plan.overlay.check_tree();
@@ -97,8 +113,12 @@ fn hop_count_improves_or_matches_manual() {
     scenario.brokers.truncate(20);
     let cfg = cfg(33);
     let ctx = ReconfigContext::new();
-    let manual = run_approach(&scenario, Approach::Manual, &cfg, &ctx);
-    let cram = run_approach(&scenario, Approach::Cram(ClosenessMetric::Iou), &cfg, &ctx);
+    let manual = ReconfigPipeline::approach(&scenario, Approach::Manual, cfg)
+        .run(&ctx)
+        .expect("manual run");
+    let cram = ReconfigPipeline::approach(&scenario, Approach::Cram(ClosenessMetric::Iou), cfg)
+        .run(&ctx)
+        .expect("cram run");
     assert!(
         cram.metrics.mean_hops <= manual.metrics.mean_hops + 0.2,
         "cram hops {} vs manual {}",

@@ -14,8 +14,9 @@ use greenps_analysis::telemetry_schema::Schema;
 use greenps_bench::{check_input, ideal_input};
 use greenps_simnet::SimDuration;
 use greenps_telemetry::Registry;
-use greenps_workload::runner::{run_approach, Approach, RunConfig};
-use greenps_workload::{Scenario, ScenarioBuilder, Topology};
+use greenps_workload::{
+    Approach, ReconfigPipeline, RunConfig, Scenario, ScenarioBuilder, Topology,
+};
 
 fn homogeneous(total_subs: usize, seed: u64) -> Scenario {
     ScenarioBuilder::new(Topology::Homogeneous)
@@ -174,12 +175,13 @@ fn traced_run_snapshot_matches_telemetry_schema() {
         measure: SimDuration::from_secs(5),
         seed: 77,
     };
-    let outcome = run_approach(
+    let outcome = ReconfigPipeline::approach(
         &scenario,
         Approach::Cram(greenps::profile::ClosenessMetric::Intersect),
-        &cfg,
-        &ReconfigContext::new().with_registry(&registry),
-    );
+        cfg,
+    )
+    .run(&ReconfigContext::new().with_registry(&registry))
+    .expect("traced run completed");
     assert_eq!(outcome.subscriptions, 60);
 
     let snap = registry.snapshot();

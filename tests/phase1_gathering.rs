@@ -3,10 +3,10 @@
 //! load estimates derived from them track true subscription loads.
 
 use greenps::broker::Deployment;
-use greenps::core::pipeline::ReconfigContext;
+use greenps::core::pipeline::{Phase, ReconfigContext};
 use greenps::simnet::SimDuration;
-use greenps::workload::runner::{profile_and_gather, RunConfig};
-use greenps::workload::{deploy, manual, Scenario, ScenarioBuilder, Topology};
+use greenps::workload::pipeline::GatherPhase;
+use greenps::workload::{deploy, manual, RunConfig, Scenario, ScenarioBuilder, Topology};
 
 fn homogeneous(total_subs: usize, seed: u64) -> Scenario {
     ScenarioBuilder::new(Topology::Homogeneous)
@@ -56,8 +56,12 @@ fn repeated_gathers_are_consistent() {
         seed: 62,
     };
     let ctx = ReconfigContext::new();
-    let (_, a) = profile_and_gather(&scenario, &cfg, &ctx);
-    let (_, b) = profile_and_gather(&scenario, &cfg, &ctx);
+    let mut gather = GatherPhase {
+        scenario: &scenario,
+        cfg,
+    };
+    let a = gather.run((), &ctx).expect("first gather").input;
+    let b = gather.run((), &ctx).expect("second gather").input;
     // Same deterministic simulation → identical gathered state.
     assert_eq!(a.subscriptions.len(), b.subscriptions.len());
     assert_eq!(a.brokers.len(), b.brokers.len());

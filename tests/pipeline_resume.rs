@@ -7,8 +7,9 @@
 use greenps::core::pipeline::{CheckpointStore, PhaseKind, ReconfigContext};
 use greenps::profile::ClosenessMetric;
 use greenps::simnet::SimDuration;
-use greenps::workload::runner::{Approach, Outcome, RunConfig};
-use greenps::workload::{ReconfigPipeline, Scenario, ScenarioBuilder, Topology};
+use greenps::workload::{
+    Approach, Outcome, ReconfigPipeline, RunConfig, Scenario, ScenarioBuilder, Topology,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
