@@ -22,7 +22,6 @@ use greenps_bench::ideal_input;
 use greenps_core::cram::{CramBuilder, CramConfig};
 use greenps_core::croc::{plan, PlanConfig};
 use greenps_core::engine::available_threads;
-use greenps_core::model::AllocationInput;
 use greenps_core::overlay::{build_overlay, AllocatorKind, OverlayConfig};
 use greenps_core::pipeline::{CheckpointStore, Phase, PhaseKind, ReconfigContext};
 use greenps_core::sorting::{bin_packing, fbf};
@@ -659,7 +658,6 @@ fn e10(opts: &Opts) {
         "bit-vector capacity vs estimation accuracy",
         &t,
     );
-    let _ = AllocationInput::new();
 }
 
 /// `pipeline-smoke`: run CRAM-IOS interrupted after the overlay builds,

@@ -134,9 +134,8 @@ pub const SCALE_SEED: u64 = 11;
 /// every row records it via [`peak_rss_kib`] (note `VmHWM` is a
 /// high-water mark, so rows share the process-lifetime peak so far).
 ///
-/// The key vocabulary of the emitted JSON is declared as `benchkey`
-/// entries in `analysis/telemetry-schema.txt` and checked by
-/// `tests/experiments_smoke.rs` — keep the three in sync.
+/// The key vocabulary of the emitted JSON is pinned by `BENCH_KEYS` in
+/// `tests/experiments_smoke.rs` — keep the two in sync.
 ///
 /// # Panics
 /// Panics when the zoned allocator fails on a generated workload or a

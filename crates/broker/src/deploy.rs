@@ -14,7 +14,7 @@ use greenps_pubsub::ids::{AdvId, BrokerId, ClientId};
 use greenps_pubsub::message::Subscription;
 use greenps_pubsub::Filter;
 use greenps_simnet::{LinkSpec, Network, NodeId, SimDuration};
-use greenps_telemetry::{Registry, Span};
+use greenps_telemetry::{names, Registry, Span};
 use std::collections::BTreeMap;
 
 /// Deployment construction errors.
@@ -216,8 +216,8 @@ impl Deployment {
     /// [`GatherError::Timeout`] when the aggregated BIA does not arrive
     /// within `timeout`.
     pub fn gather(&mut self, timeout: SimDuration) -> Result<Vec<GatheredBroker>, GatherError> {
-        let _span = Span::enter(&self.telemetry, "phase1.gathering");
-        self.telemetry.counter("phase1.bir_rounds").inc();
+        let _span = Span::enter(&self.telemetry, &names::PHASE1_GATHERING);
+        self.telemetry.counter(&names::PHASE1_BIR_ROUNDS).inc();
         let croc = match self.croc {
             Some(c) => c,
             None => {
@@ -268,7 +268,7 @@ impl Deployment {
     /// Resets traffic counters and subscriber statistics, runs for
     /// `window`, and reports deployment-wide metrics.
     pub fn measure(&mut self, window: SimDuration) -> RunMetrics {
-        let _span = Span::enter(&self.telemetry, "measure.window");
+        let _span = Span::enter(&self.telemetry, &names::MEASURE_WINDOW);
         self.net.reset_counters();
         let subscriber_nodes: Vec<NodeId> = self.subscribers.values().copied().collect();
         for &n in &subscriber_nodes {
@@ -323,15 +323,15 @@ impl Deployment {
         }
         for (&id, &node) in &self.brokers {
             let c = self.net.counters(node);
-            let tag = format!("broker.b{}", id.raw());
+            let id = id.raw();
             self.telemetry
-                .gauge(&format!("{tag}.msgs_in"))
+                .gauge(&names::broker_msgs_in(id))
                 .set(c.msgs_in);
             self.telemetry
-                .gauge(&format!("{tag}.msgs_out"))
+                .gauge(&names::broker_msgs_out(id))
                 .set(c.msgs_out);
             self.telemetry
-                .gauge(&format!("{tag}.msg_rate"))
+                .gauge(&names::broker_msg_rate(id))
                 .set_f64(c.msg_rate(window));
         }
         let broker_of: BTreeMap<NodeId, BrokerId> =
@@ -345,7 +345,7 @@ impl Deployment {
             };
             let hist = self
                 .telemetry
-                .histogram(&format!("broker.b{}.delivery_delay_us", b.raw()));
+                .histogram(&names::broker_delivery_delay_us(b.raw()));
             for &d in s.delays() {
                 hist.record(d.as_micros());
             }

@@ -4,9 +4,8 @@
 //! the TCP transport can carry real frames. Nested vocabulary types
 //! (values, filters, profiles) are foreign to this crate, so they are
 //! encoded through free `put_*`/`read_*` helper pairs rather than
-//! trait impls — which also keeps the encode-side call graph fully
-//! resolvable for the hot-path-alloc lint: the publish frame-encode
-//! path allocates nothing beyond the caller's reusable scratch buffer.
+//! trait impls. The publish frame-encode path allocates nothing beyond
+//! the caller's reusable scratch buffer (`tests/alloc_budget.rs`).
 //!
 //! The encoding is byte-stable: every container iterates in a
 //! deterministic order (`Vec` insertion order, `BTreeMap` key order),
@@ -373,10 +372,22 @@ fn put_publisher_profile(out: &mut Vec<u8>, p: &PublisherProfile) {
     put_u64(out, p.last_msg_id.raw());
 }
 
+/// Reads a rate, bandwidth or delay coefficient: finite and
+/// non-negative, since a NaN or infinite capacity would pass every
+/// feasibility test and make a broker unbounded.
+fn read_quantity(r: &mut WireReader<'_>) -> Result<f64, WireError> {
+    let v = r.f64()?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(WireError::BadValue)
+    }
+}
+
 fn read_publisher_profile(r: &mut WireReader<'_>) -> Result<PublisherProfile, WireError> {
     let adv = AdvId::new(r.u64()?);
-    let rate = r.f64()?;
-    let bandwidth = r.f64()?;
+    let rate = read_quantity(r)?;
+    let bandwidth = read_quantity(r)?;
     let last = MsgId::new(r.u64()?);
     Ok(PublisherProfile::new(adv, rate, bandwidth, last))
 }
@@ -394,9 +405,9 @@ fn put_spec(out: &mut Vec<u8>, s: &BrokerSpec) {
 fn read_spec(r: &mut WireReader<'_>) -> Result<BrokerSpec, WireError> {
     let id = BrokerId::new(r.u64()?);
     let url = r.str()?;
-    let base = r.f64()?;
-    let per_sub = r.f64()?;
-    let out_bandwidth = r.f64()?;
+    let base = read_quantity(r)?;
+    let per_sub = read_quantity(r)?;
+    let out_bandwidth = read_quantity(r)?;
     Ok(BrokerSpec::new(
         id,
         url,

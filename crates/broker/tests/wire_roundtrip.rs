@@ -109,7 +109,7 @@ fn arb_gathered() -> impl Strategy<Value = GatheredBroker> {
     (
         0u64..50,
         proptest::sample::select(vec!["", "sim://b0", "tcp://127.0.0.1:7000", "broker-url"]),
-        (-2.0f64..2.0, -2.0f64..2.0, 0.0f64..1e9),
+        (0.0f64..2.0, 0.0f64..2.0, 0.0f64..1e9),
         proptest::collection::vec((0u64..100, arb_filter(), arb_profile()), 0..3),
         proptest::collection::vec((0u64..100, 0.0f64..500.0, 0.0f64..1e6, 0u64..1000), 0..3),
     )
@@ -504,6 +504,49 @@ fn a_frame_with_an_inflated_count_closes_the_session() {
     let mut inflated = sound.clone();
     inflated[17..21].copy_from_slice(&16_000_000u32.to_le_bytes());
     a_bad_frame_closes_the_session(&sound, &inflated);
+}
+
+/// A BIA whose broker spec or publisher profile carries a NaN,
+/// infinite or negative capacity is refused: decoded, it would make
+/// the broker unbounded to every feasibility test.
+#[test]
+fn a_bia_with_a_non_finite_capacity_fails_to_decode() {
+    let bia = |bandwidth: f64, per_sub: f64, rate: f64| {
+        let mut frame = Vec::new();
+        BrokerMsg::Bia {
+            request: 1,
+            infos: vec![GatheredBroker {
+                spec: BrokerSpec::new(
+                    BrokerId::new(0),
+                    "sim://b0",
+                    LinearFn::new(0.5, per_sub),
+                    bandwidth,
+                ),
+                subscriptions: Vec::new(),
+                publishers: vec![PublisherProfile::new(
+                    AdvId::new(1),
+                    rate,
+                    1_000.0,
+                    MsgId::new(9),
+                )],
+            }],
+        }
+        .encode(&mut frame);
+        decode_exact::<BrokerMsg>(&frame)
+    };
+    assert!(bia(120_000.0, 0.01, 10.0).is_ok());
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        for got in [
+            bia(bad, 0.01, 10.0),
+            bia(120_000.0, bad, 10.0),
+            bia(120_000.0, 0.01, bad),
+        ] {
+            assert!(
+                matches!(got, Err(WireError::BadValue)),
+                "{bad} decoded as {got:?}"
+            );
+        }
+    }
 }
 
 /// A peer that claims a profile window of 2^40 bits — 128 GiB of

@@ -630,6 +630,16 @@ mod tests {
         )
     }
 
+    /// `pack_all` polls once per unit.
+    #[test]
+    fn pack_all_polls_the_cancel_token() {
+        let pubs = publishers();
+        let brokers = vec![broker(1, 10_000.0), broker(2, 50_000.0)];
+        let units = (0..4).map(|s| unit(s, &[s], &pubs));
+        let got = pack_all(&brokers, &pubs, units, &CancelToken::tripping_at(1));
+        assert!(matches!(got, Err(AllocError::Cancelled)));
+    }
+
     #[test]
     fn places_on_most_resourceful_first() {
         let pubs = publishers();

@@ -72,7 +72,7 @@ use greenps_profile::{
     DEFAULT_CAPACITY,
 };
 use greenps_pubsub::ids::{AdvId, BrokerId};
-use greenps_telemetry::{EventSink, Histogram, Registry, Span};
+use greenps_telemetry::{names, EventSink, Histogram, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -527,7 +527,7 @@ impl CramBuilder {
         input: &AllocationInput,
         units: Vec<Unit>,
     ) -> Result<(Allocation, CramStats), AllocError> {
-        let span = Span::enter(&self.telemetry, "cram.run");
+        let span = Span::enter(&self.telemetry, &names::CRAM_RUN);
         let mut engine = Engine::new(self, input, units)?;
         if !engine.run() {
             // Cancelled mid-merge: no partial allocation escapes.
@@ -552,18 +552,21 @@ impl CramBuilder {
         }
         let t = &self.telemetry;
         let stats = &engine.stats;
-        t.counter("cram.closeness_computations")
+        t.counter(&names::CRAM_CLOSENESS_COMPUTATIONS)
             .add(stats.closeness_computations);
-        t.counter("cram.iterations").add(stats.iterations as u64);
-        t.counter("cram.merges").add(stats.merges as u64);
-        t.counter("cram.failed_merges")
+        t.counter(&names::CRAM_ITERATIONS)
+            .add(stats.iterations as u64);
+        t.counter(&names::CRAM_MERGES).add(stats.merges as u64);
+        t.counter(&names::CRAM_FAILED_MERGES)
             .add(stats.failed_merges as u64);
-        t.counter("cram.one_to_many_merges")
+        t.counter(&names::CRAM_ONE_TO_MANY_MERGES)
             .add(stats.one_to_many_merges as u64);
-        t.gauge("cram.initial_gifs").set(stats.initial_gifs as u64);
-        t.gauge("cram.final_units").set(stats.final_units as u64);
-        t.counter("cram.tile.checks").add(engine.tile_checks);
-        t.counter("cram.tile.pruned").add(engine.tile_pruned);
+        t.gauge(&names::CRAM_INITIAL_GIFS)
+            .set(stats.initial_gifs as u64);
+        t.gauge(&names::CRAM_FINAL_UNITS)
+            .set(stats.final_units as u64);
+        t.counter(&names::CRAM_TILE_CHECKS).add(engine.tile_checks);
+        t.counter(&names::CRAM_TILE_PRUNED).add(engine.tile_pruned);
         // Pruning effectiveness: share of candidate evaluations the
         // tile summaries eliminated.
         let tile_denom = engine.tile_pruned + stats.closeness_computations;
@@ -572,11 +575,11 @@ impl CramBuilder {
         } else {
             engine.tile_pruned as f64 / tile_denom as f64 * 100.0
         };
-        t.gauge("cram.tile.pruned_pct").set_f64(tile_pct);
+        t.gauge(&names::CRAM_TILE_PRUNED_PCT).set_f64(tile_pct);
         let cache = engine.cache.stats();
-        t.counter("core.pair_cache.hits").add(cache.hits);
-        t.counter("core.pair_cache.misses").add(cache.misses);
-        t.gauge("core.pair_cache.hit_rate_pct")
+        t.counter(&names::PAIR_CACHE_HITS).add(cache.hits);
+        t.counter(&names::PAIR_CACHE_MISSES).add(cache.misses);
+        t.gauge(&names::PAIR_CACHE_HIT_RATE_PCT)
             .set_f64(cache.hit_rate() * 100.0);
     }
 }
@@ -881,11 +884,11 @@ impl Engine {
             pool,
             tile_checks: 0,
             tile_pruned: 0,
-            scan_timer: builder.telemetry.histogram("cram.scan_us"),
+            scan_timer: builder.telemetry.histogram(&names::CRAM_SCAN_US),
             scan_scratch: ScanScratch::default(),
             removed_buf: Vec::new(),
             cgs_scratch: CgsScratch::default(),
-            events: builder.telemetry.ring("cram"),
+            events: builder.telemetry.ring(&names::CRAM_RING),
             cancel: builder.cancel.clone(),
         })
     }
@@ -915,10 +918,11 @@ impl Engine {
         self.stats.iterations += 1;
         let committed = self.attempt(g, h);
         if committed {
-            self.events.emit_with("gif.merge", || format!("g{g}+g{h}"));
+            self.events
+                .emit_with(&names::GIF_MERGE, || format!("g{g}+g{h}"));
         } else {
             self.events
-                .emit_with("pair.blacklist", || format!("g{g}+g{h}"));
+                .emit_with(&names::PAIR_BLACKLIST, || format!("g{g}+g{h}"));
             self.blacklist.insert(pair_key(g, h));
             self.stats.failed_merges += 1;
             self.stale.insert(g);
@@ -1743,6 +1747,20 @@ mod tests {
         engine.cancel.cancel();
         assert!(!engine.run(), "tripped token stops the merge loop");
         assert_eq!(engine.stats.merges, 0, "no merge ran after the trip");
+    }
+
+    /// The pool build polls once per unit: a token that trips on its
+    /// first poll stops it before the first unit is added.
+    #[test]
+    fn pool_build_polls_the_cancel_token() {
+        let input = AllocationInput {
+            brokers: brokers(4, 100_000.0),
+            subscriptions: (0..8).map(|i| entry(i, &[i, i + 1])).collect(),
+            publishers: publishers(),
+        };
+        let units = crate::sorting::units_from_input(&input);
+        let got = Pool::build(units, 0, &CancelToken::tripping_at(1));
+        assert!(matches!(got, Err(AllocError::Cancelled)));
     }
 
     /// Merging a GIF away must drop every cached closeness touching it

@@ -24,7 +24,7 @@ use crate::pipeline::{
 };
 use crate::sorting::{bin_packing_cancellable, fbf_cancellable};
 use greenps_pubsub::ids::{AdvId, BrokerId, SubId};
-use greenps_telemetry::Span;
+use greenps_telemetry::{names, Span};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -243,7 +243,7 @@ pub fn allocate(
         return Err(PlanError::NoSubscriptions);
     }
     let registry = ctx.registry();
-    let _span = Span::enter(registry, "phase2.allocation");
+    let _span = Span::enter(registry, &names::PHASE2_ALLOCATION);
     let mut cram_stats = None;
     let cancel = ctx.cancel_token();
     let allocation = match &config.overlay.allocator {
@@ -280,12 +280,12 @@ pub fn finish_plan(
     let registry = ctx.registry();
     let cancel = ctx.cancel_token();
     let overlay = {
-        let _span = Span::enter(registry, "phase3.overlay");
+        let _span = Span::enter(registry, &names::PHASE3_OVERLAY);
         build_overlay_cancellable(input, &planned.allocation, &config.overlay, &cancel)?
     };
     let subscription_homes = overlay.subscription_homes();
     let publisher_homes = {
-        let _span = Span::enter(registry, "grape");
+        let _span = Span::enter(registry, &names::GRAPE);
         let tree = InterestTree::from_overlay_cancellable(&overlay, &cancel)?;
         place_publishers_cancellable(&tree, &input.publishers, config.grape, &cancel)?
     };

@@ -441,4 +441,46 @@ mod tests {
         assert_eq!(placed[&AdvId::new(1)], BrokerId::new(0));
         assert_eq!(placed[&AdvId::new(2)], BrokerId::new(1));
     }
+
+    /// Building the interest tree polls once per overlay node.
+    #[test]
+    fn interest_tree_build_polls_the_cancel_token() {
+        use crate::model::{AllocationInput, BrokerSpec, LinearFn, SubscriptionEntry};
+        let input = AllocationInput {
+            brokers: (0..2)
+                .map(|i| {
+                    BrokerSpec::new(
+                        BrokerId::new(i),
+                        format!("b{i}"),
+                        LinearFn::new(0.0001, 0.0),
+                        60_000.0,
+                    )
+                })
+                .collect(),
+            subscriptions: vec![SubscriptionEntry::new(
+                greenps_pubsub::ids::SubId::new(0),
+                greenps_pubsub::Filter::new(),
+                profile(1, &[1, 2, 3]),
+            )],
+            publishers: publishers(),
+        };
+        let leaf = crate::sorting::bin_packing(&input).unwrap();
+        let config = crate::overlay::OverlayConfig::new(crate::overlay::AllocatorKind::BinPacking);
+        let overlay = crate::overlay::build_overlay(&input, &leaf, &config).unwrap();
+        let got = InterestTree::from_overlay_cancellable(&overlay, &CancelToken::tripping_at(1));
+        assert!(matches!(got, Err(AllocError::Cancelled)));
+    }
+
+    /// Placement polls once per publisher.
+    #[test]
+    fn placement_polls_the_cancel_token() {
+        let tree = InterestTree::new(vec![(BrokerId::new(0), profile(1, &[1]))], &[]);
+        let got = place_publishers_cancellable(
+            &tree,
+            &publishers(),
+            GrapeConfig::default(),
+            &CancelToken::tripping_at(1),
+        );
+        assert!(matches!(got, Err(AllocError::Cancelled)));
+    }
 }

@@ -731,6 +731,45 @@ mod tests {
         }
     }
 
+    fn cancelled(got: Result<Overlay, OverlayError>) -> bool {
+        matches!(got, Err(OverlayError::Alloc(AllocError::Cancelled)))
+    }
+
+    /// The leaf scan polls once per leaf: with one leaf there is no
+    /// level to build, so only that poll can stop the run.
+    #[test]
+    fn leaf_scan_polls_the_cancel_token() {
+        let mut input = scenario();
+        input.subscriptions.truncate(1);
+        let leaf = bin_packing(&input).unwrap();
+        assert_eq!(leaf.broker_count(), 1);
+        let cfg = OverlayConfig::new(AllocatorKind::BinPacking);
+        let token = CancelToken::tripping_at(1);
+        assert!(cancelled(build_overlay_cancellable(
+            &input, &leaf, &cfg, &token
+        )));
+    }
+
+    /// The level loop polls once per level, also when the pool is
+    /// exhausted and no allocator runs: a token that trips on the poll
+    /// after the leaf scan must not yield a forced-root overlay.
+    #[test]
+    fn level_loop_polls_the_cancel_token() {
+        let mut input = scenario();
+        let leaf = bin_packing(&input).unwrap();
+        assert!(leaf.broker_count() > 1);
+        input
+            .brokers
+            .retain(|b| leaf.loads.iter().any(|l| l.broker == b.id));
+        let cfg = OverlayConfig::new(AllocatorKind::BinPacking);
+        let after_leaves = leaf.loads.len() as u64 + 1;
+        assert!(build_overlay(&input, &leaf, &cfg).is_ok());
+        let token = CancelToken::tripping_at(after_leaves);
+        assert!(cancelled(build_overlay_cancellable(
+            &input, &leaf, &cfg, &token
+        )));
+    }
+
     #[test]
     fn builds_a_tree_over_binpacking_leaves() {
         let input = scenario();

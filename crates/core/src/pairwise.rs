@@ -304,6 +304,53 @@ mod tests {
         }
     }
 
+    fn cancelled<T>(got: Result<T, AllocError>) -> bool {
+        matches!(got, Err(AllocError::Cancelled))
+    }
+
+    /// The equal-profile grouping polls once per unit: ten units of one
+    /// profile make one cluster, so only that loop polls ten times.
+    #[test]
+    fn grouping_polls_the_cancel_token() {
+        let units = units_from_input(&input(1, 10, 4));
+        let token = CancelToken::tripping_at(10);
+        assert!(cancelled(cluster_to_k(units, 1, &token)));
+    }
+
+    /// The partner fold polls once per cluster: with `k` at the cluster
+    /// count no merge runs, so the poll after the grouping is its own.
+    #[test]
+    fn partner_fold_polls_the_cancel_token() {
+        let units = units_from_input(&input(5, 1, 4));
+        let token = CancelToken::tripping_at(5 + 1);
+        assert!(cancelled(cluster_to_k(units, 5, &token)));
+    }
+
+    /// The merge loop polls once per merge.
+    #[test]
+    fn merge_loop_polls_the_cancel_token() {
+        let units = units_from_input(&input(5, 1, 4));
+        let token = CancelToken::tripping_at(5 + 5 + 1);
+        assert!(cancelled(cluster_to_k(units, 1, &token)));
+    }
+
+    /// The assignment polls once per cluster.
+    #[test]
+    fn assignment_polls_the_cancel_token() {
+        let inp = input(3, 2, 4);
+        let units = units_from_input(&inp);
+        let mut rng = StdRng::seed_from_u64(1);
+        let token = CancelToken::tripping_at(1);
+        assert!(cancelled(assign(
+            &inp,
+            units,
+            &inp.publishers,
+            false,
+            &mut rng,
+            &token
+        )));
+    }
+
     #[test]
     fn clusters_to_requested_count() {
         let inp = input(6, 5, 10);

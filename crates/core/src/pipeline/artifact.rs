@@ -117,6 +117,24 @@ pub fn f64_field(value: &JsonValue, key: &str) -> Result<f64, ArtifactError> {
         .ok_or_else(|| ArtifactError::new(format!("field `{key}` is not a float string")))
 }
 
+/// Reads a rate, bandwidth or delay coefficient: an [`f64_field`] that
+/// must be finite and non-negative. A NaN or infinite capacity would
+/// pass every feasibility test and make a broker unbounded.
+///
+/// # Errors
+/// Fails when the field is missing, is not a float, or is NaN,
+/// infinite or negative.
+pub fn quantity_field(value: &JsonValue, key: &str) -> Result<f64, ArtifactError> {
+    let v = f64_field(value, key)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(ArtifactError::new(format!(
+            "field `{key}` is {v}, not a finite non-negative number"
+        )))
+    }
+}
+
 /// Reads a required `bool` field.
 ///
 /// # Errors
@@ -263,8 +281,8 @@ fn publisher_to_json(p: &PublisherProfile) -> JsonValue {
 fn publisher_from_json(value: &JsonValue) -> Result<PublisherProfile, ArtifactError> {
     Ok(PublisherProfile::new(
         AdvId::new(u64_field(value, "adv")?),
-        f64_field(value, "rate")?,
-        f64_field(value, "bandwidth")?,
+        quantity_field(value, "rate")?,
+        quantity_field(value, "bandwidth")?,
         MsgId::new(u64_field(value, "last_msg_id")?),
     ))
 }
@@ -286,8 +304,8 @@ pub fn linear_fn_to_json(l: &LinearFn) -> JsonValue {
 /// Fails on missing or malformed coefficients.
 pub fn linear_fn_from_json(value: &JsonValue) -> Result<LinearFn, ArtifactError> {
     Ok(LinearFn::new(
-        f64_field(value, "base")?,
-        f64_field(value, "per_sub")?,
+        quantity_field(value, "base")?,
+        quantity_field(value, "per_sub")?,
     ))
 }
 
@@ -304,7 +322,7 @@ fn broker_spec_from_json(value: &JsonValue) -> Result<BrokerSpec, ArtifactError>
         BrokerId::new(u64_field(value, "id")?),
         str_field(value, "url")?.to_string(),
         linear_fn_from_json(field(value, "matching_delay")?)?,
-        f64_field(value, "out_bandwidth")?,
+        quantity_field(value, "out_bandwidth")?,
     ))
 }
 

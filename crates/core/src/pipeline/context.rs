@@ -20,10 +20,14 @@ use std::sync::Arc;
 /// wave-granularity stop-latency contract already tolerates. `Relaxed`
 /// keeps the hot-path poll a plain load with no fence, which is what
 /// lets [`CancelToken::is_cancelled_hot`] live inside per-subscription
-/// loops (it is declared allocation-free in `analysis/hot-paths.txt`).
+/// loops (its allocation budget is zero, `tests/alloc_budget.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// Unit tests only: polls left until the token trips itself (see
+    /// `CancelToken::tripping_at`).
+    #[cfg(test)]
+    polls_left: Option<Arc<std::sync::atomic::AtomicU64>>,
 }
 
 impl CancelToken {
@@ -52,7 +56,25 @@ impl CancelToken {
     /// Hot-path poll: a single relaxed load, no fence, no allocation.
     #[inline]
     pub fn is_cancelled_hot(&self) -> bool {
+        #[cfg(test)]
+        if let Some(left) = &self.polls_left {
+            if left.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.cancel();
+            }
+        }
         self.flag.load(Ordering::Relaxed)
+    }
+
+    /// A token that trips itself on its `poll`-th poll (1-based), so a
+    /// test can cancel at any poll site deterministically: a site that
+    /// stops polling moves the trip to a later site, or past the end of
+    /// the run.
+    #[cfg(test)]
+    pub(crate) fn tripping_at(poll: u64) -> Self {
+        Self {
+            flag: Arc::default(),
+            polls_left: Some(Arc::new(std::sync::atomic::AtomicU64::new(poll))),
+        }
     }
 }
 
@@ -127,8 +149,8 @@ impl ReconfigContext {
     }
 
     /// Hot-path alias of [`ReconfigContext::is_cancelled`]: a single
-    /// relaxed load, declared allocation-free in
-    /// `analysis/hot-paths.txt`.
+    /// relaxed load, with an allocation budget of zero
+    /// (`tests/alloc_budget.rs`).
     #[inline]
     pub fn is_cancelled_hot(&self) -> bool {
         self.cancel.is_cancelled_hot()
@@ -184,5 +206,12 @@ mod tests {
         token.cancel();
         assert!(ctx.is_cancelled_hot());
         assert!(!CancelToken::never().is_cancelled_hot());
+    }
+
+    #[test]
+    fn a_tripping_token_trips_on_its_poll() {
+        let token = CancelToken::tripping_at(3);
+        let polls: Vec<bool> = (0..5).map(|_| token.is_cancelled_hot()).collect();
+        assert_eq!(polls, [false, false, true, true, true]);
     }
 }

@@ -29,7 +29,7 @@ pub use context::{CancelToken, ReconfigContext};
 pub use store::{CheckpointStore, CHECKPOINT_SCHEMA};
 
 use crate::croc::PlanError;
-use greenps_telemetry::{Registry, Span};
+use greenps_telemetry::{names, Registry, Span};
 use std::fmt;
 
 /// The five stages of a reconfiguration run, in pipeline order.
@@ -158,16 +158,15 @@ impl From<ArtifactError> for PipelineError {
     }
 }
 
-/// Enters the per-phase span. Names are literal so the telemetry-schema
-/// lint sees every `pipeline.phase.*` registration.
+/// Enters the per-phase span, `pipeline.phase.<kind>`.
 fn phase_span(registry: &Registry, kind: PhaseKind) -> Span {
     match kind {
-        PhaseKind::Gather => Span::enter(registry, "pipeline.phase.gather"),
-        PhaseKind::Allocate => Span::enter(registry, "pipeline.phase.allocate"),
-        PhaseKind::ZonedAllocate => Span::enter(registry, "pipeline.phase.zoned_allocate"),
-        PhaseKind::BuildOverlay => Span::enter(registry, "pipeline.phase.build_overlay"),
-        PhaseKind::Deploy => Span::enter(registry, "pipeline.phase.deploy"),
-        PhaseKind::Measure => Span::enter(registry, "pipeline.phase.measure"),
+        PhaseKind::Gather => Span::enter(registry, &names::PHASE_GATHER),
+        PhaseKind::Allocate => Span::enter(registry, &names::PHASE_ALLOCATE),
+        PhaseKind::ZonedAllocate => Span::enter(registry, &names::PHASE_ZONED_ALLOCATE),
+        PhaseKind::BuildOverlay => Span::enter(registry, &names::PHASE_BUILD_OVERLAY),
+        PhaseKind::Deploy => Span::enter(registry, &names::PHASE_DEPLOY),
+        PhaseKind::Measure => Span::enter(registry, &names::PHASE_MEASURE),
     }
 }
 
@@ -271,16 +270,10 @@ impl Pipeline {
             return Err(PipelineError::Cancelled { phase: kind });
         }
         if let Some(output) = self.store.load::<P::Output>(kind)? {
-            self.ctx
-                .registry()
-                .counter("pipeline.checkpoint.hits")
-                .inc();
+            self.ctx.registry().counter(&names::CHECKPOINT_HITS).inc();
             return Ok(output);
         }
-        self.ctx
-            .registry()
-            .counter("pipeline.checkpoint.misses")
-            .inc();
+        self.ctx.registry().counter(&names::CHECKPOINT_MISSES).inc();
         let span = phase_span(self.ctx.registry(), kind);
         let timing = phase_span(&self.timing, kind);
         let output = phase.run(input, &self.ctx)?;

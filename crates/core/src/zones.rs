@@ -40,7 +40,7 @@ use crate::pipeline::{
 };
 use greenps_profile::{ClosenessMetric, PublisherTable, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, SubId};
-use greenps_telemetry::{Registry, Span};
+use greenps_telemetry::{names, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How subscriptions map to zones.
@@ -156,10 +156,9 @@ pub fn partition(
 /// structure is known the moment the feed finishes — no second pass
 /// over the zone, and nothing outside the zone is ever resident.
 ///
-/// The steady-state [`StreamingGifBuilder::push`] path is
-/// allocation-free (enforced by the hot-path-alloc lint via
-/// `analysis/hot-paths.txt`); only the first unit of a *new* GIF pays
-/// for a profile key clone in `open_group`.
+/// [`StreamingGifBuilder::push`] allocates only to grow the unit
+/// vector, and the first unit of a *new* GIF pays for a profile key
+/// clone in `open_group`.
 #[derive(Debug, Default)]
 pub struct StreamingGifBuilder {
     units: Vec<Unit>,
@@ -512,7 +511,7 @@ pub fn zoned_allocate_resumable(
     resume: Option<ZonedCheckpoint>,
 ) -> Result<ZonedRun, AllocError> {
     let zone_count = feed.zone_count().max(1);
-    registry.gauge("zone.count").set(zone_count as u64);
+    registry.gauge(&names::ZONE_COUNT).set(zone_count as u64);
     // Per-zone runs only consult the broker pool and publisher table;
     // the subscription pool streams through the feed instead.
     let shared = AllocationInput {
@@ -525,14 +524,16 @@ pub fn zoned_allocate_resumable(
 
     // Telemetry for an observed cancellation, fired once per return.
     let observe_cancel = |done: usize| {
-        registry.counter("pipeline.cancel.observed").add(1);
-        registry.ring("zone").emit_with("zone.cancelled", || {
-            format!("{done} of {zone_count} zone(s) checkpointed")
-        });
+        registry.counter(&names::CANCEL_OBSERVED).add(1);
+        registry
+            .ring(&names::ZONE_RING)
+            .emit_with(&names::ZONE_CANCELLED, || {
+                format!("{done} of {zone_count} zone(s) checkpointed")
+            });
     };
 
     let run_zone = |z: u32, gifs: usize, units: Vec<Unit>| {
-        let _span = Span::enter(registry, &format!("zone.cram.z{z}"));
+        let _span = Span::enter(registry, &names::zone_cram(z));
         CramBuilder::from_config(config.cram)
             .cancel_token(cancel)
             .run_units(&shared, units)
@@ -581,7 +582,7 @@ pub fn zoned_allocate_resumable(
                 Err(e) => return Err(e),
             }
             let subs: usize = builder.units().iter().map(Unit::sub_count).sum();
-            registry.histogram("zone.size").record(subs as u64);
+            registry.histogram(&names::ZONE_SIZE).record(subs as u64);
             let (units, gifs) = builder.finish();
             if !single {
                 for u in &units {
@@ -667,7 +668,7 @@ pub fn zoned_allocate_resumable(
     // zone, so the baseline packing stays feasible.
     let roots: Vec<Unit> = zones.iter().flat_map(|z| z.roots.iter().cloned()).collect();
     let cross = {
-        let _span = Span::enter(registry, "zone.cram.cross");
+        let _span = Span::enter(registry, &names::ZONE_CRAM_CROSS);
         CramBuilder::from_config(config.cram)
             .telemetry(registry)
             .cancel_token(cancel)
@@ -685,7 +686,7 @@ pub fn zoned_allocate_resumable(
     };
     sub_zone.sort_unstable();
     let cross_links = count_cross_links(&allocation, &sub_zone);
-    registry.counter("zone.merge.cross_links").add(cross_links);
+    registry.counter(&names::ZONE_CROSS_LINKS).add(cross_links);
     Ok(ZonedRun::Complete(ZonedAllocation {
         allocation,
         zones,
@@ -936,6 +937,121 @@ mod tests {
         assert_eq!(zones.len(), 3);
         assert!(zones[0].contains(&8) && zones[0].contains(&9));
         assert_eq!(zones.iter().map(Vec::len).sum::<usize>(), 10);
+    }
+
+    fn cancelled<T>(got: Result<T, AllocError>) -> bool {
+        matches!(got, Err(AllocError::Cancelled))
+    }
+
+    /// Both partitions poll once per subscription.
+    #[test]
+    fn partitions_poll_the_cancel_token() {
+        let inp = input(10, 4, 2);
+        let affinity = ZonePlan::PublisherAffinity { zones: 2, seed: 1 };
+        let tags = ZonePlan::Tags(BTreeMap::new());
+        for plan in [affinity, tags] {
+            assert!(cancelled(partition(
+                &inp,
+                &plan,
+                &CancelToken::tripping_at(1)
+            )));
+        }
+    }
+
+    /// The input feed polls once per subscription it feeds.
+    #[test]
+    fn input_feed_polls_the_cancel_token() {
+        let inp = input(10, 4, 2);
+        let plan = ZonePlan::PublisherAffinity { zones: 1, seed: 1 };
+        let mut feed = InputZoneFeed::new(&inp, &plan);
+        let mut builder = StreamingGifBuilder::new();
+        let token = CancelToken::tripping_at(1);
+        assert!(cancelled(feed.feed(0, &mut builder, &token)));
+        assert!(builder.is_empty());
+    }
+
+    /// An input feed that counts the zones it is asked for.
+    struct CountingFeed<'a> {
+        inner: InputZoneFeed<'a>,
+        fed: usize,
+    }
+
+    impl ZoneFeed for CountingFeed<'_> {
+        fn zone_count(&self) -> usize {
+            self.inner.zone_count()
+        }
+
+        fn feed(
+            &mut self,
+            zone: usize,
+            builder: &mut StreamingGifBuilder,
+            cancel: &CancelToken,
+        ) -> Result<(), AllocError> {
+            self.fed += 1;
+            self.inner.feed(zone, builder, cancel)
+        }
+    }
+
+    /// A four-zone run, one zone per wave, whose token trips on its
+    /// `poll`-th poll: the zones completed (all four when it never
+    /// trips), the zones fed, and whether the cross pass was entered.
+    fn tripped_run(inp: &AllocationInput, poll: u64) -> (usize, usize, bool) {
+        let registry = Registry::new();
+        let plan = ZonePlan::PublisherAffinity { zones: 4, seed: 3 };
+        let mut feed = CountingFeed {
+            inner: InputZoneFeed::new(inp, &plan),
+            fed: 0,
+        };
+        let got = zoned_allocate_resumable(
+            &mut feed,
+            &inp.brokers,
+            &inp.publishers,
+            &ZonedConfig::with_metric(ClosenessMetric::Intersect),
+            &registry,
+            &CancelToken::tripping_at(poll),
+            None,
+        )
+        .unwrap();
+        let done = match got {
+            ZonedRun::Cancelled(checkpoint) => checkpoint.done.len(),
+            ZonedRun::Complete(_) => 4,
+        };
+        let crossed = registry.snapshot().spans.contains_key("zone.cram.cross");
+        (done, feed.fed, crossed)
+    }
+
+    /// The first poll by which `zones` zones are done; completed zones
+    /// only grow with the poll the token trips on.
+    fn first_poll_with(inp: &AllocationInput, zones: usize) -> u64 {
+        let (mut lo, mut hi) = (1u64, 1u64 << 32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if tripped_run(inp, mid).0 >= zones {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Every wave starts with a poll: a token that trips on the first
+    /// poll after zone 0 completes stops before zone 1 is fed.
+    #[test]
+    fn wave_boundary_polls_the_cancel_token() {
+        let inp = input(60, 12, 4);
+        let poll = first_poll_with(&inp, 1);
+        assert_eq!(tripped_run(&inp, poll), (1, 1, false));
+    }
+
+    /// After its last wave a multi-zone run polls once more: a token
+    /// that trips there stops with every zone checkpointed and the
+    /// cross-zone pass never entered.
+    #[test]
+    fn cross_pass_is_preceded_by_a_poll() {
+        let inp = input(60, 12, 4);
+        let poll = first_poll_with(&inp, 4);
+        assert_eq!(tripped_run(&inp, poll), (4, 4, false));
     }
 
     #[test]

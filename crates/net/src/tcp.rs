@@ -39,6 +39,16 @@
 //! `transport.stale_events_fenced`), so a broker that reconnects never
 //! sees ghosts of its previous session.
 //!
+//! ## Locks
+//!
+//! An endpoint has three locks: the doorbell state, its inbox and its
+//! thread list. They are never nested, and no guard is held across a
+//! doorbell `ring` or a socket call: a socket thread that rings or
+//! reads while holding a lock the driver wants would deadlock the two.
+//! Each is held for a pointer swap, an append or a push; the doorbell's
+//! is released by the condvar while a `poll` waits. The workspace's
+//! locks are `parking_lot`'s, whose guards do not poison.
+//!
 //! ## Shutdown
 //!
 //! [`Endpoint::shutdown`] flushes, shuts every socket down in both
@@ -51,7 +61,7 @@
 use crate::frame::{self, Hello, Reassembler};
 use crate::transport::{Endpoint, EndpointAddr, NetError, NetEvent, NodeName, Transport};
 use crate::wire::{decode_exact, Wire, WireError};
-use greenps_telemetry::{Counter, Registry};
+use greenps_telemetry::{names, Counter, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -354,10 +364,10 @@ impl<M: Wire + Send + 'static> TcpEndpoint<M> {
             bell,
             stop: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
-            reads: registry.counter("transport.reads"),
-            frames_received: registry.counter("transport.frames_received"),
-            bytes_received: registry.counter("transport.bytes_received"),
-            decode_errors: registry.counter("transport.decode_errors"),
+            reads: registry.counter(&names::TRANSPORT_READS),
+            frames_received: registry.counter(&names::TRANSPORT_FRAMES_RECEIVED),
+            bytes_received: registry.counter(&names::TRANSPORT_BYTES_RECEIVED),
+            decode_errors: registry.counter(&names::TRANSPORT_DECODE_ERRORS),
         });
         let accepting = Arc::clone(&shared);
         let me = Hello { node, epoch };
@@ -372,12 +382,12 @@ impl<M: Wire + Send + 'static> TcpEndpoint<M> {
             shared,
             taken: Vec::new(),
             ready: VecDeque::new(),
-            frames_sent: registry.counter("transport.frames_sent"),
-            bytes_sent: registry.counter("transport.bytes_sent"),
-            flushes: registry.counter("transport.flushes"),
-            sessions_opened: registry.counter("transport.sessions_opened"),
-            sessions_closed: registry.counter("transport.sessions_closed"),
-            stale_fenced: registry.counter("transport.stale_events_fenced"),
+            frames_sent: registry.counter(&names::TRANSPORT_FRAMES_SENT),
+            bytes_sent: registry.counter(&names::TRANSPORT_BYTES_SENT),
+            flushes: registry.counter(&names::TRANSPORT_FLUSHES),
+            sessions_opened: registry.counter(&names::TRANSPORT_SESSIONS_OPENED),
+            sessions_closed: registry.counter(&names::TRANSPORT_SESSIONS_CLOSED),
+            stale_fenced: registry.counter(&names::TRANSPORT_STALE_EVENTS_FENCED),
             down: false,
         })
     }

@@ -19,7 +19,7 @@
 
 use crate::metrics::TrafficCounters;
 use crate::time::{SimDuration, SimTime};
-use greenps_telemetry::{Counter, EventSink, Gauge, Histogram, Registry};
+use greenps_telemetry::{names, Counter, EventSink, Gauge, Histogram, Registry};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -58,11 +58,11 @@ impl NetTelemetry {
 
     fn attach(registry: &Registry, stall_threshold: SimDuration) -> Self {
         Self {
-            delivered: registry.counter("simnet.delivered"),
-            dropped: registry.counter("simnet.dropped"),
-            max_queue_wait_us: registry.gauge("simnet.max_queue_wait_us"),
-            delivery_delay_us: registry.histogram("simnet.delivery_delay_us"),
-            events: registry.ring("simnet"),
+            delivered: registry.counter(&names::SIMNET_DELIVERED),
+            dropped: registry.counter(&names::SIMNET_DROPPED),
+            max_queue_wait_us: registry.gauge(&names::SIMNET_MAX_QUEUE_WAIT_US),
+            delivery_delay_us: registry.histogram(&names::SIMNET_DELIVERY_DELAY_US),
+            events: registry.ring(&names::SIMNET_RING),
             stall_threshold,
         }
     }
@@ -222,7 +222,7 @@ impl<M: Payload> Inner<M> {
             self.telemetry.dropped.inc();
             self.telemetry
                 .events
-                .emit_with("msg.drop", || format!("{from}->{to}: link gone"));
+                .emit_with(&names::MSG_DROP, || format!("{from}->{to}: link gone"));
             return;
         };
         let ready = self.now + delay;
@@ -235,7 +235,7 @@ impl<M: Payload> Inner<M> {
             .max_queue_wait_us
             .observe_max(queue_wait.as_micros());
         if queue_wait >= self.telemetry.stall_threshold {
-            self.telemetry.events.emit_with("queue.stall", || {
+            self.telemetry.events.emit_with(&names::QUEUE_STALL, || {
                 format!("{from}: output backlog {queue_wait}")
             });
         }
@@ -512,7 +512,7 @@ impl<M: Payload + 'static> Network<M> {
                 self.inner
                     .telemetry
                     .events
-                    .emit_with("msg.drop", || format!("{node}: node dead"));
+                    .emit_with(&names::MSG_DROP, || format!("{node}: node dead"));
             }
             return;
         }

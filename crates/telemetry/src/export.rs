@@ -168,15 +168,18 @@ fn write_span_children(out: &mut String, indent: usize, node: &SpanNode) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{self, Name};
     use crate::{Registry, Span};
 
     fn sample() -> Snapshot {
         let reg = Registry::new();
-        reg.counter("cram.closeness_computations").add(280_000);
-        reg.gauge("core.pair_cache.hit_rate_pct").set(93);
-        reg.histogram("simnet.delivery_delay_us").record(700);
-        Span::enter(&reg, "phase2.allocation").finish();
-        reg.ring("cram").emit("gif.merge", "g1+g2");
+        reg.counter(&names::CRAM_CLOSENESS_COMPUTATIONS)
+            .add(280_000);
+        reg.gauge(&names::PAIR_CACHE_HIT_RATE_PCT).set(93);
+        reg.histogram(&names::SIMNET_DELIVERY_DELAY_US).record(700);
+        Span::enter(&reg, &names::PHASE2_ALLOCATION).finish();
+        reg.ring(&names::CRAM_RING)
+            .emit_with(&names::GIF_MERGE, || "g1+g2".to_string());
         reg.snapshot()
     }
 
@@ -208,7 +211,8 @@ mod tests {
     #[test]
     fn json_escapes_strings() {
         let reg = Registry::new();
-        reg.ring("r").emit("quote\"kind", "tab\there\nline");
+        reg.ring(&Name::new("r"))
+            .emit_with(&Name::new("quote\"kind"), || "tab\there\nline".to_string());
         let json = JsonExporter::export(&reg.snapshot());
         assert!(json.contains("quote\\\"kind"));
         assert!(json.contains("tab\\there\\nline"));

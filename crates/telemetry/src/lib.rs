@@ -11,16 +11,18 @@
 //! * [`Registry`] — a named collection of [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s. Record paths are single atomic
 //!   operations (`fetch_add`/`fetch_max`): no locks are ever taken while
-//!   recording, so the lock-hygiene lint's hot-path rules stay clean and
-//!   instrumented code can record from any thread.
+//!   recording, so instrumented code can record from any thread.
 //! * [`Span`] — hierarchical phase timers (`Span::enter(&reg,
-//!   "phase1.gathering")`) whose dotted paths nest into a tree with
-//!   wall-time and entry counts in the exported snapshot.
+//!   &names::PHASE1_GATHERING)`) whose dotted paths nest into a tree
+//!   with wall-time and entry counts in the exported snapshot.
 //! * [`EventSink`] — bounded, drop-oldest structured event rings for
 //!   trace events (GIF merges, pair-cache hits, broker queue stalls),
 //!   one ring per component/thread, with an exposed drop counter.
 //! * [`JsonExporter`] — deterministic whole-run snapshot serialization
 //!   (`BTreeMap` ordering throughout).
+//!
+//! Every instrument is named by a [`Name`] from the [`names`] table; a
+//! string literal at a record site does not compile.
 //!
 //! ## Zero cost when disabled
 //!
@@ -35,12 +37,12 @@
 //! ## Example
 //!
 //! ```
-//! use greenps_telemetry::{JsonExporter, Registry, Span};
+//! use greenps_telemetry::{names, JsonExporter, Registry, Span};
 //!
 //! let reg = Registry::new();
-//! let computations = reg.counter("cram.closeness_computations");
+//! let computations = reg.counter(&names::CRAM_CLOSENESS_COMPUTATIONS);
 //! {
-//!     let _span = Span::enter(&reg, "phase2.allocation");
+//!     let _span = Span::enter(&reg, &names::PHASE2_ALLOCATION);
 //!     computations.add(280_000);
 //! }
 //! let snap = reg.snapshot();
@@ -81,6 +83,7 @@
 pub mod export;
 pub mod local;
 pub mod metrics;
+pub mod names;
 pub mod registry;
 pub mod ring;
 pub mod span;
@@ -88,6 +91,7 @@ pub mod span;
 pub use export::JsonExporter;
 pub use local::{BucketHistogram, Summary};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
+pub use names::Name;
 pub use registry::{Registry, Snapshot};
 pub use ring::{Event, EventSink, RingSnapshot, DEFAULT_RING_CAPACITY};
 pub use span::{Span, SpanNode, SpanStat};

@@ -8,6 +8,7 @@
 //! used by every instrumented greenps code path.
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramCore, HistogramSnapshot};
+use crate::names::Name;
 use crate::ring::{EventSink, RingCore, RingSnapshot, DEFAULT_RING_CAPACITY};
 use crate::span::{span_tree, SpanNode, SpanStat, SpanTable};
 use parking_lot::Mutex;
@@ -67,61 +68,55 @@ impl Registry {
     }
 
     /// Gets or creates the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub fn counter(&self, name: &Name) -> Counter {
         Counter(self.inner.as_ref().map(|inner| {
             Arc::clone(
                 inner
                     .counters
                     .lock()
-                    .entry(name.to_string())
+                    .entry(name.as_str().to_string())
                     .or_insert_with(|| Arc::new(AtomicU64::new(0))),
             )
         }))
     }
 
     /// Gets or creates the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge(&self, name: &Name) -> Gauge {
         Gauge(self.inner.as_ref().map(|inner| {
             Arc::clone(
                 inner
                     .gauges
                     .lock()
-                    .entry(name.to_string())
+                    .entry(name.as_str().to_string())
                     .or_insert_with(|| Arc::new(AtomicU64::new(0))),
             )
         }))
     }
 
     /// Gets or creates the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub fn histogram(&self, name: &Name) -> Histogram {
         Histogram(self.inner.as_ref().map(|inner| {
             Arc::clone(
                 inner
                     .histograms
                     .lock()
-                    .entry(name.to_string())
+                    .entry(name.as_str().to_string())
                     .or_insert_with(|| Arc::new(HistogramCore::new())),
             )
         }))
     }
 
-    /// Gets or creates the event ring `name` with the default capacity
-    /// ([`DEFAULT_RING_CAPACITY`]).
-    pub fn ring(&self, name: &str) -> EventSink {
-        self.ring_with_capacity(name, DEFAULT_RING_CAPACITY)
-    }
-
-    /// Gets or creates the event ring `name`. The capacity applies only
-    /// on creation; an existing ring keeps its original bound.
-    pub fn ring_with_capacity(&self, name: &str, capacity: usize) -> EventSink {
+    /// Gets or creates the event ring `name`, bounded at
+    /// [`DEFAULT_RING_CAPACITY`] events.
+    pub fn ring(&self, name: &Name) -> EventSink {
         EventSink {
             core: self.inner.as_ref().map(|inner| {
                 let ring = Arc::clone(
                     inner
                         .rings
                         .lock()
-                        .entry(name.to_string())
-                        .or_insert_with(|| Arc::new(RingCore::new(capacity))),
+                        .entry(name.as_str().to_string())
+                        .or_insert_with(|| Arc::new(RingCore::new(DEFAULT_RING_CAPACITY))),
                 );
                 (ring, Arc::clone(&inner.seq))
             }),
@@ -197,12 +192,15 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::Name;
+
+    const X: Name = Name::new("x");
 
     #[test]
     fn same_name_shares_a_cell() {
         let reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
+        let a = reg.counter(&X);
+        let b = reg.counter(&X);
         a.add(2);
         b.inc();
         assert_eq!(reg.snapshot().counters.get("x"), Some(&3));
@@ -212,23 +210,24 @@ mod tests {
     fn disabled_registry_yields_noop_handles() {
         let reg = Registry::disabled();
         assert!(!reg.is_enabled());
-        let c = reg.counter("x");
+        let c = reg.counter(&X);
         c.inc();
-        let h = reg.histogram("h");
+        let h = reg.histogram(&Name::new("h"));
         h.record(1);
-        let s = reg.ring("r");
-        s.emit("k", "d");
+        let s = reg.ring(&Name::new("r"));
+        s.emit_with(&Name::new("k"), || "d".to_string());
         assert_eq!(reg.snapshot(), Snapshot::default());
     }
 
     #[test]
     fn snapshot_collects_all_sections() {
         let reg = Registry::new();
-        reg.counter("c").inc();
-        reg.gauge("g").set(5);
-        reg.histogram("h").record(100);
-        reg.ring("r").emit("kind", "detail");
-        crate::Span::enter(&reg, "p.q").finish();
+        reg.counter(&Name::new("c")).inc();
+        reg.gauge(&Name::new("g")).set(5);
+        reg.histogram(&Name::new("h")).record(100);
+        reg.ring(&Name::new("r"))
+            .emit_with(&Name::new("kind"), || "detail".to_string());
+        crate::Span::enter(&reg, &Name::new("p.q")).finish();
         let snap = reg.snapshot();
         assert_eq!(snap.counters.get("c"), Some(&1));
         assert_eq!(snap.gauges.get("g"), Some(&5));
@@ -246,7 +245,7 @@ mod tests {
     fn clones_share_state() {
         let reg = Registry::new();
         let clone = reg.clone();
-        clone.counter("shared").add(7);
+        clone.counter(&Name::new("shared")).add(7);
         assert_eq!(reg.snapshot().counters.get("shared"), Some(&7));
     }
 }

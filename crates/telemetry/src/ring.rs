@@ -7,6 +7,7 @@
 //! oldest event is discarded and a drop counter — exported with the
 //! snapshot — records how many were lost.
 
+use crate::names::Name;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,22 +85,15 @@ impl EventSink {
         self.core.is_some()
     }
 
-    /// Emits an event with a pre-built detail string.
-    pub fn emit(&self, kind: &str, detail: impl Into<String>) {
+    /// Emits an event of `kind`, building the detail string only when
+    /// enabled, so disabled telemetry skips the `format!`.
+    pub fn emit_with(&self, kind: &Name, detail: impl FnOnce() -> String) {
         if let Some((ring, seq)) = &self.core {
             ring.push(Event {
                 seq: seq.fetch_add(1, Ordering::Relaxed) + 1,
-                kind: kind.to_string(),
-                detail: detail.into(),
+                kind: kind.as_str().to_string(),
+                detail: detail(),
             });
-        }
-    }
-
-    /// Emits an event, building the detail string only when enabled —
-    /// use this on hot paths so disabled telemetry skips the `format!`.
-    pub fn emit_with(&self, kind: &str, detail: impl FnOnce() -> String) {
-        if self.is_enabled() {
-            self.emit(kind, detail());
         }
     }
 }
@@ -129,8 +123,8 @@ mod tests {
     #[test]
     fn ring_keeps_insertion_order() {
         let s = sink(8);
-        s.emit("a", "1");
-        s.emit_with("b", || "2".to_string());
+        s.emit_with(&Name::new("a"), || "1".to_string());
+        s.emit_with(&Name::new("b"), || "2".to_string());
         let snap = s.core.as_ref().unwrap().0.snapshot();
         assert_eq!(snap.dropped, 0);
         assert_eq!(
@@ -153,9 +147,9 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_and_counts() {
         let s = sink(2);
-        s.emit("k", "1");
-        s.emit("k", "2");
-        s.emit("k", "3");
+        for detail in ["1", "2", "3"] {
+            s.emit_with(&Name::new("k"), || detail.to_string());
+        }
         let snap = s.core.as_ref().unwrap().0.snapshot();
         assert_eq!(snap.dropped, 1);
         let details: Vec<_> = snap.events.iter().map(|e| e.detail.as_str()).collect();
@@ -166,7 +160,7 @@ mod tests {
     fn noop_sink_skips_formatting() {
         let s = EventSink::noop();
         let mut called = false;
-        s.emit_with("k", || {
+        s.emit_with(&Name::new("k"), || {
             called = true;
             String::new()
         });

@@ -11,6 +11,7 @@
 //! registry's span table; entering a span on the hot path costs one
 //! `Instant::now()`. Spans from a disabled registry skip even that.
 
+use crate::names::Name;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,13 +36,14 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts timing `path` (dotted, e.g. `"phase1.gathering"`) against
-    /// `registry`. Returns a no-op span when the registry is disabled.
-    pub fn enter(registry: &crate::Registry, path: &str) -> Span {
+    /// Starts timing `path` (dotted, e.g. [`crate::names::PHASE1_GATHERING`])
+    /// against `registry`. Returns a no-op span when the registry is
+    /// disabled.
+    pub fn enter(registry: &crate::Registry, path: &Name) -> Span {
         Span {
             live: registry
                 .span_table()
-                .map(|table| (table, path.to_string(), Instant::now())),
+                .map(|table| (table, path.as_str().to_string(), Instant::now())),
         }
     }
 
@@ -58,16 +60,6 @@ impl Span {
     /// The dotted path being timed, if enabled.
     pub fn path(&self) -> Option<&str> {
         self.live.as_ref().map(|(_, p, _)| p.as_str())
-    }
-
-    /// Starts a child span `"<self>.<name>"`; timing is independent of
-    /// the parent (children may outlive it).
-    pub fn child(&self, name: &str) -> Span {
-        Span {
-            live: self.live.as_ref().map(|(table, path, _)| {
-                (Arc::clone(table), format!("{path}.{name}"), Instant::now())
-            }),
-        }
     }
 
     /// Ends the span now, recording its wall time. Dropping the span
@@ -125,13 +117,13 @@ mod tests {
     fn span_records_on_drop_and_finish() {
         let reg = crate::Registry::new();
         {
-            let s = Span::enter(&reg, "a.b");
+            let s = Span::enter(&reg, &Name::new("a.b"));
             assert!(s.is_enabled());
             assert_eq!(s.path(), Some("a.b"));
             s.finish();
         }
         {
-            let _s = Span::enter(&reg, "a.b");
+            let _s = Span::enter(&reg, &Name::new("a.b"));
         }
         let snap = reg.snapshot();
         let stat = snap.spans.get("a.b").copied().unwrap_or_default();
@@ -139,26 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn child_extends_path() {
-        let reg = crate::Registry::new();
-        let parent = Span::enter(&reg, "phase2");
-        let child = parent.child("cram");
-        assert_eq!(child.path(), Some("phase2.cram"));
-        child.finish();
-        parent.finish();
-        let snap = reg.snapshot();
-        assert!(snap.spans.contains_key("phase2.cram"));
-    }
-
-    #[test]
     fn disabled_spans_record_nothing() {
         let reg = crate::Registry::disabled();
-        let s = Span::enter(&reg, "x");
+        let s = Span::enter(&reg, &Name::new("x"));
         assert!(!s.is_enabled());
         assert_eq!(s.path(), None);
-        let c = s.child("y");
-        assert!(!c.is_enabled());
-        drop(c);
         drop(s);
         assert!(reg.snapshot().spans.is_empty());
     }

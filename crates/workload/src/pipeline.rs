@@ -23,7 +23,7 @@ use greenps_core::overlay::OverlayStats;
 use greenps_core::pairwise::{pairwise_k, pairwise_n};
 use greenps_core::pipeline::artifact::{
     self, arr_field, f64_field, ids_from_json, ids_to_json, linear_fn_from_json, linear_fn_to_json,
-    str_field, u64_field, usize_field,
+    quantity_field, str_field, u64_field, usize_field,
 };
 use greenps_core::pipeline::json::JsonValue;
 use greenps_core::pipeline::{
@@ -33,7 +33,7 @@ use greenps_core::pipeline::{
 use greenps_profile::{ClosenessMetric, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_simnet::{LinkSpec, SimDuration};
-use greenps_telemetry::Span;
+use greenps_telemetry::{names, Span};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -158,7 +158,7 @@ fn broker_config_from_json(value: &JsonValue) -> Result<BrokerConfig, ArtifactEr
         id: BrokerId::new(u64_field(value, "id")?),
         url: str_field(value, "url")?.to_string(),
         matching_delay: linear_fn_from_json(artifact::field(value, "matching_delay")?)?,
-        out_bandwidth: f64_field(value, "out_bandwidth")?,
+        out_bandwidth: quantity_field(value, "out_bandwidth")?,
         profile_bits: usize_field(value, "profile_bits")?,
     })
 }
@@ -605,7 +605,7 @@ impl Phase for MeasurePhase<'_> {
     ) -> Result<MeasureOut, PipelineError> {
         let registry = ctx.registry();
         let mut d = {
-            let _span = Span::enter(registry, "phase3.deployment");
+            let _span = Span::enter(registry, &names::PHASE3_DEPLOYMENT);
             let mut d = deploy(self.scenario, &placement.0);
             d.set_telemetry(registry);
             d.run_for(self.cfg.warmup);
@@ -972,6 +972,37 @@ mod tests {
             .resume(&ctx, store)
             .expect_err("a repeated broker is refused");
         assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_a_broker_with_a_nan_bandwidth() {
+        let (s, cfg) = small();
+        let run = ReconfigPipeline::approach(&s, Approach::Cram(ClosenessMetric::Ios), cfg);
+        let ctx = ReconfigContext::new();
+        let json = run
+            .run_until(&ctx, PhaseKind::Allocate)
+            .expect("interrupted run")
+            .to_json();
+        // The first broker of each shape in the gathered checkpoint: a
+        // deployment's `BrokerConfig` (with `profile_bits`) and an
+        // allocation input's `BrokerSpec`.
+        let key = "\"out_bandwidth\":\"";
+        let mut shapes = Vec::new();
+        for (url, _) in json.match_indices("\"url\":") {
+            let value = url + json[url..].find(key).expect("its bandwidth") + key.len();
+            let end = value + json[value..].find('"').expect("bandwidth end");
+            let config = json[end..].starts_with("\",\"profile_bits\"");
+            if !shapes.contains(&config) {
+                shapes.push(config);
+                let edited = format!("{}NaN{}", &json[..value], &json[end..]);
+                let store = CheckpointStore::from_json(&edited).expect("still a valid store");
+                let err = run
+                    .resume(&ctx, store)
+                    .expect_err("a NaN bandwidth is refused");
+                assert!(err.to_string().contains("out_bandwidth"), "{err}");
+            }
+        }
+        assert_eq!(shapes.len(), 2, "both broker shapes were edited");
     }
 
     #[test]

@@ -231,6 +231,18 @@ mod tests {
         }
     }
 
+    /// The stream feed polls once per subscription it generates.
+    #[test]
+    fn stream_feed_polls_the_cancel_token() {
+        let mut feed = ZonedStreamFeed::new(spec(), WINDOW);
+        let mut builder = StreamingGifBuilder::new();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let got = feed.feed(0, &mut builder, &cancel);
+        assert!(matches!(got, Err(AllocError::Cancelled)));
+        assert!(builder.is_empty());
+    }
+
     #[test]
     fn zone_sub_counts_are_exact_and_skewed() {
         let s = spec();

@@ -1,7 +1,8 @@
 //! Smoke tests of the experiment harness pieces at tiny scale: every
-//! experiment's computational core runs and produces sane shapes, and
-//! the telemetry the harness emits stays within the declared schema
-//! (`analysis/telemetry-schema.txt`).
+//! experiment's computational core runs and produces sane shapes, the
+//! telemetry the harness emits stays within the declared name table
+//! (`greenps_telemetry::names`), and the scale report emits exactly
+//! its declared keys ([`BENCH_KEYS`]).
 
 use greenps::core::cram::CramBuilder;
 use greenps::core::croc::{plan, PlanConfig};
@@ -10,9 +11,9 @@ use greenps::core::pairwise::{pairwise_k, pairwise_n};
 use greenps::core::pipeline::{CancelToken, ReconfigContext};
 use greenps::core::sorting::{bin_packing, fbf};
 use greenps::profile::ClosenessMetric;
-use greenps_analysis::telemetry_schema::Schema;
 use greenps_bench::{check_input, ideal_input};
 use greenps_simnet::SimDuration;
+use greenps_telemetry::names::{self, Kind};
 use greenps_telemetry::Registry;
 use greenps_workload::{
     Approach, ReconfigPipeline, RunConfig, Scenario, ScenarioBuilder, Topology,
@@ -148,24 +149,26 @@ fn e9_core_overlay_opts_monotone() {
     assert!(all_on.depth() <= all_off.depth() + 1);
 }
 
-fn load_schema() -> Schema {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/analysis/telemetry-schema.txt");
-    let text = std::fs::read_to_string(path).expect("read analysis/telemetry-schema.txt");
-    let schema = Schema::parse("analysis/telemetry-schema.txt", &text);
-    assert!(
-        schema.errors.is_empty(),
-        "schema errors: {:?}",
-        schema.errors
-    );
-    schema
+/// True when `key` is declared in `names::ALL` as a `kind`, with any
+/// decimal id in place of a template's `<id>`.
+fn declared(kind: Kind, key: &str) -> bool {
+    names::ALL
+        .iter()
+        .filter(|e| e.kind == kind)
+        .any(|e| match e.name.split_once("<id>") {
+            None => key == e.name,
+            Some((pre, post)) => key
+                .strip_prefix(pre)
+                .and_then(|rest| rest.strip_suffix(post))
+                .is_some_and(|id| !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit())),
+        })
 }
 
 /// Every instrument name a traced end-to-end run registers — the same
 /// registry contents `experiments --telemetry <path>` exports — must be
-/// declared in `analysis/telemetry-schema.txt`.
+/// declared in `names::ALL` with the kind it was recorded as.
 #[test]
 fn traced_run_snapshot_matches_telemetry_schema() {
-    let schema = load_schema();
     let mut scenario = homogeneous(60, 77);
     scenario.brokers.truncate(10);
     let registry = Registry::new();
@@ -186,18 +189,18 @@ fn traced_run_snapshot_matches_telemetry_schema() {
 
     let snap = registry.snapshot();
     let mut checked = 0usize;
-    for (group, names) in [
-        ("counter", snap.counters.keys().collect::<Vec<_>>()),
-        ("gauge", snap.gauges.keys().collect::<Vec<_>>()),
-        ("histogram", snap.histograms.keys().collect::<Vec<_>>()),
-        ("span", snap.spans.keys().collect::<Vec<_>>()),
-        ("ring", snap.rings.keys().collect::<Vec<_>>()),
+    for (kind, keys) in [
+        (Kind::Counter, snap.counters.keys().collect::<Vec<_>>()),
+        (Kind::Gauge, snap.gauges.keys().collect::<Vec<_>>()),
+        (Kind::Histogram, snap.histograms.keys().collect::<Vec<_>>()),
+        (Kind::Span, snap.spans.keys().collect::<Vec<_>>()),
+        (Kind::Ring, snap.rings.keys().collect::<Vec<_>>()),
     ] {
-        for name in names {
+        for key in keys {
             checked += 1;
             assert!(
-                schema.matches(group, name),
-                "{group} `{name}` is not declared in analysis/telemetry-schema.txt"
+                declared(kind, key),
+                "{kind:?} `{key}` is not declared in names::ALL"
             );
         }
     }
@@ -205,8 +208,8 @@ fn traced_run_snapshot_matches_telemetry_schema() {
         for event in &ring.events {
             checked += 1;
             assert!(
-                schema.matches("event", &event.kind),
-                "ring event kind `{}` is not declared in analysis/telemetry-schema.txt",
+                declared(Kind::Event, &event.kind),
+                "ring event kind `{}` is not declared in names::ALL",
                 event.kind
             );
         }
@@ -231,12 +234,30 @@ fn json_keys(json: &str, keys: &mut std::collections::BTreeSet<String>) {
     }
 }
 
-/// The key vocabulary of `BENCH_scale.json` equals the `benchkey`
-/// declarations of the schema — no undeclared keys, no dead entries.
+/// The key vocabulary of `BENCH_scale.json`, which CI and readers of the
+/// report depend on.
+const BENCH_KEYS: [&str; 15] = [
+    "metric",
+    "quick",
+    "available_parallelism",
+    "runs",
+    "subscriptions",
+    "zones",
+    "brokers",
+    "threads",
+    "effective_threads",
+    "largest_zone",
+    "gifs",
+    "allocated_brokers",
+    "cross_links",
+    "wall_ms",
+    "peak_rss_kib",
+];
+
+/// The key vocabulary of `BENCH_scale.json` equals [`BENCH_KEYS`] — no
+/// undeclared keys, no dead entries.
 #[test]
 fn bench_report_keys_match_telemetry_schema() {
-    let schema = load_schema();
-
     let mut keys = std::collections::BTreeSet::new();
     json_keys(
         &greenps_bench::scale_report_json(&[(600, 4)], 2, true),
@@ -244,22 +265,16 @@ fn bench_report_keys_match_telemetry_schema() {
     );
     assert!(!keys.is_empty(), "no keys parsed out of the bench JSON");
 
-    let declared: std::collections::BTreeSet<String> = schema
-        .entries
-        .iter()
-        .filter(|e| e.kind == "benchkey")
-        .map(|e| e.name.clone())
-        .collect();
     for key in &keys {
         assert!(
-            declared.contains(key),
-            "bench report key `{key}` is not a declared benchkey"
+            BENCH_KEYS.contains(&key.as_str()),
+            "bench report key `{key}` is not in BENCH_KEYS"
         );
     }
-    for key in &declared {
+    for key in BENCH_KEYS {
         assert!(
             keys.contains(key),
-            "benchkey `{key}` is dead: the report no longer emits it"
+            "bench key `{key}` is dead: the report no longer emits it"
         );
     }
 }

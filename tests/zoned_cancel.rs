@@ -14,7 +14,7 @@ use greenps::core::zones::{
 use greenps::profile::{ClosenessMetric, PublisherProfile, PublisherTable, SubscriptionProfile};
 use greenps::pubsub::ids::{AdvId, BrokerId, MsgId, SubId};
 use greenps::pubsub::Filter;
-use greenps::telemetry::Registry;
+use greenps::telemetry::{names, Registry};
 
 const ZONES: usize = 4;
 const SUBS_PER_ZONE: usize = 6;
@@ -151,7 +151,7 @@ fn mid_wave_cancel_stops_within_one_wave_and_resumes_bit_identically() {
     let done: Vec<u32> = checkpoint.done.iter().map(|z| z.zone).collect();
     assert_eq!(done, (0..checkpoint.done.len() as u32).collect::<Vec<_>>());
     assert_eq!(
-        registry.counter("pipeline.cancel.observed").get(),
+        registry.counter(&names::CANCEL_OBSERVED).get(),
         1,
         "one cancellation observed"
     );
