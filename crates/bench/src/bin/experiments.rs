@@ -26,7 +26,7 @@ use greenps_core::overlay::{build_overlay, AllocatorKind, OverlayConfig};
 use greenps_core::pipeline::{CheckpointStore, Phase, PhaseKind, ReconfigContext};
 use greenps_core::sorting::{bin_packing, fbf};
 use greenps_profile::{ClosenessMetric, Poset};
-use greenps_telemetry::{JsonExporter, Registry};
+use greenps_telemetry::Registry;
 use greenps_workload::pipeline::GatherPhase;
 use greenps_workload::report::{outcome_table, reduction_pct, Table};
 use greenps_workload::scenario::{Scenario, ScenarioBuilder, Topology};
@@ -161,8 +161,8 @@ fn main() {
         }
     }
     if let Some(path) = &opts.telemetry {
-        let json = JsonExporter::export(&opts.registry.snapshot());
-        std::fs::write(path, json).expect("write telemetry json");
+        let json = opts.registry.snapshot().to_json();
+        std::fs::write(path, format!("{json}\n")).expect("write telemetry json");
         println!("telemetry: wrote {}", path.display());
     }
 }

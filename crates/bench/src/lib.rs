@@ -14,6 +14,7 @@
 use greenps_core::model::{AllocationInput, SubscriptionEntry};
 use greenps_profile::{ClosenessMetric, PublisherProfile, PublisherTable, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
+use greenps_telemetry::json::JsonValue;
 use greenps_workload::scenario::Scenario;
 use std::time::Instant;
 
@@ -44,11 +45,8 @@ pub fn peak_rss_kib() -> Option<u64> {
 }
 
 /// Renders [`peak_rss_kib`] as a JSON scalar (`null` off-Linux).
-fn peak_rss_json() -> String {
-    match peak_rss_kib() {
-        Some(kib) => kib.to_string(),
-        None => "null".to_string(),
-    }
+fn peak_rss_json() -> JsonValue {
+    peak_rss_kib().map_or(JsonValue::Null, JsonValue::U64)
 }
 
 /// Builds an [`AllocationInput`] directly from a scenario by evaluating
@@ -128,7 +126,8 @@ pub const SCALE_SEED: u64 = 11;
 
 /// Runs the hierarchical zoned allocator ([`greenps_core::zones`]) over
 /// streaming zoned workloads — one `(subscriptions, zones)` row each —
-/// and renders the `BENCH_scale.json` report body. Zones are generated
+/// and renders the `BENCH_scale.json` report body (one compact JSON
+/// document). Zones are generated
 /// and profiled on demand by [`greenps_workload::zones::ZonedStreamFeed`],
 /// so peak RSS tracks the largest zone rather than the whole workload;
 /// every row records it via [`peak_rss_kib`] (note `VmHWM` is a
@@ -147,7 +146,7 @@ pub fn scale_report_json(rows: &[(usize, usize)], zone_threads: usize, quick: bo
 
     let available = greenps_core::engine::available_threads();
     let effective_threads = zone_threads.max(1).min(available);
-    let mut rendered = Vec::new();
+    let mut runs = Vec::new();
     for &(subs, zones) in rows {
         let spec = ZonedSpec {
             zones: zones.max(1),
@@ -166,7 +165,8 @@ pub fn scale_report_json(rows: &[(usize, usize)], zone_threads: usize, quick: bo
         let t0 = Instant::now();
         let zoned = zoned_allocate(&mut feed, &brokers, &publishers, &config, &registry)
             .expect("zoned CRAM");
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        // Microsecond resolution is all a wall time carries.
+        let wall_ms = (t0.elapsed().as_secs_f64() * 1e6).round() / 1e3;
         assert_eq!(
             zoned.sub_count(),
             subs,
@@ -179,26 +179,28 @@ pub fn scale_report_json(rows: &[(usize, usize)], zone_threads: usize, quick: bo
             zoned.allocation.broker_count(),
             zoned.cross_links,
         );
-        rendered.push(format!(
-            "    {{\"subscriptions\": {subs}, \"zones\": {}, \"brokers\": {}, \
-             \"threads\": {zone_threads}, \"effective_threads\": {effective_threads}, \
-             \"largest_zone\": {largest_zone}, \"gifs\": {}, \
-             \"allocated_brokers\": {}, \"cross_links\": {}, \
-             \"wall_ms\": {wall_ms:.3}, \"peak_rss_kib\": {rss}}}",
-            zoned.zone_count(),
-            brokers.len(),
-            zoned.zones.iter().map(|z| z.gifs).sum::<usize>(),
-            zoned.allocation.broker_count(),
-            zoned.cross_links,
-        ));
+        let count = |n: usize| JsonValue::U64(n as u64);
+        runs.push(
+            JsonValue::obj()
+                .field("subscriptions", count(subs))
+                .field("zones", count(zoned.zone_count()))
+                .field("brokers", count(brokers.len()))
+                .field("threads", count(zone_threads))
+                .field("effective_threads", count(effective_threads))
+                .field("largest_zone", count(largest_zone))
+                .field("gifs", count(zoned.zones.iter().map(|z| z.gifs).sum()))
+                .field("allocated_brokers", count(zoned.allocation.broker_count()))
+                .field("cross_links", JsonValue::U64(zoned.cross_links))
+                .field("wall_ms", JsonValue::F64(wall_ms))
+                .field("peak_rss_kib", rss),
+        );
     }
-    format!(
-        "{{\n  \"metric\": \"INTERSECT\",\n  \"quick\": {},\n  \
-         \"available_parallelism\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        quick,
-        available,
-        rendered.join(",\n")
-    )
+    let report = JsonValue::obj()
+        .field("metric", JsonValue::string("INTERSECT"))
+        .field("quick", JsonValue::Bool(quick))
+        .field("available_parallelism", JsonValue::U64(available as u64))
+        .field("runs", JsonValue::Arr(runs));
+    format!("{report}\n")
 }
 
 #[cfg(test)]

@@ -884,19 +884,30 @@ mod tests {
     /// The subscriber at the head broker goes away after its tenth
     /// publication with more already on their way to it: the run must
     /// end, and every publication it did not get must be accounted for.
-    fn lose_a_subscriber_mid_run<T: Transport<BrokerMsg>>(inner: T) -> (NetDeployReport, u64) {
+    /// Also returns what a failed assertion should print: the
+    /// transport, `send_errors` and `elapsed`.
+    fn lose_a_subscriber_mid_run<T: Transport<BrokerMsg>>(
+        inner: T,
+        label: &str,
+    ) -> (NetDeployReport, u64, String) {
         let scenario = NetScenario::stock_chain(3, 300);
         let mut transport = Probed::new(inner);
         transport.doomed = Some((CLIENT_BASE, 10));
-        let deployment = NetDeployment::build(&mut transport, &scenario).expect("build");
-        let report = deployment.run(&CancelToken::new()).expect("run");
-        assert_eq!(report.published, 300);
+        let report = NetDeployment::build(&mut transport, &scenario)
+            .and_then(|d| d.run(&CancelToken::new()))
+            .unwrap_or_else(|e| panic!("{label}: build and run: {e:?}"));
+        let context = format!(
+            "{label}: send_errors {}, elapsed {:?}",
+            report.send_errors, report.elapsed
+        );
+        assert_eq!(report.published, 300, "{context}: publications");
         let doomed = scenario.subscribers[0].client;
         for (client, got) in &report.deliveries {
-            assert_eq!(got.len(), if *client == doomed { 10 } else { 300 });
+            let expected = if *client == doomed { 10 } else { 300 };
+            assert_eq!(got.len(), expected, "{context}: deliveries to {client:?}");
         }
         let unaccounted = 290u64.saturating_sub(report.send_errors);
-        (report, unaccounted)
+        (report, unaccounted, context)
     }
 
     #[test]
@@ -904,13 +915,13 @@ mod tests {
         // Sim: the rest of the window is in its mailbox when it quits
         // (written off when the drain gives up), everything later is
         // refused at `enqueue`. Exactly one send error per publication.
-        let (report, unaccounted) = lose_a_subscriber_mid_run(SimTransport::new());
-        assert_eq!(report.send_errors, 290);
-        assert_eq!(unaccounted, 0);
+        let (report, unaccounted, context) = lose_a_subscriber_mid_run(SimTransport::new(), "sim");
+        assert_eq!(report.send_errors, 290, "{context}: send errors");
+        assert_eq!(unaccounted, 0, "{context}: lost publications unaccounted");
         // TCP: the same, except that a write to the dead session may
         // fail as well as its frames going missing.
-        let (_, unaccounted) = lose_a_subscriber_mid_run(TcpTransport::new());
-        assert_eq!(unaccounted, 0);
+        let (_, unaccounted, context) = lose_a_subscriber_mid_run(TcpTransport::new(), "tcp");
+        assert_eq!(unaccounted, 0, "{context}: lost publications unaccounted");
     }
 
     fn window_bounds_in_flight<T: Transport<BrokerMsg>>(mut transport: T) {

@@ -8,15 +8,15 @@
 //! maximum matching rate is the inverse of the linear matching-delay
 //! function.
 //!
-//! [`Packer`] holds the running state of one allocation attempt: brokers
-//! sorted by resourcefulness (descending total output bandwidth), each
-//! with its accumulated union profile, used output bandwidth and stored
-//! subscription count. FBF and BIN PACKING place units through it.
-//! CRAM's allocation test — thousands of packs per run over almost the
-//! same units — runs on the persistent `FastPacker` instead; the
+//! The test is implemented once, by `FastPacker`: brokers sorted by
+//! resourcefulness (descending total output bandwidth), each with a
+//! running input rate, used output bandwidth and stored subscription
+//! count. FBF, BIN PACKING and the overlay recursion pack on a fresh one
+//! through [`pack_all`]; CRAM's allocation test — thousands of packs per
+//! run over almost the same units — keeps one for the whole run. The
 //! borrow-and-re-sort packer it replaced survives under `#[cfg(test)]`
 //! as the oracle `FastPacker` is proven against, decision by decision.
-//! Both orders every packer relies on are spelled once: brokers by
+//! Both orders packing relies on are spelled once: brokers by
 //! `sorted_specs`, units by `pack_order`.
 
 use crate::model::{AllocError, Allocation, BrokerLoad, BrokerSpec, Unit};
@@ -50,131 +50,6 @@ pub(crate) fn pack_order(a: &Unit, b: &Unit) -> std::cmp::Ordering {
         .then_with(|| a.subs.cmp(&b.subs))
 }
 
-/// Running placement state of one broker during packing.
-#[derive(Debug, Clone)]
-struct BrokerState {
-    spec: BrokerSpec,
-    union: SubscriptionProfile,
-    out_used: f64,
-    subs: usize,
-    units: Vec<Unit>,
-}
-
-impl BrokerState {
-    fn new(spec: BrokerSpec) -> Self {
-        Self {
-            spec,
-            union: SubscriptionProfile::new(),
-            out_used: 0.0,
-            subs: 0,
-            units: Vec::new(),
-        }
-    }
-
-    /// The feasibility test from the paper.
-    fn can_accept(&self, unit: &Unit, publishers: &PublisherTable) -> bool {
-        // Remaining output bandwidth must stay positive.
-        if self.out_used + unit.out_bandwidth >= self.spec.out_bandwidth {
-            return false;
-        }
-        // Incoming publication rate must not exceed the maximum
-        // matching rate at the new subscription count.
-        let in_rate = self
-            .union
-            .estimate_union_load(&unit.profile, publishers)
-            .rate;
-        let max_rate = self
-            .spec
-            .matching_delay
-            .max_rate(self.subs + unit.sub_count());
-        in_rate <= max_rate
-    }
-
-    fn accept(&mut self, unit: Unit) {
-        self.union.or_assign(&unit.profile);
-        self.out_used += unit.out_bandwidth;
-        self.subs += unit.sub_count();
-        self.units.push(unit);
-    }
-}
-
-/// One allocation attempt over a broker pool.
-#[derive(Debug, Clone)]
-pub struct Packer<'p> {
-    states: Vec<BrokerState>,
-    publishers: &'p PublisherTable,
-}
-
-impl<'p> Packer<'p> {
-    /// Creates a packer over the broker pool, sorted in descending order
-    /// of total available output bandwidth (ties broken by id for
-    /// determinism).
-    pub fn new(brokers: &[BrokerSpec], publishers: &'p PublisherTable) -> Self {
-        Self {
-            states: sorted_specs(brokers)
-                .into_iter()
-                .map(BrokerState::new)
-                .collect(),
-            publishers,
-        }
-    }
-
-    /// Number of brokers in the pool.
-    pub fn broker_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Places a unit on the most resourceful broker that can accept it.
-    ///
-    /// # Errors
-    /// Returns [`AllocError::NoBrokers`] on an empty pool and
-    /// [`AllocError::Infeasible`] when no broker passes the test.
-    pub fn place(&mut self, unit: Unit) -> Result<BrokerId, AllocError> {
-        if self.states.is_empty() {
-            return Err(AllocError::NoBrokers);
-        }
-        for state in &mut self.states {
-            if state.can_accept(&unit, self.publishers) {
-                let id = state.spec.id;
-                state.accept(unit);
-                return Ok(id);
-            }
-        }
-        Err(AllocError::Infeasible { subs: unit.subs })
-    }
-
-    /// True when at least one broker could accept the unit, without
-    /// placing it.
-    pub fn fits(&self, unit: &Unit) -> bool {
-        self.states
-            .iter()
-            .any(|s| s.can_accept(unit, self.publishers))
-    }
-
-    /// Finalizes into an [`Allocation`] containing only brokers that
-    /// received units.
-    pub fn into_allocation(self) -> Allocation {
-        let publishers = self.publishers;
-        let loads = self
-            .states
-            .into_iter()
-            .filter(|s| !s.units.is_empty())
-            .map(|s| {
-                let input = s.union.estimate_load(publishers);
-                BrokerLoad {
-                    broker: s.spec.id,
-                    units: s.units,
-                    union_profile: s.union,
-                    out_bw_used: s.out_used,
-                    in_rate: input.rate,
-                    in_bandwidth: input.bandwidth,
-                }
-            })
-            .collect();
-        Allocation { loads }
-    }
-}
-
 /// One per-publisher union window of one broker, reused across packs.
 ///
 /// A slot is live for the current pack iff its `epoch` matches the
@@ -201,7 +76,8 @@ struct FastBroker {
     picks: Vec<Arc<Unit>>,
 }
 
-/// The persistent allocation-test packer behind CRAM.
+/// The allocation-test packer: every allocator places units through it,
+/// and CRAM keeps one for a whole run.
 ///
 /// A packer that rebuilds its broker states per test re-walks every
 /// union profile with two popcount passes per probe, on each of the
@@ -212,8 +88,8 @@ struct FastBroker {
 /// streaming [`ShiftingBitVector::pair_cardinalities`] pass.
 ///
 /// The acceptance decisions are bit-identical to the test oracle's
-/// (re-sort, then `SubscriptionProfile::estimate_rate_delta` per
-/// probe) over the same unit order: both take their brokers from
+/// (`SubscriptionProfile::estimate_rate_delta` per probe) over the same
+/// unit order, whatever that order is: both take their brokers from
 /// [`sorted_specs`], and the rate check reproduces
 /// `estimate_rate_delta`'s exact f64 operation sequence (same fraction
 /// arguments, same accumulation order). Publishers absent from the
@@ -271,8 +147,9 @@ impl FastPacker {
         }
     }
 
-    /// Packs units (already in [`pack_order`]) onto the brokers,
-    /// resetting all per-pack state via the epoch bump.
+    /// Packs units, in the order given, onto the brokers, resetting all
+    /// per-pack state via the epoch bump. CRAM feeds them in
+    /// [`pack_order`]; FBF in its shuffled order.
     ///
     /// # Errors
     /// Fails with the subscriptions of the first unplaceable unit, or
@@ -358,7 +235,7 @@ impl FastPacker {
                 // Accept: fold every publisher-backed window of the
                 // unit into its slot (including empty windows — their
                 // placement can widen a union window, which the
-                // baseline packer's `or_assign` also does).
+                // materialized union's `or_assign` also does).
                 for (adv, o) in unit.profile.iter() {
                     let Ok(ai) = self.advs.binary_search(&adv) else {
                         continue;
@@ -422,8 +299,8 @@ impl FastPacker {
 /// Materializes a packing recipe ([`FastPacker::drain_picks_into`])
 /// into a full [`Allocation`]: per broker, replay `or_assign` over the
 /// picked units in placement order, sum their bandwidths, and estimate
-/// the union load — the fold the baseline [`Packer`] performs as it
-/// places and finalizes, so the `f64` results match it bit-for-bit.
+/// the union load. A pick held by no one else is moved out of its `Arc`;
+/// only a unit the caller still shares (CRAM's pool) is cloned.
 pub(crate) fn materialize_recipe(
     picks: Vec<(BrokerId, Vec<Arc<Unit>>)>,
     publishers: &PublisherTable,
@@ -433,14 +310,18 @@ pub(crate) fn materialize_recipe(
         .map(|(broker, picked)| {
             let mut union = SubscriptionProfile::new();
             let mut out_bw_used = 0.0;
-            for u in &picked {
-                union.or_assign(&u.profile);
-                out_bw_used += u.out_bandwidth;
-            }
+            let units = picked
+                .into_iter()
+                .map(|u| {
+                    union.or_assign(&u.profile);
+                    out_bw_used += u.out_bandwidth;
+                    Arc::try_unwrap(u).unwrap_or_else(|shared| (*shared).clone())
+                })
+                .collect();
             let input = union.estimate_load(publishers);
             BrokerLoad {
                 broker,
-                units: picked.iter().map(|u| (**u).clone()).collect(),
+                units,
                 union_profile: union,
                 out_bw_used,
                 in_rate: input.rate,
@@ -451,8 +332,8 @@ pub(crate) fn materialize_recipe(
     Allocation { loads }
 }
 
-/// Runs a complete packing pass: places every unit in the given order,
-/// polling `cancel` between units.
+/// Runs a complete packing pass on a fresh `FastPacker`: places every
+/// unit in the given order, polling `cancel` before each one.
 ///
 /// # Errors
 /// Fails fast with the unit that could not be placed, mirroring the
@@ -465,14 +346,22 @@ pub fn pack_all(
     units: impl IntoIterator<Item = Unit>,
     cancel: &CancelToken,
 ) -> Result<Allocation, AllocError> {
-    let mut packer = Packer::new(brokers, publishers);
-    for unit in units {
-        if cancel.is_cancelled_hot() {
-            return Err(AllocError::Cancelled);
-        }
-        packer.place(unit)?;
+    let units: Vec<Arc<Unit>> = units.into_iter().map(Arc::new).collect();
+    let mut packer = FastPacker::new(brokers, publishers);
+    let mut cancelled = false;
+    packer.pack(units.iter().take_while(|_| {
+        cancelled = cancel.is_cancelled_hot();
+        !cancelled
+    }))?;
+    if cancelled {
+        return Err(AllocError::Cancelled);
     }
-    Ok(packer.into_allocation())
+    // The packer's picks become the only handles, so materializing
+    // moves every unit instead of cloning it.
+    drop(units);
+    let mut picks = Vec::new();
+    packer.drain_picks_into(&mut picks);
+    Ok(materialize_recipe(picks, publishers))
 }
 
 /// The packer CRAM's allocation test ran on before [`FastPacker`]:
@@ -524,6 +413,17 @@ pub(crate) mod oracle {
             publishers: &PublisherTable,
             mut units: Vec<&'u Unit>,
         ) -> Result<(), AllocError> {
+            units.sort_by(|a, b| pack_order(a, b));
+            self.pack_in_order(publishers, units)
+        }
+
+        /// Packs the borrowed units in the order given, failing with the
+        /// first unplaceable unit.
+        pub(crate) fn pack_in_order(
+            &mut self,
+            publishers: &PublisherTable,
+            units: Vec<&'u Unit>,
+        ) -> Result<(), AllocError> {
             if self.states.is_empty() {
                 return if units.is_empty() {
                     Ok(())
@@ -531,7 +431,6 @@ pub(crate) mod oracle {
                     Err(AllocError::NoBrokers)
                 };
             }
-            units.sort_by(|a, b| pack_order(a, b));
             'units: for unit in units {
                 for state in &mut self.states {
                     if state.out_used + unit.out_bandwidth >= state.spec.out_bandwidth {
@@ -594,6 +493,7 @@ mod tests {
     use greenps_profile::{PublisherProfile, ShiftingBitVector};
     use greenps_pubsub::ids::{AdvId, MsgId, SubId};
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
     fn publishers() -> PublisherTable {
         [PublisherProfile::new(
@@ -630,13 +530,29 @@ mod tests {
         )
     }
 
-    /// `pack_all` polls once per unit.
+    fn pack(
+        brokers: &[BrokerSpec],
+        pubs: &PublisherTable,
+        units: Vec<Unit>,
+    ) -> Result<Allocation, AllocError> {
+        pack_all(brokers, pubs, units, &CancelToken::never())
+    }
+
+    /// One broker with unbounded bandwidth and the given matching delay.
+    fn slow_broker(base: f64, per_sub: f64) -> [BrokerSpec; 1] {
+        let delay = LinearFn::new(base, per_sub);
+        [BrokerSpec::new(BrokerId::new(1), "b1", delay, 1e9)]
+    }
+
+    /// `pack_all` polls once per unit: the third poll trips, which a
+    /// single poll before the pass would never reach.
     #[test]
     fn pack_all_polls_the_cancel_token() {
         let pubs = publishers();
         let brokers = vec![broker(1, 10_000.0), broker(2, 50_000.0)];
-        let units = (0..4).map(|s| unit(s, &[s], &pubs));
-        let got = pack_all(&brokers, &pubs, units, &CancelToken::tripping_at(1));
+        let units: Vec<Unit> = (0..4).map(|s| unit(s, &[s], &pubs)).collect();
+        assert!(pack(&brokers, &pubs, units.clone()).is_ok());
+        let got = pack_all(&brokers, &pubs, units, &CancelToken::tripping_at(3));
         assert!(matches!(got, Err(AllocError::Cancelled)));
     }
 
@@ -644,10 +560,8 @@ mod tests {
     fn places_on_most_resourceful_first() {
         let pubs = publishers();
         let brokers = vec![broker(1, 10_000.0), broker(2, 50_000.0)];
-        let mut packer = Packer::new(&brokers, &pubs);
-        assert_eq!(packer.broker_count(), 2);
-        let placed = packer.place(unit(1, &[0], &pubs)).unwrap();
-        assert_eq!(placed, BrokerId::new(2), "most resourceful wins");
+        let alloc = pack(&brokers, &pubs, vec![unit(1, &[0], &pubs)]).unwrap();
+        assert_eq!(alloc.loads[0].broker, BrokerId::new(2), "most resourceful");
     }
 
     #[test]
@@ -657,10 +571,8 @@ mod tests {
         let brokers = vec![broker(1, 5_000.0)];
         let u = unit(1, &[0, 1, 2, 3, 4], &pubs);
         assert!((u.out_bandwidth - 5_000.0).abs() < 1e-9);
-        let mut packer = Packer::new(&brokers, &pubs);
-        assert!(!packer.fits(&u));
         assert!(matches!(
-            packer.place(u),
+            pack(&brokers, &pubs, vec![u]),
             Err(AllocError::Infeasible { .. })
         ));
     }
@@ -669,17 +581,14 @@ mod tests {
     fn overflows_to_next_broker() {
         let pubs = publishers();
         let brokers = vec![broker(1, 12_000.0), broker(2, 12_000.0)];
-        let mut packer = Packer::new(&brokers, &pubs);
         // each unit needs 10kB/s; first goes to b1, second to b2.
-        let a = packer
-            .place(unit(1, &(0..10).collect::<Vec<_>>(), &pubs))
-            .unwrap();
-        let b = packer
-            .place(unit(2, &(10..20).collect::<Vec<_>>(), &pubs))
-            .unwrap();
-        assert_ne!(a, b);
-        let alloc = packer.into_allocation();
+        let units = vec![
+            unit(1, &(0..10).collect::<Vec<_>>(), &pubs),
+            unit(2, &(10..20).collect::<Vec<_>>(), &pubs),
+        ];
+        let alloc = pack(&brokers, &pubs, units).unwrap();
         assert_eq!(alloc.broker_count(), 2);
+        assert_ne!(alloc.loads[0].broker, alloc.loads[1].broker);
     }
 
     #[test]
@@ -687,23 +596,12 @@ mod tests {
         let pubs = publishers();
         // 25 ms per message with one sub: max rate = 40 msg/s; a unit
         // inducing 50 msg/s (50 of 100 slots) cannot be hosted.
-        let slow = BrokerSpec::new(BrokerId::new(1), "b1", LinearFn::new(0.025, 0.0), 1e9);
+        let slow = slow_broker(0.025, 0.0);
         let u = unit(1, &(0..50).collect::<Vec<_>>(), &pubs);
-        let mut packer = Packer::new(&[slow], &pubs);
-        assert!(packer.place(u).is_err());
+        assert!(pack(&slow, &pubs, vec![u]).is_err());
         // 10 msg/s unit is fine.
-        let mut packer = Packer::new(
-            &[BrokerSpec::new(
-                BrokerId::new(1),
-                "b1",
-                LinearFn::new(0.025, 0.0),
-                1e9,
-            )],
-            &pubs,
-        );
-        assert!(packer
-            .place(unit(2, &(0..10).collect::<Vec<_>>(), &pubs))
-            .is_ok());
+        let u = unit(2, &(0..10).collect::<Vec<_>>(), &pubs);
+        assert!(pack(&slow, &pubs, vec![u]).is_ok());
     }
 
     #[test]
@@ -712,14 +610,16 @@ mod tests {
         // base 10ms + 10ms/sub; two 1-sub units each inducing 30 msg/s
         // of *distinct* traffic: first fits (rate 30 <= 1/(0.02)=50),
         // second would make union rate 60 > 1/(0.03)=33 → second bounces.
-        let b = BrokerSpec::new(BrokerId::new(1), "b1", LinearFn::new(0.01, 0.01), 1e9);
-        let mut packer = Packer::new(&[b], &pubs);
-        assert!(packer
-            .place(unit(1, &(0..30).collect::<Vec<_>>(), &pubs))
-            .is_ok());
-        assert!(packer
-            .place(unit(2, &(30..60).collect::<Vec<_>>(), &pubs))
-            .is_err());
+        let b = slow_broker(0.01, 0.01);
+        let first = unit(1, &(0..30).collect::<Vec<_>>(), &pubs);
+        assert!(pack(&b, &pubs, vec![first.clone()]).is_ok());
+        let second = unit(2, &(30..60).collect::<Vec<_>>(), &pubs);
+        assert_eq!(
+            pack(&b, &pubs, vec![first, second]),
+            Err(AllocError::Infeasible {
+                subs: vec![SubId::new(2)]
+            })
+        );
     }
 
     #[test]
@@ -727,12 +627,9 @@ mod tests {
         let pubs = publishers();
         // Two units with identical 40-slot profiles: union input stays
         // 40 msg/s, so both fit on a broker whose cap is 50 msg/s.
-        let b = BrokerSpec::new(BrokerId::new(1), "b1", LinearFn::new(0.02, 0.0), 1e9);
-        let mut packer = Packer::new(&[b], &pubs);
+        let b = slow_broker(0.02, 0.0);
         let ids: Vec<u64> = (0..40).collect();
-        assert!(packer.place(unit(1, &ids, &pubs)).is_ok());
-        assert!(packer.place(unit(2, &ids, &pubs)).is_ok());
-        let alloc = packer.into_allocation();
+        let alloc = pack(&b, &pubs, vec![unit(1, &ids, &pubs), unit(2, &ids, &pubs)]).unwrap();
         assert_eq!(alloc.broker_count(), 1);
         let load = &alloc.loads[0];
         assert_eq!(load.sub_count(), 2);
@@ -744,10 +641,13 @@ mod tests {
     #[test]
     fn empty_pool_errors() {
         let pubs = publishers();
-        let mut packer = Packer::new(&[], &pubs);
         assert_eq!(
-            packer.place(unit(1, &[0], &pubs)),
+            pack(&[], &pubs, vec![unit(1, &[0], &pubs)]),
             Err(AllocError::NoBrokers)
+        );
+        assert_eq!(
+            pack(&[], &pubs, Vec::new()).map(|a| a.broker_count()),
+            Ok(0)
         );
     }
 
@@ -791,7 +691,7 @@ mod tests {
         subset: &[&Arc<Unit>],
     ) -> Result<(), TestCaseError> {
         let mut reference = RefPacker::new(brokers);
-        let ref_result = reference.pack_sorted(pubs, subset.iter().map(|u| &***u).collect());
+        let ref_result = reference.pack_in_order(pubs, subset.iter().map(|u| &***u).collect());
         let fast_result = fast.pack(subset.iter().copied());
         prop_assert_eq!(&ref_result, &fast_result);
         prop_assert_eq!(reference.used_brokers(), fast.used_brokers());
@@ -807,11 +707,30 @@ mod tests {
         if ref_result.is_ok() {
             let mut picks = Vec::new();
             fast.drain_picks_into(&mut picks);
-            prop_assert_eq!(
-                materialize_recipe(picks, pubs),
-                reference.into_allocation(pubs)
-            );
+            assert_same_allocation(
+                &materialize_recipe(picks, pubs),
+                &reference.into_allocation(pubs),
+            )?;
         }
+        Ok(())
+    }
+
+    /// Equal allocations, with every `f64` compared by its bits.
+    fn assert_same_allocation(got: &Allocation, want: &Allocation) -> Result<(), TestCaseError> {
+        let bits = |a: &Allocation| -> Vec<[u64; 3]> {
+            a.loads
+                .iter()
+                .map(|l| {
+                    [
+                        l.out_bw_used.to_bits(),
+                        l.in_rate.to_bits(),
+                        l.in_bandwidth.to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(bits(got), bits(want));
         Ok(())
     }
 
@@ -915,12 +834,14 @@ mod tests {
     proptest! {
         /// Seam oracle for the allocation test: over arbitrary brokers
         /// and units, one persistent `FastPacker` fed a `pack_order`
-        /// stream decides, counts and materializes exactly as a fresh
-        /// oracle packer does.
+        /// stream (CRAM, BIN PACKING) or a seeded shuffle (FBF) decides,
+        /// counts and materializes exactly as a fresh oracle packer
+        /// does, and so does `pack_all` on the shuffle.
         #[test]
         fn fast_packer_matches_the_oracle_bit_for_bit(
             brokers in arb_brokers(),
             legs in proptest::collection::vec(proptest::collection::vec(arb_leg(), 1..4), 0..9),
+            seed in any::<u64>(),
         ) {
             let pubs = two_publishers();
             let mut units: Vec<Unit> = legs
@@ -928,6 +849,15 @@ mod tests {
                 .enumerate()
                 .map(|(i, legs)| multi_unit(i as u64, legs, &pubs))
                 .collect();
+            units.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mut reference = RefPacker::new(&brokers);
+            let ref_result = reference.pack_in_order(&pubs, units.iter().collect());
+            match (ref_result, pack_all(&brokers, &pubs, units.clone(), &CancelToken::never())) {
+                (Ok(()), Ok(got)) => assert_same_allocation(&got, &reference.into_allocation(&pubs))?,
+                (want, got) => prop_assert_eq!(want.err(), got.err()),
+            }
+            let shuffled: Vec<Arc<Unit>> = units.iter().cloned().map(Arc::new).collect();
+            assert_same_packs(&brokers, &pubs, &shuffled)?;
             units.sort_by(pack_order);
             let units: Vec<Arc<Unit>> = units.into_iter().map(Arc::new).collect();
             assert_same_packs(&brokers, &pubs, &units)?;

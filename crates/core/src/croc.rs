@@ -18,12 +18,12 @@ use crate::pipeline::artifact::{
     allocation_from_json, allocation_to_json, arr_field, cram_stats_from_json, cram_stats_to_json,
     field, overlay_from_json, overlay_to_json, u64_field,
 };
-use crate::pipeline::json::JsonValue;
 use crate::pipeline::{
     Artifact, ArtifactError, Phase, PhaseKind, Pipeline, PipelineError, ReconfigContext,
 };
-use crate::sorting::{bin_packing_cancellable, fbf_cancellable};
+use crate::sorting::units_from_input;
 use greenps_pubsub::ids::{AdvId, BrokerId, SubId};
+use greenps_telemetry::json::JsonValue;
 use greenps_telemetry::{names, Span};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -247,8 +247,10 @@ pub fn allocate(
     let mut cram_stats = None;
     let cancel = ctx.cancel_token();
     let allocation = match &config.overlay.allocator {
-        AllocatorKind::Fbf { seed } => fbf_cancellable(input, *seed, &cancel)?,
-        AllocatorKind::BinPacking => bin_packing_cancellable(input, &cancel)?,
+        sorting @ (AllocatorKind::Fbf { .. } | AllocatorKind::BinPacking) => {
+            let units = units_from_input(input);
+            sorting.allocate_units(&input.brokers, &input.publishers, units, &cancel)?
+        }
         AllocatorKind::Cram(cfg) => {
             let (a, stats) = CramBuilder::from_config(*cfg)
                 .telemetry(registry)

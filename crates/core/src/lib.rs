@@ -97,7 +97,7 @@ pub mod pipeline;
 pub mod sorting;
 pub mod zones;
 
-pub use capacity::{pack_all, Packer};
+pub use capacity::pack_all;
 pub use cram::{CramBuilder, CramConfig, CramStats};
 pub use croc::{plan, PlanConfig, PlanError, PlannedAllocation, ReconfigurationPlan};
 pub use engine::{shard_map, CacheStats, PairCache};

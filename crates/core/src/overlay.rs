@@ -24,10 +24,9 @@
 use crate::cram::{CramBuilder, CramConfig};
 use crate::model::{AllocError, Allocation, AllocationInput, BrokerSpec, Unit};
 use crate::pipeline::CancelToken;
-use crate::sorting::bin_packing_units;
+use crate::sorting::{bin_packing_units, fbf_units};
 use greenps_profile::{PublisherTable, SubscriptionProfile};
 use greenps_pubsub::ids::{BrokerId, SubId};
-use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -63,12 +62,7 @@ impl AllocatorKind {
         cancel: &CancelToken,
     ) -> Result<Allocation, AllocError> {
         match self {
-            AllocatorKind::Fbf { seed } => {
-                let mut units = units;
-                let mut rng = StdRng::seed_from_u64(*seed);
-                units.shuffle(&mut rng);
-                crate::capacity::pack_all(brokers, publishers, units, cancel)
-            }
+            AllocatorKind::Fbf { seed } => fbf_units(brokers, publishers, units, *seed, cancel),
             AllocatorKind::BinPacking => bin_packing_units(brokers, publishers, units, cancel),
             AllocatorKind::Cram(cfg) => {
                 let input = AllocationInput {

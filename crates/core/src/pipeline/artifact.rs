@@ -4,14 +4,13 @@
 //! and from the checkpoint [`JsonValue`] tree. Encoding is
 //! deterministic (BTreeMap-ordered collections, insertion-ordered
 //! objects) and lossless — `from_json(to_json(x)) == x` bit-for-bit,
-//! including every `f64` (carried as shortest round-trip decimal
-//! strings, see [`JsonValue::from_f64`]).
+//! including every `f64` (carried as a JSON number in its shortest
+//! round-trip form, see [`greenps_telemetry::json`]).
 //!
 //! This module owns the codecs for the core model types; higher layers
 //! (e.g. `greenps-workload`) build their artifacts out of the public
 //! field helpers below.
 
-use super::json::JsonValue;
 use crate::cram::CramStats;
 use crate::model::{
     Allocation, AllocationInput, BrokerLoad, BrokerSpec, LinearFn, SubscriptionEntry, Unit,
@@ -21,6 +20,7 @@ use greenps_profile::{PublisherProfile, PublisherTable, ShiftingBitVector, Subsc
 use greenps_pubsub::ids::{AdvId, BrokerId, MsgId, SubId};
 use greenps_pubsub::parser::parse_filter;
 use greenps_pubsub::Filter;
+use greenps_telemetry::json::{self, JsonValue};
 use std::fmt;
 
 /// A decode failure: which field or structure was wrong.
@@ -46,8 +46,8 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-impl From<super::json::JsonError> for ArtifactError {
-    fn from(e: super::json::JsonError) -> Self {
+impl From<json::JsonError> for ArtifactError {
+    fn from(e: json::JsonError) -> Self {
         ArtifactError::new(e.to_string())
     }
 }
@@ -106,15 +106,15 @@ pub fn usize_field(value: &JsonValue, key: &str) -> Result<usize, ArtifactError>
         .map_err(|_| ArtifactError::new(format!("field `{key}` overflows usize")))
 }
 
-/// Reads a required `f64` field (carried as a string, see
-/// [`JsonValue::from_f64`]).
+/// Reads a required `f64` field.
 ///
 /// # Errors
-/// Fails when the field is missing or does not parse as a float.
+/// Fails when the field is missing or not a number (`null`, the
+/// spelling of a non-finite float, is not).
 pub fn f64_field(value: &JsonValue, key: &str) -> Result<f64, ArtifactError> {
     field(value, key)?
         .as_f64()
-        .ok_or_else(|| ArtifactError::new(format!("field `{key}` is not a float string")))
+        .ok_or_else(|| ArtifactError::new(format!("field `{key}` is not a number")))
 }
 
 /// Reads a rate, bandwidth or delay coefficient: an [`f64_field`] that
@@ -690,9 +690,9 @@ mod tests {
 
     #[test]
     fn bad_bitvec_ids_fail() {
-        let v = super::super::json::parse(r#"{"capacity":8,"first_id":10,"ids":[5]}"#).unwrap();
+        let v = json::parse(r#"{"capacity":8,"first_id":10,"ids":[5]}"#).unwrap();
         assert!(bitvec_from_json(&v).is_err(), "id below the window");
-        let v = super::super::json::parse(r#"{"capacity":8,"first_id":10,"ids":[18]}"#).unwrap();
+        let v = json::parse(r#"{"capacity":8,"first_id":10,"ids":[18]}"#).unwrap();
         assert!(bitvec_from_json(&v).is_err(), "id past the window");
     }
 

@@ -19,7 +19,6 @@
 //! / measurement in `greenps-workload`.
 
 pub mod artifact;
-pub mod json;
 
 mod context;
 mod store;
@@ -289,8 +288,8 @@ impl Pipeline {
 
 #[cfg(test)]
 mod tests {
-    use super::json::JsonValue;
     use super::*;
+    use greenps_telemetry::json::JsonValue;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Doubled(u64);

@@ -2,16 +2,16 @@
 //!
 //! Each completed phase saves its artifact here under the phase name.
 //! The whole store exports to a single JSON document (schema tag
-//! `greenps-checkpoint/1`) and imports back losslessly, so an
+//! `greenps-checkpoint/2`) and imports back losslessly, so an
 //! interrupted run can be resumed from disk in another process.
 
 use super::artifact::{Artifact, ArtifactError};
-use super::json::{self, JsonValue};
 use super::PhaseKind;
+use greenps_telemetry::json::{self, JsonValue};
 use std::collections::BTreeMap;
 
 /// Version tag written into every exported checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "greenps-checkpoint/1";
+pub const CHECKPOINT_SCHEMA: &str = "greenps-checkpoint/2";
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
@@ -206,9 +206,16 @@ mod tests {
         assert!(CheckpointStore::from_json("{}").is_err());
         assert!(CheckpointStore::from_json(r#"{"schema":"other/9","phases":{}}"#).is_err());
         assert!(CheckpointStore::from_json(
-            r#"{"schema":"greenps-checkpoint/1","phases":{"warp":{"kind":"x","artifact":{}}}}"#
+            r#"{"schema":"greenps-checkpoint/2","phases":{"warp":{"kind":"x","artifact":{}}}}"#
         )
         .is_err());
+        // `/1` carried floats as strings; it is refused, not migrated.
+        let err = CheckpointStore::from_json(r#"{"schema":"greenps-checkpoint/1","phases":{}}"#)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported checkpoint schema"),
+            "{err}"
+        );
     }
 
     #[test]

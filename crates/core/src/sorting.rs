@@ -10,7 +10,7 @@
 //!   first-fit-decreasing theory.
 
 use crate::capacity::{pack_all, pack_order};
-use crate::model::{AllocError, Allocation, AllocationInput, Unit};
+use crate::model::{AllocError, Allocation, AllocationInput, BrokerSpec, Unit};
 use crate::pipeline::CancelToken;
 use greenps_profile::PublisherTable;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -32,23 +32,32 @@ pub fn units_from_input(input: &AllocationInput) -> Vec<Unit> {
 /// # Errors
 /// Fails when any subscription cannot be placed on any broker.
 pub fn fbf(input: &AllocationInput, seed: u64) -> Result<Allocation, AllocError> {
-    fbf_cancellable(input, seed, &CancelToken::never())
+    let units = units_from_input(input);
+    fbf_units(
+        &input.brokers,
+        &input.publishers,
+        units,
+        seed,
+        &CancelToken::never(),
+    )
 }
 
-/// [`fbf`] with a cancellation token: the packing pass polls it between
-/// units and stops with [`AllocError::Cancelled`].
+/// FBF over prebuilt units: a seeded shuffle, then one packing pass
+/// that polls `cancel` between units — the allocator Phase 2 runs on
+/// subscriptions and Phase 3 on virtual subscriptions.
 ///
 /// # Errors
-/// As [`fbf`], plus [`AllocError::Cancelled`] when the token trips.
-pub(crate) fn fbf_cancellable(
-    input: &AllocationInput,
+/// Fails when any unit cannot be placed on any broker, or with
+/// [`AllocError::Cancelled`] when the token trips.
+pub(crate) fn fbf_units(
+    brokers: &[BrokerSpec],
+    publishers: &PublisherTable,
+    mut units: Vec<Unit>,
     seed: u64,
     cancel: &CancelToken,
 ) -> Result<Allocation, AllocError> {
-    let mut units = units_from_input(input);
-    let mut rng = StdRng::seed_from_u64(seed);
-    units.shuffle(&mut rng);
-    pack_all(&input.brokers, &input.publishers, units, cancel)
+    units.shuffle(&mut StdRng::seed_from_u64(seed));
+    pack_all(brokers, publishers, units, cancel)
 }
 
 /// BIN PACKING: subscriptions sorted by descending bandwidth
@@ -57,31 +66,23 @@ pub(crate) fn fbf_cancellable(
 /// # Errors
 /// Fails when any subscription cannot be placed on any broker.
 pub fn bin_packing(input: &AllocationInput) -> Result<Allocation, AllocError> {
-    bin_packing_cancellable(input, &CancelToken::never())
-}
-
-/// [`bin_packing`] with a cancellation token: the packing pass polls it
-/// between units and stops with [`AllocError::Cancelled`].
-///
-/// # Errors
-/// As [`bin_packing`], plus [`AllocError::Cancelled`] when the token
-/// trips.
-pub(crate) fn bin_packing_cancellable(
-    input: &AllocationInput,
-    cancel: &CancelToken,
-) -> Result<Allocation, AllocError> {
     let units = units_from_input(input);
-    bin_packing_units(&input.brokers, &input.publishers, units, cancel)
+    bin_packing_units(
+        &input.brokers,
+        &input.publishers,
+        units,
+        &CancelToken::never(),
+    )
 }
 
-/// BIN PACKING over prebuilt units — the allocation test CRAM re-runs on
-/// every clustering iteration, and the allocator Phase 3 reuses for
-/// virtual subscriptions.
+/// BIN PACKING over prebuilt units, polling `cancel` between units —
+/// CRAM's no-clustering baseline, and the allocator Phase 2 runs on
+/// subscriptions and Phase 3 on virtual subscriptions.
 ///
 /// # Errors
 /// Fails when any unit cannot be placed on any broker.
 pub fn bin_packing_units(
-    brokers: &[crate::model::BrokerSpec],
+    brokers: &[BrokerSpec],
     publishers: &PublisherTable,
     mut units: Vec<Unit>,
     cancel: &CancelToken,
@@ -93,7 +94,7 @@ pub fn bin_packing_units(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{BrokerSpec, LinearFn, SubscriptionEntry};
+    use crate::model::{LinearFn, SubscriptionEntry};
     use greenps_profile::{
         PublisherProfile, PublisherTable, ShiftingBitVector, SubscriptionProfile,
     };

@@ -34,12 +34,12 @@ use crate::pipeline::artifact::{
     allocation_from_json, allocation_to_json, arr_field, cram_stats_from_json, cram_stats_to_json,
     field, u64_field, unit_from_json, unit_to_json, usize_field,
 };
-use crate::pipeline::json::JsonValue;
 use crate::pipeline::{
     Artifact, ArtifactError, CancelToken, Phase, PhaseKind, PipelineError, ReconfigContext,
 };
 use greenps_profile::{ClosenessMetric, PublisherTable, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, SubId};
+use greenps_telemetry::json::JsonValue;
 use greenps_telemetry::{names, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet};
 

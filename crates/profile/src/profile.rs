@@ -246,46 +246,6 @@ impl SubscriptionProfile {
         }
         delta
     }
-
-    /// Estimates the load of `self ∪ other` without materializing the
-    /// union profile — the hot path of every allocation feasibility
-    /// test.
-    pub fn estimate_union_load(&self, other: &Self, publishers: &PublisherTable) -> Load {
-        let mut load = Load::ZERO;
-        let mut add = |adv: AdvId, ones: usize, first: u64, cap: usize| {
-            let Some(p) = publishers.get(adv) else { return };
-            if ones == 0 {
-                return;
-            }
-            let observed = p
-                .last_msg_id
-                .raw()
-                .saturating_sub(first)
-                .saturating_add(1)
-                .min(cap as u64)
-                .max(ones as u64);
-            let fraction = ones as f64 / observed as f64;
-            load.rate += fraction * p.rate;
-            load.bandwidth += fraction * p.bandwidth;
-        };
-        for (adv, v) in &self.vectors {
-            match other.vectors.get(adv) {
-                Some(o) => add(
-                    *adv,
-                    v.zip_count(o, |a, b| a | b),
-                    v.first_id().min(o.first_id()),
-                    v.capacity().max(o.capacity()),
-                ),
-                None => add(*adv, v.count_ones(), v.first_id(), v.capacity()),
-            }
-        }
-        for (adv, o) in &other.vectors {
-            if !self.vectors.contains_key(adv) {
-                add(*adv, o.count_ones(), o.first_id(), o.capacity());
-            }
-        }
-        load
-    }
 }
 
 /// Fraction of a publisher's recent publications this vector recorded.

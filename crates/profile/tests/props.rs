@@ -193,12 +193,10 @@ proptest! {
             .collect();
         let la = a.estimate_load(&publishers);
         let lb = b.estimate_load(&publishers);
-        let lu = a.estimate_union_load(&b, &publishers);
+        let lu = a.or(&b).estimate_load(&publishers);
         prop_assert!(lu.rate >= la.rate.max(lb.rate) - 1e-9);
         prop_assert!(lu.rate <= la.rate + lb.rate + 1e-9);
-        // And it matches materializing the union.
-        let materialized = a.or(&b).estimate_load(&publishers);
-        prop_assert!((lu.rate - materialized.rate).abs() < 1e-9);
-        prop_assert!((lu.bandwidth - materialized.bandwidth).abs() < 1e-6);
+        prop_assert!(lu.bandwidth >= la.bandwidth.max(lb.bandwidth) - 1e-6);
+        prop_assert!(lu.bandwidth <= la.bandwidth + lb.bandwidth + 1e-6);
     }
 }

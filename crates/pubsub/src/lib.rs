@@ -88,7 +88,7 @@ pub mod value;
 
 pub use filter::Filter;
 pub use ids::{AdvId, BrokerId, ClientId, MsgId, SubId};
-pub use matching::{BucketMatcher, CountingMatcher, Matcher, NaiveMatcher};
+pub use matching::{BucketMatcher, Matcher, NaiveMatcher};
 pub use message::{Advertisement, Message, Publication, Subscription};
 pub use parser::{parse_filter, parse_publication, ParseFilterError};
 pub use predicate::{Op, Predicate};

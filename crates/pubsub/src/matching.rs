@@ -1,7 +1,7 @@
 //! Matching engines: given a publication, find the matching
 //! subscriptions.
 //!
-//! Three implementations share the [`Matcher`] behaviour:
+//! Two implementations share the [`Matcher`] behaviour:
 //!
 //! * [`NaiveMatcher`] scans every filter — the reference oracle of the
 //!   tests and the benchmark;
@@ -13,13 +13,7 @@
 //!   reports all of its matches. Filters are bucketed under their
 //!   rarest equality predicate, entries evaluate their predicates
 //!   against attribute values resolved once per publication, and the
-//!   `&self` match path neither allocates nor rebuilds;
-//! * [`CountingMatcher`] implements the classic predicate-counting
-//!   algorithm with per-attribute predicate sharing — a comparison
-//!   baseline for the benches, not on any serving path. Identical
-//!   predicates appearing in many subscriptions (e.g. the
-//!   `[class,=,'STOCK']` predicate in every stock subscription) are
-//!   evaluated once per publication.
+//!   `&self` match path neither allocates nor rebuilds.
 
 use crate::filter::Filter;
 use crate::ids::SubId;
@@ -79,144 +73,6 @@ impl Matcher for NaiveMatcher {
             .map(|(id, _)| *id)
             .collect();
         out.sort_unstable();
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.filters.len()
-    }
-}
-
-/// Identifier of a shared predicate inside [`CountingMatcher`].
-type PredId = usize;
-
-#[derive(Debug, Clone)]
-struct SharedPredicate {
-    predicate: crate::predicate::Predicate,
-    /// Subscriptions containing this predicate, with multiplicity 1.
-    subscribers: Vec<SubId>,
-}
-
-/// Predicate-counting matcher with per-attribute predicate sharing.
-#[derive(Debug, Clone, Default)]
-pub struct CountingMatcher {
-    /// Shared predicate table.
-    predicates: Vec<SharedPredicate>,
-    /// Canonical predicate string -> predicate id.
-    by_key: BTreeMap<String, PredId>,
-    /// Attribute -> predicate ids constraining it.
-    by_attr: BTreeMap<String, Vec<PredId>>,
-    /// Subscription -> number of predicates it must satisfy.
-    required: BTreeMap<SubId, usize>,
-    /// Subscriptions with empty filters (match everything).
-    match_all: Vec<SubId>,
-    /// Kept for removal and introspection.
-    filters: BTreeMap<SubId, Filter>,
-}
-
-impl CountingMatcher {
-    /// Creates an empty matcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the stored filter for a subscription, if present.
-    pub fn filter(&self, id: SubId) -> Option<&Filter> {
-        self.filters.get(&id)
-    }
-
-    /// Number of distinct shared predicates (diagnostic).
-    pub fn shared_predicate_count(&self) -> usize {
-        self.predicates
-            .iter()
-            .filter(|p| !p.subscribers.is_empty())
-            .count()
-    }
-}
-
-impl Matcher for CountingMatcher {
-    fn insert(&mut self, id: SubId, filter: Filter) {
-        if self.filters.contains_key(&id) {
-            self.remove(id);
-        }
-        if filter.is_empty() {
-            self.match_all.push(id);
-        } else {
-            self.required.insert(id, filter.len());
-            for pred in filter.predicates() {
-                let key = pred.to_string();
-                let pid = match self.by_key.get(&key) {
-                    Some(&pid) => pid,
-                    None => {
-                        let pid = self.predicates.len();
-                        self.predicates.push(SharedPredicate {
-                            predicate: pred.clone(),
-                            subscribers: Vec::new(),
-                        });
-                        self.by_key.insert(key, pid);
-                        self.by_attr.entry(pred.attr.clone()).or_default().push(pid);
-                        pid
-                    }
-                };
-                if let Some(shared) = self.predicates.get_mut(pid) {
-                    shared.subscribers.push(id);
-                }
-            }
-        }
-        self.filters.insert(id, filter);
-    }
-
-    fn remove(&mut self, id: SubId) -> bool {
-        let Some(filter) = self.filters.remove(&id) else {
-            return false;
-        };
-        if filter.is_empty() {
-            self.match_all.retain(|&s| s != id);
-        } else {
-            self.required.remove(&id);
-            for pred in filter.predicates() {
-                if let Some(shared) = self
-                    .by_key
-                    .get(&pred.to_string())
-                    .and_then(|&pid| self.predicates.get_mut(pid))
-                {
-                    let subs = &mut shared.subscribers;
-                    if let Some(pos) = subs.iter().position(|&s| s == id) {
-                        subs.swap_remove(pos);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn matches(&self, publication: &Publication) -> Vec<SubId> {
-        let mut counts: BTreeMap<SubId, usize> = BTreeMap::new();
-        for (attr, value) in publication.iter() {
-            if let Some(pids) = self.by_attr.get(attr) {
-                for &pid in pids {
-                    let Some(shared) = self.predicates.get(pid) else {
-                        continue;
-                    };
-                    if shared.subscribers.is_empty() {
-                        continue;
-                    }
-                    if shared.predicate.eval(value) {
-                        for &sub in &shared.subscribers {
-                            *counts.entry(sub).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<SubId> = counts
-            .into_iter()
-            .filter(|(sub, n)| self.required.get(sub) == Some(n))
-            .map(|(sub, _)| sub)
-            .collect();
-        out.extend_from_slice(&self.match_all);
-        out.sort_unstable();
-        out.dedup();
         out
     }
 
@@ -329,22 +185,23 @@ mod tests {
             .build()
     }
 
-    fn engines() -> (NaiveMatcher, CountingMatcher) {
-        (NaiveMatcher::new(), CountingMatcher::new())
+    fn engines() -> (NaiveMatcher, BucketMatcher) {
+        (NaiveMatcher::new(), BucketMatcher::new())
     }
 
-    fn both_match(naive: &NaiveMatcher, counting: &CountingMatcher, p: &Publication) -> Vec<SubId> {
+    /// The naive scan's answer, checked against the bucket matcher's
+    /// `&self` path (a scan while stale) and its built index.
+    fn both_match(naive: &NaiveMatcher, bucket: &mut BucketMatcher, p: &Publication) -> Vec<SubId> {
         let a = naive.matches(p);
-        let b = counting.matches(p);
-        assert_eq!(a, b, "engines disagree on {p}");
+        assert_eq!(a, bucket.matches(p), "engines disagree on {p} (stale)");
+        assert_eq!(a, bucket.matches_mut(p), "engines disagree on {p}");
         a
     }
 
     #[test]
     fn exact_and_range_matching() {
         let (mut n, mut c) = engines();
-        for (m, engine) in [(&mut n as &mut dyn Matcher, "n"), (&mut c, "c")] {
-            let _ = engine;
+        for m in [&mut n as &mut dyn Matcher, &mut c] {
             m.insert(SubId::new(1), stock_template("YHOO"));
             m.insert(
                 SubId::new(2),
@@ -352,11 +209,11 @@ mod tests {
             );
             m.insert(SubId::new(3), stock_template("GOOG"));
         }
-        let hits = both_match(&n, &c, &quote("YHOO", 17.5, 100));
+        let hits = both_match(&n, &mut c, &quote("YHOO", 17.5, 100));
         assert_eq!(hits, vec![SubId::new(1), SubId::new(2)]);
-        let hits = both_match(&n, &c, &quote("YHOO", 19.0, 100));
+        let hits = both_match(&n, &mut c, &quote("YHOO", 19.0, 100));
         assert_eq!(hits, vec![SubId::new(1)]);
-        let hits = both_match(&n, &c, &quote("GOOG", 1.0, 100));
+        let hits = both_match(&n, &mut c, &quote("GOOG", 1.0, 100));
         assert_eq!(hits, vec![SubId::new(3)]);
     }
 
@@ -365,7 +222,7 @@ mod tests {
         let (mut n, mut c) = engines();
         n.insert(SubId::new(9), Filter::new());
         c.insert(SubId::new(9), Filter::new());
-        let hits = both_match(&n, &c, &quote("YHOO", 1.0, 1));
+        let hits = both_match(&n, &mut c, &quote("YHOO", 1.0, 1));
         assert_eq!(hits, vec![SubId::new(9)]);
     }
 
@@ -377,7 +234,7 @@ mod tests {
         assert!(n.remove(SubId::new(1)));
         assert!(c.remove(SubId::new(1)));
         assert!(!c.remove(SubId::new(1)));
-        assert!(both_match(&n, &c, &quote("YHOO", 1.0, 1)).is_empty());
+        assert!(both_match(&n, &mut c, &quote("YHOO", 1.0, 1)).is_empty());
         assert_eq!(c.len(), 0);
         assert!(c.is_empty());
     }
@@ -389,24 +246,12 @@ mod tests {
             m.insert(SubId::new(1), stock_template("YHOO"));
             m.insert(SubId::new(1), stock_template("GOOG"));
         }
-        assert!(both_match(&n, &c, &quote("YHOO", 1.0, 1)).is_empty());
+        assert!(both_match(&n, &mut c, &quote("YHOO", 1.0, 1)).is_empty());
         assert_eq!(
-            both_match(&n, &c, &quote("GOOG", 1.0, 1)),
+            both_match(&n, &mut c, &quote("GOOG", 1.0, 1)),
             vec![SubId::new(1)]
         );
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn shared_predicates_are_deduplicated() {
-        let mut c = CountingMatcher::new();
-        for i in 0..100 {
-            c.insert(SubId::new(i), stock_template("YHOO"));
-        }
-        // 100 subscriptions share exactly two predicates.
-        assert_eq!(c.shared_predicate_count(), 2);
-        assert_eq!(c.matches(&quote("YHOO", 1.0, 1)).len(), 100);
-        assert!(c.filter(SubId::new(5)).is_some());
     }
 
     #[test]
@@ -419,10 +264,10 @@ mod tests {
             );
         }
         assert_eq!(
-            both_match(&n, &c, &quote("YHOO", 5.0, 6200)),
+            both_match(&n, &mut c, &quote("YHOO", 5.0, 6200)),
             vec![SubId::new(1)]
         );
-        assert!(both_match(&n, &c, &quote("YHOO", 5.0, 500)).is_empty());
+        assert!(both_match(&n, &mut c, &quote("YHOO", 5.0, 500)).is_empty());
     }
 
     #[test]
@@ -435,8 +280,10 @@ mod tests {
         for i in 0..150 {
             let sym = symbols[rng.gen_range(0..symbols.len())];
             let mut f = stock_template(sym);
-            if rng.gen_bool(0.5) {
-                f = f.and(Predicate::new("low", Op::Lt, rng.gen_range(0.0..100.0)));
+            if rng.gen_bool(0.6) {
+                let attr = ["low", "high", "volume"][rng.gen_range(0..3)];
+                let op = [Op::Lt, Op::Gt, Op::Le, Op::Ge][rng.gen_range(0..4)];
+                f = f.and(Predicate::new(attr, op, rng.gen_range(0.0..100.0)));
             }
             naive.insert(SubId::new(i), f.clone());
             bucket.insert(SubId::new(i), f);
@@ -446,7 +293,13 @@ mod tests {
         bucket.insert(SubId::new(900), Filter::new());
         for k in 0..100 {
             let sym = symbols[k % symbols.len()];
-            let p = quote(sym, (k as f64) % 100.0, 10);
+            let p = Publication::builder(AdvId::new(1), MsgId::new(1))
+                .attr("class", "STOCK")
+                .attr("symbol", sym)
+                .attr("low", (k as f64) % 100.0)
+                .attr("high", rng.gen_range(0.0..100.0))
+                .attr("volume", rng.gen_range(0.0..100.0))
+                .build();
             // `&self` on the stale index (a scan of the store), then
             // the built index.
             assert_eq!(naive.matches(&p), bucket.matches(&p), "stale, pub {k}");
@@ -508,35 +361,5 @@ mod tests {
             .attr("symbol", "S42")
             .build();
         assert_eq!(bucket.matches_mut(&p), vec![SubId::new(42)]);
-    }
-
-    #[test]
-    fn engines_agree_on_random_workload() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let symbols = ["YHOO", "GOOG", "IBM", "MSFT"];
-        let (mut n, mut c) = engines();
-        for i in 0..200 {
-            let sym = symbols[rng.gen_range(0..symbols.len())];
-            let mut f = stock_template(sym);
-            if rng.gen_bool(0.6) {
-                let attr = ["low", "high", "volume"][rng.gen_range(0..3)];
-                let op = [Op::Lt, Op::Gt, Op::Le, Op::Ge][rng.gen_range(0..4)];
-                f = f.and(Predicate::new(attr, op, rng.gen_range(0.0..100.0)));
-            }
-            n.insert(SubId::new(i), f.clone());
-            c.insert(SubId::new(i), f);
-        }
-        for _ in 0..200 {
-            let sym = symbols[rng.gen_range(0..symbols.len())];
-            let p = Publication::builder(AdvId::new(1), MsgId::new(1))
-                .attr("class", "STOCK")
-                .attr("symbol", sym)
-                .attr("low", rng.gen_range(0.0..100.0))
-                .attr("high", rng.gen_range(0.0..100.0))
-                .attr("volume", rng.gen_range(0.0..100.0))
-                .build();
-            both_match(&n, &c, &p);
-        }
     }
 }

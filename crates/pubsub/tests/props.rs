@@ -5,7 +5,7 @@
 
 use greenps_pubsub::filter::Filter;
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::matching::{BucketMatcher, CountingMatcher, Matcher, NaiveMatcher};
+use greenps_pubsub::matching::{BucketMatcher, Matcher, NaiveMatcher};
 use greenps_pubsub::message::{Advertisement, Publication, Subscription};
 use greenps_pubsub::parser::parse_filter;
 use greenps_pubsub::predicate::{Op, Predicate};
@@ -286,30 +286,6 @@ proptest! {
         }
     }
 
-    /// The counting matcher agrees with the naive matcher on arbitrary
-    /// workloads, including after removals.
-    #[test]
-    fn matchers_agree(
-        filters in proptest::collection::vec(arb_filter(), 0..25),
-        removals in proptest::collection::vec(0usize..25, 0..10),
-        pubs in proptest::collection::vec(arb_publication(), 0..25),
-    ) {
-        let mut naive = NaiveMatcher::new();
-        let mut counting = CountingMatcher::new();
-        for (i, f) in filters.iter().enumerate() {
-            naive.insert(SubId::new(i as u64), f.clone());
-            counting.insert(SubId::new(i as u64), f.clone());
-        }
-        for r in removals {
-            naive.remove(SubId::new(r as u64));
-            counting.remove(SubId::new(r as u64));
-        }
-        prop_assert_eq!(naive.len(), counting.len());
-        for p in &pubs {
-            prop_assert_eq!(naive.matches(p), counting.matches(p), "on {}", p);
-        }
-    }
-
     /// The routing index against the naive matcher, through any
     /// interleaving of inserts, re-inserts (new filter, new hop),
     /// removals and publications: client hops are told exactly the
@@ -336,11 +312,13 @@ proptest! {
                     bucket.insert(id, filter.clone());
                     naive.insert(id, filter);
                     hop_of.insert(id, hop);
+                    prop_assert_eq!(bucket.len(), naive.len());
                 }
                 Step::Remove { id } => {
                     let id = SubId::new(id);
                     prop_assert_eq!(tables.remove_subscription(id), hop_of.remove(&id));
                     prop_assert_eq!(bucket.remove(id), naive.remove(id));
+                    prop_assert_eq!(bucket.len(), naive.len());
                 }
                 Step::Route { publication, from } => {
                     let matching = naive.matches(&publication);

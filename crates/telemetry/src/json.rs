@@ -1,25 +1,31 @@
-//! Minimal deterministic JSON tree for checkpoint artifacts.
+//! The workspace's one JSON codec: checkpoints, the telemetry snapshot
+//! and the scale report are all built as a [`JsonValue`] tree and
+//! written by it.
 //!
-//! The vendored `serde` is a marker-only stub, so checkpoint
-//! serialization is hand-rolled: a small [`JsonValue`] tree with a
-//! byte-stable writer and a panic-free recursive-descent parser.
-//! Objects keep insertion order on write, so encoding the same artifact
-//! twice produces identical bytes. Floats are carried as JSON *strings*
-//! holding Rust's shortest round-trip `Display` form, which is both
-//! human-readable and bit-exact when parsed back with `str::parse`.
+//! The vendored `serde` is a marker-only stub, so the codec is
+//! hand-rolled: a small tree with a byte-stable compact writer and a
+//! panic-free recursive-descent parser. Objects keep insertion order on
+//! write, so encoding the same document twice produces identical bytes.
+//! Floats are JSON numbers in Rust's `{:?}` form — the shortest decimal
+//! that round-trips, with `1.0` kept as `1.0` rather than `Display`'s
+//! `1`, so a float never reads back as an integer — and are parsed back
+//! bit-exactly by `str::parse`. A non-finite float has no JSON spelling
+//! and is written as `null`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or under-construction JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A non-negative integer. Every integer in a checkpoint fits `u64`;
-    /// the parser rejects signs and fractions (floats travel as
-    /// strings).
+    /// A non-negative integer literal (no sign, fraction or exponent).
     U64(u64),
-    /// A string; also the carrier for `f64` values.
+    /// Any other number. Written as `null` when not finite.
+    F64(f64),
+    /// A string.
     Str(String),
     /// An ordered array.
     Arr(Vec<JsonValue>),
@@ -43,9 +49,9 @@ impl JsonValue {
         self
     }
 
-    /// Encodes an `f64` as its shortest round-trip decimal string.
+    /// Encodes an `f64` as a number.
     pub fn from_f64(v: f64) -> JsonValue {
-        JsonValue::Str(format!("{v}"))
+        JsonValue::F64(v)
     }
 
     /// Encodes a string.
@@ -85,9 +91,14 @@ impl JsonValue {
         }
     }
 
-    /// Decodes an `f64` carried as a string (see [`JsonValue::from_f64`]).
+    /// The numeric payload, if this is a number (`null` is not). An
+    /// integer literal rounds to the nearest `f64`, as any decimal does.
     pub fn as_f64(&self) -> Option<f64> {
-        self.as_str().and_then(|s| s.parse().ok())
+        match self {
+            JsonValue::F64(v) => Some(*v),
+            JsonValue::U64(n) => Some(*n as f64),
+            _ => None,
+        }
     }
 
     /// The elements, if this is an array.
@@ -102,8 +113,15 @@ impl JsonValue {
     /// text.
     pub fn write(&self, out: &mut String) {
         match self {
+            JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(n) => out.push_str(&n.to_string()),
+            JsonValue::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            JsonValue::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v:?}");
+            }
+            JsonValue::F64(_) => out.push_str("null"),
             JsonValue::Str(s) => write_escaped(s, out),
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -148,7 +166,9 @@ fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -175,8 +195,8 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON value (with optional surrounding whitespace).
 ///
 /// # Errors
-/// Fails on malformed input, trailing garbage, negative or fractional
-/// number literals, and integers that overflow `u64`.
+/// Fails on malformed input, trailing garbage, and integer literals that
+/// overflow `u64`.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
@@ -246,7 +266,8 @@ impl Parser<'_> {
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') if self.eat_word("null") => Ok(JsonValue::Null),
             Some(b't') if self.eat_word("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(JsonValue::Bool(false)),
             Some(_) => Err(self.err("expected a value")),
@@ -254,24 +275,32 @@ impl Parser<'_> {
         }
     }
 
+    /// A number token. A bare digit run is a `u64`; anything else is
+    /// read by `str::parse::<f64>`, which is bit-exact for the `{:?}`
+    /// form the writer emits and accepts every JSON number (plus a few
+    /// spellings JSON does not, such as `1.`).
     fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let mut n: u64 = 0;
-        let mut digits = 0usize;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
             self.pos += 1;
-            digits += 1;
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| self.err("integer overflows u64"))?;
         }
-        if digits == 0 {
-            return Err(self.err("expected a digit"));
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .unwrap_or_default();
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            text.parse()
+                .map(JsonValue::U64)
+                .map_err(|_| self.err("integer overflows u64"))
+        } else {
+            text.parse()
+                .map(JsonValue::F64)
+                .map_err(|_| self.err("malformed number"))
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("fractional numbers are not used here; floats travel as strings"));
-        }
-        Ok(JsonValue::U64(n))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -381,7 +410,9 @@ mod tests {
 
     #[test]
     fn scalar_round_trips() {
-        for src in ["true", "false", "0", "42", "\"hi\""] {
+        for src in [
+            "null", "true", "false", "0", "42", "1.0", "-0.25", "1e300", "\"hi\"",
+        ] {
             let v = parse(src).unwrap();
             assert_eq!(v.to_string(), src);
         }
@@ -414,12 +445,29 @@ mod tests {
             -3.25e-17,
             f64::MAX,
             f64::MIN_POSITIVE,
+            1.0,
+            1e21,
         ] {
             let v = JsonValue::from_f64(f);
             let back = parse(&v.to_string()).unwrap();
+            assert!(
+                matches!(back, JsonValue::F64(_)),
+                "{f} read back as {back:?}"
+            );
             let g = back.as_f64().unwrap();
             assert_eq!(f.to_bits(), g.to_bits(), "{f}");
         }
+    }
+
+    #[test]
+    fn non_finite_floats_write_null_and_null_is_not_a_number() {
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = JsonValue::from_f64(f).to_string();
+            assert_eq!(text, "null");
+            assert_eq!(parse(&text).unwrap().as_f64(), None);
+        }
+        // An out-of-range literal parses, to infinity.
+        assert_eq!(parse("1e999").unwrap().as_f64(), Some(f64::INFINITY));
     }
 
     #[test]
@@ -432,9 +480,13 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let v = parse(r#"{"n":3,"f":"2.5","ok":true,"xs":[1,2]}"#).unwrap();
+        let v = parse(r#"{"n":3,"f":2.5,"s":"2.5","z":null,"ok":true,"xs":[1,2]}"#).unwrap();
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(3.0));
         assert_eq!(v.get("f").and_then(JsonValue::as_f64), Some(2.5));
+        assert_eq!(v.get("f").and_then(JsonValue::as_u64), None);
+        assert_eq!(v.get("s").and_then(JsonValue::as_f64), None);
+        assert_eq!(v.get("z"), Some(&JsonValue::Null));
         assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(
             v.get("xs").and_then(JsonValue::as_arr).map(<[_]>::len),
@@ -451,9 +503,12 @@ mod tests {
             "[1,",
             "{\"a\":}",
             "\"abc",
-            "1.5",
-            "-3",
-            "1e9",
+            "-",
+            "1e",
+            "1-2",
+            "+1",
+            ".5",
+            "nul",
             "{\"a\" 1}",
             "[] []",
             "99999999999999999999999999",

@@ -18,8 +18,10 @@
 //! * [`EventSink`] — bounded, drop-oldest structured event rings for
 //!   trace events (GIF merges, pair-cache hits, broker queue stalls),
 //!   one ring per component/thread, with an exposed drop counter.
-//! * [`JsonExporter`] — deterministic whole-run snapshot serialization
-//!   (`BTreeMap` ordering throughout).
+//! * [`Snapshot::to_json`] — deterministic whole-run snapshot
+//!   serialization (`BTreeMap` ordering throughout) through [`json`],
+//!   the workspace's one JSON codec, which checkpoints and the scale
+//!   report use as well.
 //!
 //! Every instrument is named by a [`Name`] from the [`names`] table; a
 //! string literal at a record site does not compile.
@@ -37,7 +39,7 @@
 //! ## Example
 //!
 //! ```
-//! use greenps_telemetry::{names, JsonExporter, Registry, Span};
+//! use greenps_telemetry::{names, Registry, Span};
 //!
 //! let reg = Registry::new();
 //! let computations = reg.counter(&names::CRAM_CLOSENESS_COMPUTATIONS);
@@ -47,8 +49,8 @@
 //! }
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counters.get("cram.closeness_computations"), Some(&280_000));
-//! let json = JsonExporter::export(&snap);
-//! assert!(json.contains("\"cram.closeness_computations\": 280000"));
+//! let json = snap.to_json().to_string();
+//! assert!(json.contains("\"cram.closeness_computations\":280000"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,7 +82,7 @@
     reason = "telemetry owns the workspace's wall clock: spans and histogram timers read it only when a registry is enabled"
 )]
 
-pub mod export;
+pub mod json;
 pub mod local;
 pub mod metrics;
 pub mod names;
@@ -88,7 +90,6 @@ pub mod registry;
 pub mod ring;
 pub mod span;
 
-pub use export::JsonExporter;
 pub use local::{BucketHistogram, Summary};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
 pub use names::Name;

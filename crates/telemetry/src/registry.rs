@@ -7,6 +7,7 @@
 //! are all no-ops behind the identical API — the zero-cost-off switch
 //! used by every instrumented greenps code path.
 
+use crate::json::JsonValue;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramCore, HistogramSnapshot};
 use crate::names::Name;
 use crate::ring::{EventSink, RingCore, RingSnapshot, DEFAULT_RING_CAPACITY};
@@ -69,41 +70,29 @@ impl Registry {
 
     /// Gets or creates the counter `name`.
     pub fn counter(&self, name: &Name) -> Counter {
-        Counter(self.inner.as_ref().map(|inner| {
-            Arc::clone(
-                inner
-                    .counters
-                    .lock()
-                    .entry(name.as_str().to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-            )
-        }))
+        Counter(
+            self.inner
+                .as_ref()
+                .map(|inner| get_or_insert(&inner.counters, name, || AtomicU64::new(0))),
+        )
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &Name) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            Arc::clone(
-                inner
-                    .gauges
-                    .lock()
-                    .entry(name.as_str().to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-            )
-        }))
+        Gauge(
+            self.inner
+                .as_ref()
+                .map(|inner| get_or_insert(&inner.gauges, name, || AtomicU64::new(0))),
+        )
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &Name) -> Histogram {
-        Histogram(self.inner.as_ref().map(|inner| {
-            Arc::clone(
-                inner
-                    .histograms
-                    .lock()
-                    .entry(name.as_str().to_string())
-                    .or_insert_with(|| Arc::new(HistogramCore::new())),
-            )
-        }))
+        Histogram(
+            self.inner
+                .as_ref()
+                .map(|inner| get_or_insert(&inner.histograms, name, HistogramCore::new)),
+        )
     }
 
     /// Gets or creates the event ring `name`, bounded at
@@ -111,13 +100,8 @@ impl Registry {
     pub fn ring(&self, name: &Name) -> EventSink {
         EventSink {
             core: self.inner.as_ref().map(|inner| {
-                let ring = Arc::clone(
-                    inner
-                        .rings
-                        .lock()
-                        .entry(name.as_str().to_string())
-                        .or_insert_with(|| Arc::new(RingCore::new(DEFAULT_RING_CAPACITY))),
-                );
+                let ring =
+                    get_or_insert(&inner.rings, name, || RingCore::new(DEFAULT_RING_CAPACITY));
                 (ring, Arc::clone(&inner.seq))
             }),
         }
@@ -164,10 +148,29 @@ impl Registry {
     }
 }
 
+/// The instrument registered under `name`, created by `make` on first
+/// use. A hit allocates nothing: the key is copied only on a miss.
+fn get_or_insert<T>(
+    table: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &Name,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut table = table.lock();
+    if let Some(cell) = table.get(name.as_str()) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(
+        table
+            .entry(name.as_str().to_string())
+            .or_insert_with(|| Arc::new(make())),
+    )
+}
+
 /// A point-in-time view of a whole registry, ready for export.
 ///
 /// Every collection is a `BTreeMap`, so iteration — and therefore the
-/// JSON output built from it — is deterministically ordered.
+/// JSON output built from it ([`Snapshot::to_json`]) — is
+/// deterministically ordered.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -186,6 +189,75 @@ impl Snapshot {
     /// Folds the flat span paths into a tree (see [`SpanNode`]).
     pub fn span_tree(&self) -> SpanNode {
         span_tree(&self.spans)
+    }
+
+    /// The snapshot as a JSON document; equal snapshots give equal
+    /// bytes, since every map is walked in key order.
+    ///
+    /// Schema (all maps sorted by key):
+    ///
+    /// ```json
+    /// {"schema": "greenps-telemetry/1",
+    ///  "counters": {"name": 0},
+    ///  "gauges": {"name": 0},
+    ///  "histograms": {"name": {"count": 0, "sum": 0, "min": 0, "max": 0,
+    ///                          "buckets": [[upper_bound, count]]}},
+    ///  "spans": {"phase": {"wall_ns": 0, "count": 0, "children": {}}},
+    ///  "events": {"ring": {"dropped": 0,
+    ///                      "events": [{"seq": 1, "kind": "k", "detail": "d"}]}}}
+    /// ```
+    pub fn to_json(&self) -> JsonValue {
+        fn map<'a, V: 'a>(
+            entries: impl Iterator<Item = (&'a String, &'a V)>,
+            value: impl Fn(&V) -> JsonValue,
+        ) -> JsonValue {
+            JsonValue::Obj(entries.map(|(k, v)| (k.clone(), value(v))).collect())
+        }
+        fn spans(node: &SpanNode) -> JsonValue {
+            map(node.children.iter(), |child| {
+                JsonValue::obj()
+                    .field("wall_ns", JsonValue::U64(child.stat.wall_nanos))
+                    .field("count", JsonValue::U64(child.stat.count))
+                    .field("children", spans(child))
+            })
+        }
+        let pair = |a: u64, b: u64| JsonValue::Arr(vec![JsonValue::U64(a), JsonValue::U64(b)]);
+        JsonValue::obj()
+            .field("schema", JsonValue::string("greenps-telemetry/1"))
+            .field(
+                "counters",
+                map(self.counters.iter(), |v| JsonValue::U64(*v)),
+            )
+            .field("gauges", map(self.gauges.iter(), |v| JsonValue::U64(*v)))
+            .field(
+                "histograms",
+                map(self.histograms.iter(), |h| {
+                    JsonValue::obj()
+                        .field("count", JsonValue::U64(h.count))
+                        .field("sum", JsonValue::U64(h.sum))
+                        .field("min", JsonValue::U64(h.min))
+                        .field("max", JsonValue::U64(h.max))
+                        .field(
+                            "buckets",
+                            JsonValue::Arr(h.buckets.iter().map(|&(b, c)| pair(b, c)).collect()),
+                        )
+                }),
+            )
+            .field("spans", spans(&self.span_tree()))
+            .field(
+                "events",
+                map(self.rings.iter(), |ring| {
+                    let events = ring.events.iter().map(|e| {
+                        JsonValue::obj()
+                            .field("seq", JsonValue::U64(e.seq))
+                            .field("kind", JsonValue::string(&e.kind))
+                            .field("detail", JsonValue::string(&e.detail))
+                    });
+                    JsonValue::obj()
+                        .field("dropped", JsonValue::U64(ring.dropped))
+                        .field("events", JsonValue::Arr(events.collect()))
+                }),
+            )
     }
 }
 
@@ -239,6 +311,56 @@ mod tests {
             .children
             .get("p")
             .is_some_and(|p| p.children.contains_key("q")));
+    }
+
+    fn sample() -> Snapshot {
+        let reg = Registry::new();
+        reg.counter(&crate::names::CRAM_CLOSENESS_COMPUTATIONS)
+            .add(280_000);
+        reg.gauge(&crate::names::PAIR_CACHE_HIT_RATE_PCT).set(93);
+        reg.histogram(&crate::names::SIMNET_DELIVERY_DELAY_US)
+            .record(700);
+        crate::Span::enter(&reg, &crate::names::PHASE2_ALLOCATION).finish();
+        reg.ring(&crate::names::CRAM_RING)
+            .emit_with(&crate::names::GIF_MERGE, || "g1+g2".to_string());
+        let mut snap = reg.snapshot();
+        // Wall time differs run to run; normalize it before comparing.
+        for stat in snap.spans.values_mut() {
+            stat.wall_nanos = 0;
+        }
+        snap
+    }
+
+    #[test]
+    fn json_is_deterministic_and_contains_all_sections() {
+        let a = sample().to_json().to_string();
+        assert_eq!(a, sample().to_json().to_string());
+        assert!(a.starts_with(r#"{"schema":"greenps-telemetry/1","counters":{"#));
+        assert!(a.contains(r#""cram.closeness_computations":280000"#));
+        assert!(a.contains(r#""phase2":{"wall_ns":0,"count":0,"children":{"allocation":"#));
+        assert!(a.contains(r#""kind":"gif.merge","detail":"g1+g2""#));
+        assert!(a.contains(r#""simnet.delivery_delay_us":{"count":1,"sum":700"#));
+        // The document is valid JSON and reads back as the same tree.
+        assert_eq!(crate::json::parse(&a).ok(), Some(sample().to_json()));
+    }
+
+    #[test]
+    fn json_escapes_strings() {
+        let reg = Registry::new();
+        reg.ring(&Name::new("r"))
+            .emit_with(&Name::new("quote\"kind"), || "tab\there\nline".to_string());
+        let json = reg.snapshot().to_json().to_string();
+        assert!(json.contains("quote\\\"kind"));
+        assert!(json.contains("tab\\there\\nline"));
+    }
+
+    #[test]
+    fn empty_snapshot_exports_empty_maps() {
+        let json = Snapshot::default().to_json().to_string();
+        assert_eq!(
+            json,
+            r#"{"schema":"greenps-telemetry/1","counters":{},"gauges":{},"histograms":{},"spans":{},"events":{}}"#
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Timing is recorded once, when the span ends (explicit
 //! [`Span::finish`] or drop), with a single short-lived lock on the
 //! registry's span table; entering a span on the hot path costs one
-//! `Instant::now()`. Spans from a disabled registry skip even that.
+//! `Instant::now()` and no allocation for a fixed [`Name`], and
+//! finishing one whose path is already in the table allocates nothing.
+//! Spans from a disabled registry skip even that.
 
 use crate::names::Name;
 use parking_lot::Mutex;
@@ -32,7 +34,7 @@ pub struct SpanStat {
 /// An in-flight phase timer; records into the registry when it ends.
 #[derive(Debug, Default)]
 pub struct Span {
-    live: Option<(Arc<SpanTable>, String, Instant)>,
+    live: Option<(Arc<SpanTable>, Name, Instant)>,
 }
 
 impl Span {
@@ -43,7 +45,7 @@ impl Span {
         Span {
             live: registry
                 .span_table()
-                .map(|table| (table, path.as_str().to_string(), Instant::now())),
+                .map(|table| (table, path.clone(), Instant::now())),
         }
     }
 
@@ -71,10 +73,17 @@ impl Span {
     fn record(&mut self) {
         if let Some((table, path, start)) = self.live.take() {
             let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let add = |stat: &mut SpanStat| {
+                stat.wall_nanos = stat.wall_nanos.saturating_add(elapsed);
+                stat.count += 1;
+            };
             let mut table = table.lock();
-            let stat = table.entry(path).or_default();
-            stat.wall_nanos = stat.wall_nanos.saturating_add(elapsed);
-            stat.count += 1;
+            // Probe first, so a span that has run before allocates no key.
+            if let Some(stat) = table.get_mut(path.as_str()) {
+                add(stat);
+            } else {
+                add(table.entry(path.as_str().to_string()).or_default());
+            }
         }
     }
 }

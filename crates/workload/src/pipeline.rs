@@ -25,7 +25,6 @@ use greenps_core::pipeline::artifact::{
     self, arr_field, f64_field, ids_from_json, ids_to_json, linear_fn_from_json, linear_fn_to_json,
     quantity_field, str_field, u64_field, usize_field,
 };
-use greenps_core::pipeline::json::JsonValue;
 use greenps_core::pipeline::{
     Artifact, ArtifactError, CheckpointStore, Phase, PhaseKind, Pipeline, PipelineError,
     ReconfigContext,
@@ -33,6 +32,7 @@ use greenps_core::pipeline::{
 use greenps_profile::{ClosenessMetric, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_simnet::{LinkSpec, SimDuration};
+use greenps_telemetry::json::JsonValue;
 use greenps_telemetry::{names, Span};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -986,20 +986,23 @@ mod tests {
         // The first broker of each shape in the gathered checkpoint: a
         // deployment's `BrokerConfig` (with `profile_bits`) and an
         // allocation input's `BrokerSpec`.
-        let key = "\"out_bandwidth\":\"";
+        let key = "\"out_bandwidth\":";
         let mut shapes = Vec::new();
         for (url, _) in json.match_indices("\"url\":") {
             let value = url + json[url..].find(key).expect("its bandwidth") + key.len();
-            let end = value + json[value..].find('"').expect("bandwidth end");
-            let config = json[end..].starts_with("\",\"profile_bits\"");
+            let end = value + json[value..].find([',', '}']).expect("bandwidth end");
+            let config = json[end..].starts_with(",\"profile_bits\"");
             if !shapes.contains(&config) {
                 shapes.push(config);
-                let edited = format!("{}NaN{}", &json[..value], &json[end..]);
-                let store = CheckpointStore::from_json(&edited).expect("still a valid store");
-                let err = run
-                    .resume(&ctx, store)
-                    .expect_err("a NaN bandwidth is refused");
-                assert!(err.to_string().contains("out_bandwidth"), "{err}");
+                // `1e999` parses to +∞; `null` is how a NaN is written.
+                for bad in ["1e999", "-1.0", "null"] {
+                    let edited = format!("{}{bad}{}", &json[..value], &json[end..]);
+                    let store = CheckpointStore::from_json(&edited).expect("still a valid store");
+                    let err = run
+                        .resume(&ctx, store)
+                        .expect_err("a non-finite or negative bandwidth is refused");
+                    assert!(err.to_string().contains("out_bandwidth"), "{bad}: {err}");
+                }
             }
         }
         assert_eq!(shapes.len(), 2, "both broker shapes were edited");

@@ -21,6 +21,7 @@ use greenps::pubsub::{
     AdvId, BucketMatcher, Filter, Matcher, MsgId, Publication, SubId, Subscription,
 };
 use greenps::simnet::{SimDuration, SimTime};
+use greenps::telemetry::{names, Registry, Span};
 use greenps::workload::{Scenario, ScenarioBuilder, Topology};
 use greenps_net::{decode_exact, Endpoint, NetEvent, TcpTransport, Transport, Wire};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -304,6 +305,28 @@ fn cancel_polls_allocate_nothing() {
     assert_eq!(per_call(|| ctx.is_cancelled_hot()), 0);
     ctx.cancel();
     assert_eq!(per_call(|| ctx.is_cancelled_hot()), 0);
+}
+
+/// Record sites look their instrument up by name on every run: once a
+/// name is registered, a lookup of each kind and a span's enter and
+/// finish copy no key and allocate nothing.
+#[test]
+fn telemetry_lookups_by_a_registered_name_allocate_nothing() {
+    let registry = Registry::new();
+    assert_eq!(per_call(|| registry.counter(&names::CRAM_MERGES)), 0);
+    assert_eq!(
+        per_call(|| registry.gauge(&names::PAIR_CACHE_HIT_RATE_PCT)),
+        0
+    );
+    assert_eq!(
+        per_call(|| registry.histogram(&names::SIMNET_DELIVERY_DELAY_US)),
+        0
+    );
+    assert_eq!(per_call(|| registry.ring(&names::CRAM_RING)), 0);
+    assert_eq!(
+        per_call(|| Span::enter(&registry, &names::PHASE2_ALLOCATION).finish()),
+        0
+    );
 }
 
 #[test]

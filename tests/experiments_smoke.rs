@@ -13,6 +13,7 @@ use greenps::core::sorting::{bin_packing, fbf};
 use greenps::profile::ClosenessMetric;
 use greenps_bench::{check_input, ideal_input};
 use greenps_simnet::SimDuration;
+use greenps_telemetry::json::{self, JsonValue};
 use greenps_telemetry::names::{self, Kind};
 use greenps_telemetry::Registry;
 use greenps_workload::{
@@ -220,17 +221,17 @@ fn traced_run_snapshot_matches_telemetry_schema() {
     assert!(snap.counters.keys().any(|c| c == "cram.merges"));
 }
 
-/// Collects every `"key":` token of a JSON report body.
-fn json_keys(json: &str, keys: &mut std::collections::BTreeSet<String>) {
-    let mut rest = json;
-    while let Some(start) = rest.find('"') {
-        let tail = &rest[start + 1..];
-        let Some(end) = tail.find('"') else { break };
-        let after = tail[end + 1..].trim_start();
-        if after.starts_with(':') {
-            keys.insert(tail[..end].to_string());
+/// Collects every object key of a JSON document, at any depth.
+fn json_keys(value: &JsonValue, keys: &mut std::collections::BTreeSet<String>) {
+    match value {
+        JsonValue::Obj(pairs) => {
+            for (key, child) in pairs {
+                keys.insert(key.clone());
+                json_keys(child, keys);
+            }
         }
-        rest = &tail[end + 1..];
+        JsonValue::Arr(items) => items.iter().for_each(|item| json_keys(item, keys)),
+        _ => {}
     }
 }
 
@@ -258,11 +259,10 @@ const BENCH_KEYS: [&str; 15] = [
 /// undeclared keys, no dead entries.
 #[test]
 fn bench_report_keys_match_telemetry_schema() {
+    let report = greenps_bench::scale_report_json(&[(600, 4)], 2, true);
+    let report = json::parse(&report).expect("the scale report is valid JSON");
     let mut keys = std::collections::BTreeSet::new();
-    json_keys(
-        &greenps_bench::scale_report_json(&[(600, 4)], 2, true),
-        &mut keys,
-    );
+    json_keys(&report, &mut keys);
     assert!(!keys.is_empty(), "no keys parsed out of the bench JSON");
 
     for key in &keys {
