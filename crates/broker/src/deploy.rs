@@ -243,10 +243,24 @@ impl Deployment {
                 break;
             }
         }
+        self.report_routing();
         self.net
             .node_as_mut::<CrocClient>(croc)
             .and_then(CrocClient::take_result)
             .ok_or(GatherError::Timeout { waited: timeout })
+    }
+
+    /// Adds every broker's routing-index rebuilds since the last report
+    /// to the attached registry (nothing when it is disabled).
+    fn report_routing(&mut self) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        for &node in self.brokers.values() {
+            if let Some(broker) = self.net.node_as_mut::<Broker>(node) {
+                broker.report_routing(&self.telemetry);
+            }
+        }
     }
 
     /// Converts gathered BIAs into the Phase-2 input.
@@ -310,6 +324,7 @@ impl Deployment {
             metrics.mean_delay_s = delay_sum / metrics.deliveries as f64;
         }
         self.report_window(window, &subscriber_nodes);
+        self.report_routing();
         metrics
     }
 

@@ -15,8 +15,9 @@ use crate::messages::{BrokerMsg, GatheredBroker};
 use greenps_core::model::{BrokerSpec, SubscriptionEntry};
 use greenps_profile::{PublisherProfile, SubscriptionProfile};
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::routing::{Forward, RoutingTables};
+use greenps_pubsub::routing::{Forward, RebuildCounts, RoutingTables};
 use greenps_simnet::{SimDuration, SimTime};
+use greenps_telemetry::{names, Registry};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::broker::BrokerConfig;
@@ -80,6 +81,9 @@ pub struct BrokerCore<P> {
     /// the per-publication forwarding set is rebuilt in place instead
     /// of allocating a fresh `Vec` per message.
     forwards_scratch: Vec<Forward<P>>,
+    /// Routing-index rebuilds already added to a registry by
+    /// [`BrokerCore::report_routing`].
+    routing_reported: RebuildCounts,
 }
 
 impl<P: Copy + Ord> BrokerCore<P> {
@@ -98,7 +102,25 @@ impl<P: Copy + Ord> BrokerCore<P> {
             matched_count: 0,
             delivered_count: 0,
             forwards_scratch: Vec::new(),
+            routing_reported: RebuildCounts::default(),
         }
+    }
+
+    /// Adds the routing-index rebuilds since the last report, and the
+    /// entries they indexed, to `registry`'s `routing.rebuilds` and
+    /// `routing.rebuild_entries`. A disabled registry costs one branch.
+    pub fn report_routing(&mut self, registry: &Registry) {
+        if !registry.is_enabled() {
+            return;
+        }
+        let now = self.routing.rebuild_counts();
+        registry
+            .counter(&names::ROUTING_REBUILDS)
+            .add(now.rebuilds - self.routing_reported.rebuilds);
+        registry
+            .counter(&names::ROUTING_REBUILD_ENTRIES)
+            .add(now.entries - self.routing_reported.entries);
+        self.routing_reported = now;
     }
 
     /// Broker identity.

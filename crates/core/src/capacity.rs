@@ -21,9 +21,9 @@
 
 use crate::model::{AllocError, Allocation, BrokerLoad, BrokerSpec, Unit};
 use crate::pipeline::CancelToken;
-use greenps_profile::{PublisherTable, ShiftingBitVector, SubscriptionProfile};
-use greenps_pubsub::ids::{AdvId, BrokerId};
-use std::sync::Arc;
+use greenps_profile::{PublisherTable, ShiftingBitVector, SubscriptionProfile, WindowRef};
+use greenps_pubsub::ids::{AdvId, BrokerId, SubId};
+use std::ops::Range;
 
 /// The broker order every packer fills in: descending total output
 /// bandwidth — most resourceful first — ties broken by id for
@@ -60,7 +60,8 @@ struct FastSlot {
     epoch: u64,
     vec: ShiftingBitVector,
     /// Cached popcount of `vec` — the `old` side of the rate-delta
-    /// fraction, saving one full word pass per placement probe.
+    /// fraction, and with the window's own popcount and one
+    /// intersection the `new` side.
     ones: usize,
 }
 
@@ -71,9 +72,55 @@ struct FastBroker {
     out_used: f64,
     in_rate: f64,
     subs: usize,
-    /// Units placed on this broker, in placement order — the recipe a
-    /// best-so-far allocation is later materialized from.
-    picks: Vec<Arc<Unit>>,
+    /// Positions, in the packed stream, of the units placed on this
+    /// broker, in placement order — the recipe a best-so-far
+    /// allocation is later materialized from.
+    picks: Vec<usize>,
+}
+
+/// One publisher-backed window of a [`PackRecord`].
+#[derive(Debug, Clone)]
+struct PackLeg {
+    /// The publisher's column in the packer (its slot offset).
+    column: usize,
+    first_id: u64,
+    capacity: usize,
+    /// Popcount of the window.
+    ones: usize,
+    /// The window's words in [`PackRecord::words`], trailing zero
+    /// words trimmed.
+    words: Range<usize>,
+}
+
+/// A unit as the packer reads it, flat: bandwidth, subscription count
+/// and each publisher-backed window with its publisher column, window
+/// placement and popcount resolved once — so a placement probe does no
+/// map walk, no publisher search and no popcount of the unit.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackRecord {
+    out_bandwidth: f64,
+    subs: usize,
+    legs: Vec<PackLeg>,
+    words: Vec<u64>,
+}
+
+impl PackRecord {
+    fn window(&self, leg: &PackLeg) -> WindowRef<'_> {
+        WindowRef {
+            first_id: leg.first_id,
+            capacity: leg.capacity,
+            words: self.words.get(leg.words.clone()).unwrap_or_default(),
+        }
+    }
+}
+
+/// Why a pack failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unplaced {
+    /// Units exist but the pool is empty.
+    NoBrokers,
+    /// The unit at this position of the stream fits no broker.
+    Unit(usize),
 }
 
 /// The allocation-test packer: every allocator places units through it,
@@ -84,8 +131,11 @@ struct FastBroker {
 /// thousands of feasibility tests a CRAM run performs. `FastPacker` is
 /// constructed **once** per run and reset per pack by bumping an epoch
 /// counter; per-(broker, publisher) union windows live in reusable
-/// [`FastSlot`]s with cached popcounts, so a placement probe costs one
-/// streaming [`ShiftingBitVector::pair_cardinalities`] pass.
+/// [`FastSlot`]s with cached popcounts. Units arrive as flat
+/// [`PackRecord`]s, so a placement probe reads only what it uses: the
+/// rate check needs `|slot ∪ window|`, which is the slot's cached
+/// popcount plus the window's minus one intersection over the
+/// window's trimmed words.
 ///
 /// The acceptance decisions are bit-identical to the test oracle's
 /// (`SubscriptionProfile::estimate_rate_delta` per probe) over the same
@@ -107,9 +157,10 @@ pub(crate) struct FastPacker {
     /// Dense broker-major `(broker, publisher)` union slots.
     slots: Vec<FastSlot>,
     epoch: u64,
-    /// Scratch: `(slot index, |union|)` for the most recent probe's
-    /// shared-publisher legs, so acceptance reuses the probe's popcount.
-    or_scratch: Vec<(usize, usize)>,
+    /// Scratch: per leg of the unit being placed, `|slot ∪ window|`
+    /// from the probe (meaningful for live slots), so acceptance
+    /// reuses the probe's count.
+    unions: Vec<usize>,
 }
 
 impl FastPacker {
@@ -143,21 +194,52 @@ impl FastPacker {
             last_msgs,
             slots,
             epoch: 0,
-            or_scratch: Vec::new(),
+            unions: Vec::new(),
+        }
+    }
+
+    /// The flat record of `unit` for this packer's publisher columns.
+    pub(crate) fn record(&self, unit: &Unit) -> PackRecord {
+        let mut record = PackRecord::default();
+        self.record_into(unit, &mut record);
+        record
+    }
+
+    /// [`FastPacker::record`] into a reused record.
+    pub(crate) fn record_into(&self, unit: &Unit, record: &mut PackRecord) {
+        record.out_bandwidth = unit.out_bandwidth;
+        record.subs = unit.sub_count();
+        record.legs.clear();
+        record.words.clear();
+        for (adv, v) in unit.profile.iter() {
+            let Ok(column) = self.advs.binary_search(&adv) else {
+                continue;
+            };
+            let window = v.trimmed();
+            let start = record.words.len();
+            record.words.extend_from_slice(window.words);
+            record.legs.push(PackLeg {
+                column,
+                first_id: window.first_id,
+                capacity: window.capacity,
+                ones: v.count_ones(),
+                words: start..record.words.len(),
+            });
         }
     }
 
     /// Packs units, in the order given, onto the brokers, resetting all
-    /// per-pack state via the epoch bump. CRAM feeds them in
-    /// [`pack_order`]; FBF in its shuffled order.
+    /// per-pack state via the epoch bump. Each unit comes with its
+    /// position in the caller's stream, which is what the picks record.
+    /// CRAM feeds them in [`pack_order`]; FBF in its shuffled order.
     ///
     /// # Errors
-    /// Fails with the subscriptions of the first unplaceable unit, or
-    /// [`AllocError::NoBrokers`] when units exist but the pool is empty.
+    /// Fails with the position of the first unplaceable unit, or
+    /// [`Unplaced::NoBrokers`] when units exist but the pool is empty.
     pub(crate) fn pack<'x>(
         &mut self,
-        units: impl Iterator<Item = &'x Arc<Unit>>,
-    ) -> Result<(), AllocError> {
+        units: impl Iterator<Item = (usize, &'x PackRecord)>,
+    ) -> Result<(), Unplaced> {
         self.epoch += 1;
         let n_advs = self.advs.len();
         for st in &mut self.brokers {
@@ -170,34 +252,30 @@ impl FastPacker {
         if self.brokers.is_empty() {
             return match units.next() {
                 None => Ok(()),
-                Some(_) => Err(AllocError::NoBrokers),
+                Some(_) => Err(Unplaced::NoBrokers),
             };
         }
-        'units: for unit in units {
+        'units: for (at, unit) in units {
+            self.unions.clear();
+            self.unions.resize(unit.legs.len(), 0);
             for (b, st) in self.brokers.iter_mut().enumerate() {
                 // Cheap bandwidth check first — the dominant rejection.
                 if st.out_used + unit.out_bandwidth >= st.spec.out_bandwidth {
                     continue;
                 }
                 // Incremental rate check replicating the reference
-                // `estimate_rate_delta` f64 sequence, with the union's
-                // cached popcount standing in for its `count_ones` walk.
-                self.or_scratch.clear();
-                // At most one entry per advertisement slot hit below.
-                self.or_scratch.reserve(self.advs.len());
+                // `estimate_rate_delta` f64 sequence, with cached
+                // popcounts standing in for its `count_ones` walks.
                 let mut delta = 0.0;
-                for (adv, o) in unit.profile.iter() {
-                    let Ok(ai) = self.advs.binary_search(&adv) else {
-                        continue;
-                    };
-                    let (rate, last) = match (self.rates.get(ai), self.last_msgs.get(ai)) {
-                        (Some(r), Some(l)) => (*r, *l),
-                        _ => continue,
-                    };
-                    let ones_new = o.count_ones();
-                    if ones_new == 0 {
+                for (leg, union) in unit.legs.iter().zip(&mut self.unions) {
+                    if leg.ones == 0 {
                         continue;
                     }
+                    let (rate, last) =
+                        match (self.rates.get(leg.column), self.last_msgs.get(leg.column)) {
+                            (Some(r), Some(l)) => (*r, *l),
+                            _ => continue,
+                        };
                     let fraction = |ones: usize, first: u64, cap: usize| -> f64 {
                         if ones == 0 {
                             return 0.0;
@@ -209,26 +287,25 @@ impl FastPacker {
                             .max(ones as u64);
                         ones as f64 / observed as f64
                     };
-                    let si = b * n_advs + ai;
+                    let si = b * n_advs + leg.column;
                     match self.slots.get(si).filter(|s| s.epoch == self.epoch) {
                         Some(s) => {
                             let old = fraction(s.ones, s.vec.first_id(), s.vec.capacity());
-                            let c = s.vec.pair_cardinalities(o);
+                            *union = s.ones + leg.ones - s.vec.intersect_count(unit.window(leg));
                             let new = fraction(
-                                c.or,
-                                s.vec.first_id().min(o.first_id()),
-                                s.vec.capacity().max(o.capacity()),
+                                *union,
+                                s.vec.first_id().min(leg.first_id),
+                                s.vec.capacity().max(leg.capacity),
                             );
-                            self.or_scratch.push((si, c.or));
                             delta += (new - old) * rate;
                         }
                         None => {
-                            delta += fraction(ones_new, o.first_id(), o.capacity()) * rate;
+                            delta += fraction(leg.ones, leg.first_id, leg.capacity) * rate;
                         }
                     }
                 }
                 let in_rate = st.in_rate + delta;
-                let max_rate = st.spec.matching_delay.max_rate(st.subs + unit.sub_count());
+                let max_rate = st.spec.matching_delay.max_rate(st.subs + unit.subs);
                 if in_rate > max_rate {
                     continue;
                 }
@@ -236,45 +313,63 @@ impl FastPacker {
                 // unit into its slot (including empty windows — their
                 // placement can widen a union window, which the
                 // materialized union's `or_assign` also does).
-                for (adv, o) in unit.profile.iter() {
-                    let Ok(ai) = self.advs.binary_search(&adv) else {
+                for (leg, &union) in unit.legs.iter().zip(&self.unions) {
+                    let Some(s) = self.slots.get_mut(b * n_advs + leg.column) else {
                         continue;
                     };
-                    let si = b * n_advs + ai;
-                    let Some(s) = self.slots.get_mut(si) else {
-                        continue;
-                    };
+                    let window = unit.window(leg);
                     if s.epoch == self.epoch {
-                        let lo = s.vec.first_id().min(o.first_id());
-                        let hi_end = s.vec.window_end().max(o.window_end());
+                        let lo = s.vec.first_id().min(leg.first_id);
+                        let hi_end = s.vec.window_end().max(window.window_end());
                         let truncated = hi_end - lo > s.vec.capacity() as u64;
-                        s.vec.or_assign(o);
-                        let cached = self
-                            .or_scratch
-                            .iter()
-                            .find(|(i, _)| *i == si)
-                            .map(|(_, or)| *or);
-                        s.ones = match (truncated, cached) {
-                            (false, Some(or)) => or,
-                            _ => s.vec.count_ones(),
+                        s.vec.or_assign_window(window);
+                        // An empty window adds no id; a probed one
+                        // added `union − ones` of them.
+                        s.ones = match (truncated, leg.ones) {
+                            (true, _) => s.vec.count_ones(),
+                            (false, 0) => s.ones,
+                            (false, _) => union,
                         };
                     } else {
-                        s.vec.copy_from(o);
-                        s.ones = s.vec.count_ones();
+                        s.vec.copy_from_window(window);
+                        s.ones = leg.ones;
                         s.epoch = self.epoch;
                     }
                 }
                 st.in_rate = in_rate;
                 st.out_used += unit.out_bandwidth;
-                st.subs += unit.sub_count();
-                st.picks.push(Arc::clone(unit));
+                st.subs += unit.subs;
+                st.picks.push(at);
                 continue 'units;
             }
-            return Err(AllocError::Infeasible {
-                subs: unit.subs.clone(),
-            });
+            return Err(Unplaced::Unit(at));
         }
         Ok(())
+    }
+
+    /// A pass that stands alone (BIN PACKING, FBF, CRAM's baseline):
+    /// packs `records` in order, polling `cancel` before each, and fails
+    /// as the allocators do — with the subscriptions of the first
+    /// unplaceable unit (`subs_of` its position), with
+    /// [`AllocError::NoBrokers`], or with [`AllocError::Cancelled`] when
+    /// the token trips first.
+    pub(crate) fn pack_polled<'x>(
+        &mut self,
+        records: impl Iterator<Item = &'x PackRecord>,
+        cancel: &CancelToken,
+        subs_of: impl FnOnce(usize) -> Vec<SubId>,
+    ) -> Result<(), AllocError> {
+        let mut cancelled = false;
+        let packed = self.pack(records.enumerate().take_while(|_| {
+            cancelled = cancel.is_cancelled_hot();
+            !cancelled
+        }));
+        match packed {
+            Err(Unplaced::NoBrokers) => Err(AllocError::NoBrokers),
+            Err(Unplaced::Unit(at)) => Err(AllocError::Infeasible { subs: subs_of(at) }),
+            Ok(()) if cancelled => Err(AllocError::Cancelled),
+            Ok(()) => Ok(()),
+        }
     }
 
     /// Number of brokers that received at least one unit in the most
@@ -283,41 +378,34 @@ impl FastPacker {
         self.brokers.iter().filter(|s| !s.picks.is_empty()).count()
     }
 
-    /// Moves the most recent pack's per-broker placements (placement
-    /// order preserved) into `out`, reusing its spine —
-    /// [`materialize_recipe`] turns them into an [`Allocation`].
-    pub(crate) fn drain_picks_into(&mut self, out: &mut Vec<(BrokerId, Vec<Arc<Unit>>)>) {
-        out.clear();
-        for st in &mut self.brokers {
-            if !st.picks.is_empty() {
-                out.push((st.spec.id, std::mem::take(&mut st.picks)));
-            }
-        }
+    /// The most recent pack's placements: per used broker, the stream
+    /// positions of its units in placement order — the recipe
+    /// [`materialize_recipe`] turns into an [`Allocation`] once the
+    /// caller swaps positions for units.
+    pub(crate) fn picks(&self) -> impl Iterator<Item = (BrokerId, &[usize])> {
+        self.brokers
+            .iter()
+            .filter(|st| !st.picks.is_empty())
+            .map(|st| (st.spec.id, st.picks.as_slice()))
     }
 }
 
-/// Materializes a packing recipe ([`FastPacker::drain_picks_into`])
-/// into a full [`Allocation`]: per broker, replay `or_assign` over the
-/// picked units in placement order, sum their bandwidths, and estimate
-/// the union load. A pick held by no one else is moved out of its `Arc`;
-/// only a unit the caller still shares (CRAM's pool) is cloned.
+/// Materializes a packing recipe into a full [`Allocation`]: per
+/// broker, replay `or_assign` over the picked units in placement order,
+/// sum their bandwidths, and estimate the union load.
 pub(crate) fn materialize_recipe(
-    picks: Vec<(BrokerId, Vec<Arc<Unit>>)>,
+    picks: impl IntoIterator<Item = (BrokerId, Vec<Unit>)>,
     publishers: &PublisherTable,
 ) -> Allocation {
     let loads = picks
         .into_iter()
-        .map(|(broker, picked)| {
+        .map(|(broker, units)| {
             let mut union = SubscriptionProfile::new();
             let mut out_bw_used = 0.0;
-            let units = picked
-                .into_iter()
-                .map(|u| {
-                    union.or_assign(&u.profile);
-                    out_bw_used += u.out_bandwidth;
-                    Arc::try_unwrap(u).unwrap_or_else(|shared| (*shared).clone())
-                })
-                .collect();
+            for u in &units {
+                union.or_assign(&u.profile);
+                out_bw_used += u.out_bandwidth;
+            }
             let input = union.estimate_load(publishers);
             BrokerLoad {
                 broker,
@@ -346,21 +434,24 @@ pub fn pack_all(
     units: impl IntoIterator<Item = Unit>,
     cancel: &CancelToken,
 ) -> Result<Allocation, AllocError> {
-    let units: Vec<Arc<Unit>> = units.into_iter().map(Arc::new).collect();
     let mut packer = FastPacker::new(brokers, publishers);
-    let mut cancelled = false;
-    packer.pack(units.iter().take_while(|_| {
-        cancelled = cancel.is_cancelled_hot();
-        !cancelled
-    }))?;
-    if cancelled {
-        return Err(AllocError::Cancelled);
-    }
-    // The packer's picks become the only handles, so materializing
-    // moves every unit instead of cloning it.
-    drop(units);
-    let mut picks = Vec::new();
-    packer.drain_picks_into(&mut picks);
+    let units: Vec<Unit> = units.into_iter().collect();
+    let records: Vec<PackRecord> = units.iter().map(|u| packer.record(u)).collect();
+    packer.pack_polled(records.iter(), cancel, |at| {
+        units.get(at).map(|u| u.subs.clone()).unwrap_or_default()
+    })?;
+    // Every unit was placed exactly once, so each moves into its load.
+    let mut units: Vec<Option<Unit>> = units.into_iter().map(Some).collect();
+    let picks: Vec<(BrokerId, Vec<Unit>)> = packer
+        .picks()
+        .map(|(broker, at)| {
+            let placed = at
+                .iter()
+                .filter_map(|&i| units.get_mut(i).and_then(Option::take))
+                .collect();
+            (broker, placed)
+        })
+        .collect();
     Ok(materialize_recipe(picks, publishers))
 }
 
@@ -651,12 +742,15 @@ mod tests {
         );
     }
 
-    /// Builds a unit with explicit per-publisher windows:
-    /// `(adv, first_id, ids)` legs.
-    fn multi_unit(sub: u64, legs: &[(u64, u64, Vec<u64>)], pubs: &PublisherTable) -> Unit {
+    /// One per-publisher window of a test unit: `(adv, first_id,
+    /// capacity, ids)`.
+    type Leg = (u64, u64, usize, Vec<u64>);
+
+    /// Builds a unit with explicit per-publisher windows.
+    fn multi_unit(sub: u64, legs: &[Leg], pubs: &PublisherTable) -> Unit {
         let mut p = SubscriptionProfile::with_capacity(100);
-        for (adv, first, ids) in legs {
-            let mut v = ShiftingBitVector::starting_at(100, *first);
+        for (adv, first, capacity, ids) in legs {
+            let mut v = ShiftingBitVector::starting_at(*capacity, *first);
             for &id in ids {
                 v.record(id);
             }
@@ -688,11 +782,17 @@ mod tests {
         fast: &mut FastPacker,
         brokers: &[BrokerSpec],
         pubs: &PublisherTable,
-        subset: &[&Arc<Unit>],
+        subset: &[&Unit],
     ) -> Result<(), TestCaseError> {
         let mut reference = RefPacker::new(brokers);
-        let ref_result = reference.pack_in_order(pubs, subset.iter().map(|u| &***u).collect());
-        let fast_result = fast.pack(subset.iter().copied());
+        let ref_result = reference.pack_in_order(pubs, subset.to_vec());
+        let records: Vec<PackRecord> = subset.iter().map(|u| fast.record(u)).collect();
+        let fast_result = fast.pack(records.iter().enumerate()).map_err(|e| match e {
+            Unplaced::NoBrokers => AllocError::NoBrokers,
+            Unplaced::Unit(at) => AllocError::Infeasible {
+                subs: subset[at].subs.clone(),
+            },
+        });
         prop_assert_eq!(&ref_result, &fast_result);
         prop_assert_eq!(reference.used_brokers(), fast.used_brokers());
         for (rs, fs) in reference.states.iter().zip(&fast.brokers) {
@@ -701,12 +801,13 @@ mod tests {
             prop_assert_eq!(rs.out_used.to_bits(), fs.out_used.to_bits());
             prop_assert_eq!(rs.subs, fs.subs);
             let ref_subs: Vec<_> = rs.units.iter().map(|u| &u.subs).collect();
-            let fast_subs: Vec<_> = fs.picks.iter().map(|u| &u.subs).collect();
+            let fast_subs: Vec<_> = fs.picks.iter().map(|&at| &subset[at].subs).collect();
             prop_assert_eq!(ref_subs, fast_subs);
         }
         if ref_result.is_ok() {
-            let mut picks = Vec::new();
-            fast.drain_picks_into(&mut picks);
+            let picks = fast
+                .picks()
+                .map(|(broker, at)| (broker, at.iter().map(|&i| subset[i].clone()).collect()));
             assert_same_allocation(
                 &materialize_recipe(picks, pubs),
                 &reference.into_allocation(pubs),
@@ -737,26 +838,37 @@ mod tests {
     /// Units covering every delta-path branch: shared windows, shifted
     /// windows (forcing `or_assign` truncation), empty vectors, a
     /// publisher-less advertisement, and multi-publisher profiles.
-    fn tricky_units(pubs: &PublisherTable) -> Vec<Arc<Unit>> {
+    fn tricky_units(pubs: &PublisherTable) -> Vec<Unit> {
         let mut units = vec![
-            multi_unit(0, &[(1, 0, (0..30).collect())], pubs),
+            multi_unit(0, &[(1, 0, 100, (0..30).collect())], pubs),
             multi_unit(
                 1,
-                &[(1, 0, (20..50).collect()), (2, 0, (0..80).collect())],
+                &[
+                    (1, 0, 100, (20..50).collect()),
+                    (2, 0, 100, (0..80).collect()),
+                ],
                 pubs,
             ),
-            multi_unit(2, &[(2, 900, (900..960).collect())], pubs),
-            multi_unit(3, &[(1, 0, (0..10).collect()), (2, 0, vec![])], pubs),
+            multi_unit(2, &[(2, 900, 100, (900..960).collect())], pubs),
+            multi_unit(
+                3,
+                &[(1, 0, 100, (0..10).collect()), (2, 0, 100, vec![])],
+                pubs,
+            ),
             multi_unit(
                 4,
-                &[(2, 940, (950..999).collect()), (7, 0, (0..5).collect())],
+                &[
+                    (2, 940, 100, (950..999).collect()),
+                    (7, 0, 100, (0..5).collect()),
+                ],
                 pubs,
             ),
-            multi_unit(5, &[(1, 50, (50..90).collect())], pubs),
-            multi_unit(6, &[(2, 0, (0..40).step_by(2).collect())], pubs),
+            multi_unit(5, &[(1, 50, 100, (50..90).collect())], pubs),
+            multi_unit(6, &[(2, 0, 100, (0..40).step_by(2).collect())], pubs),
+            multi_unit(7, &[(1, 10, 130, (10..25).collect())], pubs),
         ];
         units.sort_by(pack_order);
-        units.into_iter().map(Arc::new).collect()
+        units
     }
 
     /// One persistent packer (the CRAM usage) against a fresh oracle
@@ -765,11 +877,11 @@ mod tests {
     fn assert_same_packs(
         brokers: &[BrokerSpec],
         pubs: &PublisherTable,
-        units: &[Arc<Unit>],
+        units: &[Unit],
     ) -> Result<(), TestCaseError> {
         let mut fast = FastPacker::new(brokers, pubs);
         for round in 0..units.len() + 2 {
-            let subset: Vec<&Arc<Unit>> = units
+            let subset: Vec<&Unit> = units
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i + 1 != round)
@@ -792,17 +904,27 @@ mod tests {
         assert_same_packs(&brokers, &pubs, &tricky_units(&pubs)).unwrap();
     }
 
-    /// One `(adv, first_id, offsets)` leg: advertisement 7 has no
-    /// publisher, the window starts force shifted and truncating
-    /// unions, and the offset set may be empty.
-    fn arb_leg() -> impl Strategy<Value = (u64, u64, Vec<u64>)> {
+    /// One leg: advertisement 7 has no publisher, the window starts
+    /// force misaligned and truncating unions, the capacities
+    /// mismatched ones (a 64-bit window also shifts as ids arrive), and
+    /// the offsets are kept whole, confined to the window's first word
+    /// (leaving zero words for the flat record to trim) or dropped (an
+    /// empty window, which places without adding an id).
+    fn arb_leg() -> impl Strategy<Value = Leg> {
         (
             proptest::sample::select(vec![1u64, 2, 7]),
             proptest::sample::select(vec![0u64, 50, 900, 940]),
+            proptest::sample::select(vec![100usize, 100, 130, 64]),
             proptest::collection::btree_set(0u64..100, 0..60),
+            proptest::sample::select(vec![100u64, 100, 20, 0]),
         )
-            .prop_map(|(adv, first, offsets)| {
-                (adv, first, offsets.into_iter().map(|o| first + o).collect())
+            .prop_map(|(adv, first, capacity, offsets, below)| {
+                let ids = offsets
+                    .into_iter()
+                    .filter(|&o| o < below)
+                    .map(|o| first + o)
+                    .collect();
+                (adv, first, capacity, ids)
             })
     }
 
@@ -834,7 +956,9 @@ mod tests {
     proptest! {
         /// Seam oracle for the allocation test: over arbitrary brokers
         /// and units, one persistent `FastPacker` fed a `pack_order`
-        /// stream (CRAM, BIN PACKING) or a seeded shuffle (FBF) decides,
+        /// stream (CRAM, BIN PACKING) or a seeded shuffle (FBF) of flat
+        /// records — trimmed, misaligned, mismatched and truncating
+        /// windows, the union counted from one intersection — decides,
         /// counts and materializes exactly as a fresh oracle packer
         /// does, and so does `pack_all` on the shuffle.
         #[test]
@@ -856,12 +980,34 @@ mod tests {
                 (Ok(()), Ok(got)) => assert_same_allocation(&got, &reference.into_allocation(&pubs))?,
                 (want, got) => prop_assert_eq!(want.err(), got.err()),
             }
-            let shuffled: Vec<Arc<Unit>> = units.iter().cloned().map(Arc::new).collect();
-            assert_same_packs(&brokers, &pubs, &shuffled)?;
+            assert_same_packs(&brokers, &pubs, &units)?;
             units.sort_by(pack_order);
-            let units: Vec<Arc<Unit>> = units.into_iter().map(Arc::new).collect();
             assert_same_packs(&brokers, &pubs, &units)?;
         }
+    }
+
+    /// An empty window placed where its publisher's union is live adds
+    /// no id, so the slot's count must stay, not reset: the next
+    /// probe's `|slot ∪ window|` reads it. (Windows past publisher 1's
+    /// last message observe as many slots as they hold ids, so the
+    /// rate fraction is not linear in the count and a wrong one shows.)
+    #[test]
+    fn an_empty_window_keeps_its_slots_count() {
+        let pubs = two_publishers();
+        let mut units = vec![
+            multi_unit(0, &[(1, 900, 100, (900..940).collect())], &pubs),
+            multi_unit(
+                1,
+                &[(1, 900, 100, vec![]), (2, 0, 100, (0..10).collect())],
+                &pubs,
+            ),
+            multi_unit(2, &[(1, 900, 100, (920..960).collect())], &pubs),
+        ];
+        // Placed in this order on the one broker.
+        for (i, u) in units.iter_mut().enumerate() {
+            u.out_bandwidth = 3_000.0 - i as f64;
+        }
+        assert_same_packs(&[broker(1, 1e9)], &pubs, &units).unwrap();
     }
 
     /// Both packers reject the same first unit with the same error.
@@ -869,25 +1015,32 @@ mod tests {
     fn fast_packer_reports_identical_infeasibility() {
         let pubs = publishers();
         let brokers = vec![broker(1, 12_000.0)];
-        let units: Vec<Arc<Unit>> = {
-            let mut us = vec![
-                unit(1, &(0..10).collect::<Vec<_>>(), &pubs),
-                unit(2, &(10..20).collect::<Vec<_>>(), &pubs),
-            ];
-            us.sort_by(pack_order);
-            us.into_iter().map(Arc::new).collect()
-        };
+        let mut units = [
+            unit(1, &(0..10).collect::<Vec<_>>(), &pubs),
+            unit(2, &(10..20).collect::<Vec<_>>(), &pubs),
+        ];
+        units.sort_by(pack_order);
         let mut reference = RefPacker::new(&brokers);
         let ref_err = reference
-            .pack_sorted(&pubs, units.iter().map(|u| &**u).collect())
+            .pack_sorted(&pubs, units.iter().collect())
             .unwrap_err();
         let mut fast = FastPacker::new(&brokers, &pubs);
-        let fast_err = fast.pack(units.iter()).unwrap_err();
-        assert_eq!(ref_err, fast_err);
+        let records: Vec<PackRecord> = units.iter().map(|u| fast.record(u)).collect();
+        let fast_err = fast.pack(records.iter().enumerate()).unwrap_err();
+        assert_eq!(fast_err, Unplaced::Unit(1));
+        assert_eq!(
+            ref_err,
+            AllocError::Infeasible {
+                subs: units[1].subs.clone()
+            }
+        );
         // Empty pool: Ok for no units, NoBrokers otherwise.
         let mut empty = FastPacker::new(&[], &pubs);
         assert!(empty.pack(std::iter::empty()).is_ok());
-        assert_eq!(empty.pack(units.iter()), Err(AllocError::NoBrokers));
+        assert_eq!(
+            empty.pack(records.iter().enumerate()),
+            Err(Unplaced::NoBrokers)
+        );
     }
 
     #[test]

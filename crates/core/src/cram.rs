@@ -62,11 +62,11 @@
     reason = "unit-pool slots are dense indices maintained alongside the pool"
 )]
 
-use crate::capacity::{materialize_recipe, pack_order, FastPacker};
+use crate::capacity::{materialize_recipe, pack_order, FastPacker, PackRecord};
 use crate::engine::{shard_map_scratch, PairCache};
 use crate::model::{AllocError, Allocation, AllocationInput, Unit};
 use crate::pipeline::CancelToken;
-use crate::sorting::{bin_packing_units, units_from_input};
+use crate::sorting::units_from_input;
 use greenps_profile::{
     ArenaKernel, ClosenessMetric, Poset, Relation, ShiftingBitVector, SubscriptionProfile,
     DEFAULT_CAPACITY,
@@ -538,10 +538,16 @@ impl CramBuilder {
         engine.stats.final_units = engine.pool.units.len();
         self.report(&engine);
         span.finish();
-        Ok((
-            materialize_recipe(engine.best.picks, &input.publishers),
-            engine.stats,
-        ))
+        // A unit the pool still holds is cloned; one merged away since
+        // it was picked is moved.
+        let picks = engine.best.picks.into_iter().map(|(broker, units)| {
+            let units = units
+                .into_iter()
+                .map(|u| Arc::try_unwrap(u).unwrap_or_else(|shared| (*shared).clone()))
+                .collect();
+            (broker, units)
+        });
+        Ok((materialize_recipe(picks, &input.publishers), engine.stats))
     }
 
     /// Publishes the run's counters and gauges. Pure observation of
@@ -565,6 +571,9 @@ impl CramBuilder {
             .set(stats.initial_gifs as u64);
         t.gauge(&names::CRAM_FINAL_UNITS)
             .set(stats.final_units as u64);
+        t.counter(&names::CRAM_PACKS).add(engine.packs);
+        t.counter(&names::CRAM_PACKS_FAILED)
+            .add(engine.packs_failed);
         t.counter(&names::CRAM_TILE_CHECKS).add(engine.tile_checks);
         t.counter(&names::CRAM_TILE_PRUNED).add(engine.tile_pruned);
         // Pruning effectiveness: share of candidate evaluations the
@@ -604,10 +613,16 @@ struct Engine {
     /// The allocation test's packer: built once per run, reset per
     /// pack by an epoch bump.
     packer: FastPacker,
-    /// Live pool units sorted by [`pack_order`], maintained by
-    /// [`Engine::commit`], so a test performs no sorting and no
-    /// per-test collection.
+    /// Live pool units sorted by [`pack_order`], each with its flat
+    /// pack record, maintained by [`Engine::commit`], so a test
+    /// performs no sorting, no per-test collection and no record
+    /// building beyond the trial merged unit's.
     order: Vec<PackEntry>,
+    /// The trial merged unit's pack record, rebuilt in place per test.
+    merged_record: PackRecord,
+    /// Allocation tests packed, and those that failed (telemetry only).
+    packs: u64,
+    packs_failed: u64,
     /// Whole-tile summary checks performed (telemetry only).
     tile_checks: u64,
     /// Frontier candidates rejected tile-at-a-time (telemetry only).
@@ -636,6 +651,7 @@ fn pair_key(a: GifKey, b: GifKey) -> (GifKey, GifKey) {
 struct PackEntry {
     key: UnitKey,
     unit: Arc<Unit>,
+    record: PackRecord,
 }
 
 /// The best allocation seen so far, as its packing *recipe* — which
@@ -648,22 +664,25 @@ struct BestAlloc {
 }
 
 /// Streams the sorted unit list with `removed` keys filtered out and
-/// one trial merged unit spliced in at its [`pack_order`] position.
+/// one trial merged unit spliced in at its [`pack_order`] position,
+/// each unit with a tag the caller chose (its position in the list).
 /// Ties go to the survivors, matching a stable sort over survivors
 /// chained with the merged unit last (the order is strict across a live
 /// pool anyway — unit subscription lists are disjoint and non-empty).
-struct MergedOrder<'u, I: Iterator<Item = &'u Arc<Unit>>> {
+struct MergedOrder<'u, I: Iterator<Item = (usize, &'u Unit)>> {
     inner: std::iter::Peekable<I>,
-    merged: Option<&'u Arc<Unit>>,
+    merged: Option<(usize, &'u Unit)>,
 }
 
-impl<'u, I: Iterator<Item = &'u Arc<Unit>>> Iterator for MergedOrder<'u, I> {
-    type Item = &'u Arc<Unit>;
+impl<'u, I: Iterator<Item = (usize, &'u Unit)>> Iterator for MergedOrder<'u, I> {
+    type Item = (usize, &'u Unit);
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.merged {
-            Some(m) => match self.inner.peek() {
-                Some(u) if pack_order(u, m) != std::cmp::Ordering::Greater => self.inner.next(),
+            Some((_, m)) => match self.inner.peek() {
+                Some((_, u)) if pack_order(u, m) != std::cmp::Ordering::Greater => {
+                    self.inner.next()
+                }
                 _ => self.merged.take(),
             },
             None => self.inner.next(),
@@ -831,32 +850,45 @@ fn scan_partner(
 }
 
 impl Engine {
-    /// Initialization (paper §IV-C): allocate without clustering —
-    /// abort when even that fails — then group the units into the GIF
-    /// pool and mark every GIF stale for the first partner scan. The
-    /// baseline seeds `best`, which keeps the fallback guarantee.
+    /// Initialization (paper §IV-C): group the units into the GIF pool,
+    /// then allocate them without clustering on the engine's own packer
+    /// — abort when even that fails — and mark every GIF stale for the
+    /// first partner scan. The baseline seeds `best`, which keeps the
+    /// fallback guarantee. Both the pool build and the baseline pack
+    /// poll the cancel token once per unit.
     fn new(
         builder: &CramBuilder,
         input: &AllocationInput,
         units: Vec<Unit>,
     ) -> Result<Self, AllocError> {
         let subscriptions = units.iter().map(Unit::sub_count).sum();
-        let baseline = bin_packing_units(
-            &input.brokers,
-            &input.publishers,
-            units.clone(),
-            &builder.cancel,
-        )?;
         let pool = Pool::build(units, builder.tile, &builder.cancel)?;
+        let mut packer = FastPacker::new(&input.brokers, &input.publishers);
+        // The order BIN PACKING sorts its units into: the pool holds
+        // them in input order, and the sort is stable.
         let mut order: Vec<PackEntry> = pool
             .units
             .iter()
             .map(|(&key, u)| PackEntry {
                 key,
                 unit: Arc::clone(u),
+                record: packer.record(u),
             })
             .collect();
         order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
+        packer.pack_polled(order.iter().map(|e| &e.record), &builder.cancel, |at| {
+            order[at].unit.subs.clone()
+        })?;
+        let best = BestAlloc {
+            brokers: packer.used_brokers(),
+            picks: packer
+                .picks()
+                .map(|(broker, at)| {
+                    let units = at.iter().map(|&i| Arc::clone(&order[i].unit)).collect();
+                    (broker, units)
+                })
+                .collect(),
+        };
         Ok(Engine {
             metric: builder.metric,
             one_to_many: builder.one_to_many,
@@ -871,16 +903,12 @@ impl Engine {
                 initial_gifs: pool.gifs.len(),
                 ..CramStats::default()
             },
-            best: BestAlloc {
-                brokers: baseline.broker_count(),
-                picks: baseline
-                    .loads
-                    .into_iter()
-                    .map(|l| (l.broker, l.units.into_iter().map(Arc::new).collect()))
-                    .collect(),
-            },
-            packer: FastPacker::new(&input.brokers, &input.publishers),
+            best,
+            packer,
             order,
+            merged_record: PackRecord::default(),
+            packs: 0,
+            packs_failed: 0,
             pool,
             tile_checks: 0,
             tile_pruned: 0,
@@ -1087,23 +1115,39 @@ impl Engine {
     /// `removed` must be sorted ascending (the callers reuse
     /// [`Engine::removed_buf`] for it).
     fn test_and_record(&mut self, removed: &[UnitKey], merged: &Unit) -> bool {
-        let merged = Arc::new(merged.clone());
-        let live = self
-            .order
+        self.packer.record_into(merged, &mut self.merged_record);
+        let (order, merged_record) = (&self.order, &self.merged_record);
+        // The merged unit's tag is one past the list.
+        let live = order
             .iter()
-            .filter(|e| removed.binary_search(&e.key).is_err())
-            .map(|e| &e.unit);
+            .enumerate()
+            .filter(|(_, e)| removed.binary_search(&e.key).is_err())
+            .map(|(i, e)| (i, &*e.unit));
         let stream = MergedOrder {
             inner: live.peekable(),
-            merged: Some(&merged),
+            merged: Some((order.len(), merged)),
         };
-        if self.packer.pack(stream).is_err() {
+        let records = stream.map(|(i, _)| (i, order.get(i).map_or(merged_record, |e| &e.record)));
+        self.packs += 1;
+        if self.packer.pack(records).is_err() {
+            self.packs_failed += 1;
             return false;
         }
         let used = self.packer.used_brokers();
         if used <= self.best.brokers {
+            // Units are taken by handle only now; the merged unit is
+            // wrapped once, if it was placed at all.
+            let mut merged_unit: Option<Arc<Unit>> = None;
+            let mut handle = |i: usize| match order.get(i) {
+                Some(e) => Arc::clone(&e.unit),
+                None => Arc::clone(merged_unit.get_or_insert_with(|| Arc::new(merged.clone()))),
+            };
             self.best.brokers = used;
-            self.packer.drain_picks_into(&mut self.best.picks);
+            self.best.picks.clear();
+            for (broker, at) in self.packer.picks() {
+                let units = at.iter().map(|&i| handle(i)).collect();
+                self.best.picks.push((broker, units));
+            }
         }
         true
     }
@@ -1151,6 +1195,7 @@ impl Engine {
                 PackEntry {
                     key: new_uk,
                     unit: Arc::clone(u),
+                    record: self.packer.record(u),
                 },
             );
         }
@@ -1933,7 +1978,12 @@ mod tests {
                 if engine.best.brokers == oracle.used_brokers() {
                     recorded += 1;
                     assert_eq!(
-                        materialize_recipe(engine.best.picks.clone(), pubs),
+                        materialize_recipe(
+                            engine.best.picks.iter().map(|(broker, units)| {
+                                (*broker, units.iter().map(|u| (**u).clone()).collect())
+                            }),
+                            pubs
+                        ),
                         oracle.into_allocation(pubs),
                         "{metric} after g{g}+g{h}"
                     );
@@ -1981,11 +2031,11 @@ mod tests {
                 inner: order
                     .iter()
                     .filter(|e| !removed.contains(&e.0))
-                    .map(|e| &e.1)
+                    .map(|e| (0, &*e.1))
                     .peekable(),
-                merged: Some(&merged),
+                merged: Some((1, &merged)),
             };
-            let streamed: Vec<&Vec<SubId>> = stream.map(|u| &u.subs).collect();
+            let streamed: Vec<&Vec<SubId>> = stream.map(|(_, u)| &u.subs).collect();
 
             let everything = BrokerSpec::new(
                 BrokerId::new(0),

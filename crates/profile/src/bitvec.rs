@@ -40,6 +40,26 @@ pub struct ShiftingBitVector {
     words: Vec<u64>,
 }
 
+/// A bit window borrowed as raw parts: bit `i` of `words` (LSB-first)
+/// is id `first_id + i`. `words` may stop short of `capacity` where
+/// only zero words would follow ([`ShiftingBitVector::trimmed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowRef<'a> {
+    /// Id of bit 0.
+    pub first_id: u64,
+    /// Capacity in bits of the vector the window was taken from.
+    pub capacity: usize,
+    /// The bits, trailing zero words possibly left off.
+    pub words: &'a [u64],
+}
+
+impl WindowRef<'_> {
+    /// One past the last id the window can hold.
+    pub fn window_end(&self) -> u64 {
+        self.first_id + self.capacity as u64
+    }
+}
+
 impl Default for ShiftingBitVector {
     fn default() -> Self {
         Self::new(DEFAULT_CAPACITY)
@@ -238,14 +258,55 @@ impl ShiftingBitVector {
         &self.words
     }
 
+    /// This vector as a [`WindowRef`] without its trailing zero words:
+    /// a profiling window that saw a few dozen ids of its 1 280 keeps
+    /// one or two words of twenty.
+    pub fn trimmed(&self) -> WindowRef<'_> {
+        let used = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        WindowRef {
+            first_id: self.first_id,
+            capacity: self.capacity,
+            words: self.words.get(..used).unwrap_or_default(),
+        }
+    }
+
+    /// `|self ∩ other|` as id sets, whatever the two windows' placement,
+    /// in one pass over `other`'s words — so `|self ∪ other|` is
+    /// `|self| + |other| − this` at the cost of the shorter side.
+    pub fn intersect_count(&self, other: WindowRef<'_>) -> usize {
+        if self.first_id == other.first_id {
+            return self
+                .words
+                .iter()
+                .zip(other.words)
+                .map(|(a, b)| (a & b).count_ones() as usize)
+                .sum();
+        }
+        other
+            .words
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| w != 0)
+            .map(|(i, &w)| {
+                let at = other.first_id.saturating_add((i * WORD_BITS) as u64);
+                (w & bits_at(&self.words, self.first_id, at)).count_ones() as usize
+            })
+            .sum()
+    }
+
     /// Overwrites `self` with `other`'s window and bits, reusing the
     /// existing word buffer so repeated copies in a packing loop stay
     /// allocation-free once the buffer has grown to size.
-    pub fn copy_from(&mut self, other: &Self) {
+    pub fn copy_from_window(&mut self, other: WindowRef<'_>) {
         self.first_id = other.first_id;
         self.capacity = other.capacity;
         self.words.clear();
-        self.words.extend_from_slice(&other.words);
+        self.words.extend_from_slice(other.words);
+        self.words.resize(other.capacity.div_ceil(WORD_BITS), 0);
     }
 
     /// Word `i` of this vector's bits re-aligned to a window starting
@@ -265,16 +326,7 @@ impl ShiftingBitVector {
     /// window read as zero. Only the merge path ([`Self::or_assign`])
     /// uses this — reads go through [`Self::window_word`].
     fn aligned_words(&self, first: u64, words: usize) -> Vec<u64> {
-        let mut out = vec![0u64; words];
-        for id in self.iter_ids() {
-            if id >= first {
-                let i = idx(id - first);
-                if i < words * WORD_BITS {
-                    out[i / WORD_BITS] |= 1 << (i % WORD_BITS);
-                }
-            }
-        }
-        out
+        aligned_words_in(&self.words, self.first_id, first, words)
     }
 
     /// Merges `other` into `self` with bitwise OR (clustering two
@@ -282,16 +334,22 @@ impl ShiftingBitVector {
     /// both inputs; if their union spans more than this vector's
     /// capacity, the oldest bits are discarded.
     pub fn or_assign(&mut self, other: &Self) {
+        self.or_assign_window(other.trimmed());
+    }
+
+    /// [`Self::or_assign`] from a borrowed window.
+    pub fn or_assign_window(&mut self, other: WindowRef<'_>) {
         // Fast path: identical windows (the common case — vectors of
         // one experiment share first_id and capacity) is a pure
         // word-level OR.
         if self.first_id == other.first_id && self.capacity == other.capacity {
-            for (w, o) in self.words.iter_mut().zip(&other.words) {
+            for (w, o) in self.words.iter_mut().zip(other.words) {
                 *w |= o;
             }
             return;
         }
-        let (lo, hi_end) = combined_window(self, other);
+        let lo = self.first_id.min(other.first_id);
+        let hi_end = self.window_end().max(other.window_end());
         let span = hi_end - lo;
         let first = if span > self.capacity as u64 {
             hi_end - self.capacity as u64
@@ -300,7 +358,8 @@ impl ShiftingBitVector {
         };
         let words = self.capacity.div_ceil(WORD_BITS);
         let mut merged = self.aligned_words(first, words);
-        for (m, o) in merged.iter_mut().zip(other.aligned_words(first, words)) {
+        let theirs = aligned_words_in(other.words, other.first_id, first, words);
+        for (m, o) in merged.iter_mut().zip(theirs) {
             *m |= o;
         }
         self.first_id = first;
@@ -396,6 +455,50 @@ pub(crate) fn window_word_in(words: &[u64], own_first: u64, target_first: u64, i
         let hi = word(i.checked_sub(wo + 1));
         (lo << bo) | (hi >> (WORD_BITS - bo))
     }
+}
+
+/// The 64 bits of a raw bit-window (`words` from `own_first`) that
+/// start at id `at`, wherever `at` lies; bits outside the window read
+/// as zero.
+fn bits_at(words: &[u64], own_first: u64, at: u64) -> u64 {
+    let word = |j: usize| -> u64 { words.get(j).copied().unwrap_or(0) };
+    if at >= own_first {
+        let offset = idx(at - own_first);
+        let (wo, bo) = (offset / WORD_BITS, offset % WORD_BITS);
+        if bo == 0 {
+            word(wo)
+        } else {
+            (word(wo) >> bo) | (word(wo.saturating_add(1)) << (WORD_BITS - bo))
+        }
+    } else {
+        let back = own_first - at;
+        if back >= WORD_BITS as u64 {
+            0
+        } else {
+            word(0) << back
+        }
+    }
+}
+
+/// A raw bit-window's ids inside the window `[first, first + words*64)`
+/// as words; ids outside it are dropped.
+fn aligned_words_in(words: &[u64], own_first: u64, first: u64, n: usize) -> Vec<u64> {
+    let mut out = vec![0u64; n];
+    for (wi, &w) in words.iter().enumerate() {
+        let mut word = w;
+        while word != 0 {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            let id = own_first + (wi * WORD_BITS + bit) as u64;
+            if id >= first {
+                let i = idx(id - first);
+                if i < n * WORD_BITS {
+                    out[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The batch popcount kernel over two raw bit-windows, each given as
@@ -683,6 +786,71 @@ mod tests {
                 (r.and, r.or, r.left, r.right),
                 (c.and, c.or, c.right, c.left)
             );
+        }
+    }
+
+    /// The trimmed window reads as the whole vector: its intersection
+    /// gives the kernel's `|∪|` through `|a| + |b| − |a ∩ b|`, and
+    /// copying or OR-ing it in leaves what the full vector would, for
+    /// aligned, misaligned, differently sized and truncating windows.
+    #[test]
+    fn trimmed_windows_count_and_merge_like_the_vector() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..400 {
+            let cap_a = [64, 100, 130, 300][rng.gen_range(0..4)];
+            let cap_b = if case % 3 == 0 {
+                cap_a
+            } else {
+                [64, 100, 130, 300][rng.gen_range(0..4)]
+            };
+            let first_a = rng.gen_range(0..200u64);
+            let first_b = match case % 4 {
+                0 => first_a,
+                _ => rng.gen_range(0..400u64),
+            };
+            // Ids confined to the start of a window leave zero words
+            // to trim.
+            let span_b = if case % 2 == 0 {
+                cap_b as u64
+            } else {
+                (cap_b as u64).min(40)
+            };
+            let mut a = ShiftingBitVector::starting_at(cap_a, first_a);
+            let mut b = ShiftingBitVector::starting_at(cap_b, first_b);
+            for _ in 0..rng.gen_range(0..60) {
+                a.record(first_a + rng.gen_range(0..cap_a as u64));
+            }
+            for _ in 0..rng.gen_range(0..60) {
+                b.record(first_b + rng.gen_range(0..span_b));
+            }
+            let w = b.trimmed();
+            assert!(w.words.last().is_none_or(|&x| x != 0));
+            assert!(w.words.len() <= b.words().len());
+            let union = a.count_ones() + b.count_ones() - a.intersect_count(w);
+            assert_eq!(union, a.pair_cardinalities(&b).or, "case {case}");
+            let mut copied = ShiftingBitVector::new(1);
+            copied.copy_from_window(w);
+            assert_eq!(
+                (copied.first_id(), copied.capacity(), copied.words()),
+                (b.first_id(), b.capacity(), b.words())
+            );
+            // OR-ing keeps the union's ids that fit the newest
+            // `cap_a`-wide window covering both.
+            let mut merged = a.clone();
+            merged.or_assign_window(w);
+            let lo = first_a.min(first_b);
+            let hi_end = a.window_end().max(b.window_end());
+            let first = lo.max(hi_end.saturating_sub(cap_a as u64));
+            let want: Vec<u64> = a
+                .iter_ids()
+                .chain(b.iter_ids())
+                .filter(|&id| id >= first && id < first + cap_a as u64)
+                .collect::<BTreeSet<u64>>()
+                .into_iter()
+                .collect();
+            assert_eq!(merged.first_id(), first, "case {case}");
+            assert_eq!(merged.iter_ids().collect::<Vec<_>>(), want, "case {case}");
         }
     }
 

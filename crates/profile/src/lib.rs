@@ -82,7 +82,7 @@ pub mod poset;
 pub mod profile;
 
 pub use arena::{BitsetArena, RowId};
-pub use bitvec::{PairCardinalities, ShiftingBitVector, DEFAULT_CAPACITY};
+pub use bitvec::{PairCardinalities, ShiftingBitVector, WindowRef, DEFAULT_CAPACITY};
 pub use closeness::{ClosenessMetric, XOR_CAP};
 pub use kernel::ArenaKernel;
 pub use poset::Poset;

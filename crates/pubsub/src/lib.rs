@@ -83,6 +83,8 @@ pub mod matching;
 pub mod message;
 pub mod parser;
 pub mod predicate;
+#[cfg(test)]
+mod props;
 pub mod routing;
 pub mod value;
 

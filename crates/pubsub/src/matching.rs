@@ -91,10 +91,11 @@ impl Matcher for NaiveMatcher {
 /// the difference between simulating 80 brokers in minutes and in
 /// seconds.
 ///
-/// Filters with no equality predicate fall back to a scan list. The
-/// index is rebuilt lazily after inserts/removals, on the `&mut` entry
-/// points only ([`BucketMatcher::ensure_built`],
-/// [`BucketMatcher::matches_mut`]).
+/// Filters with no equality predicate fall back to a scan list.
+/// Inserts and removals since the last build sit on a short change
+/// list the match reads too, so every match is current; the `&mut`
+/// entry points ([`BucketMatcher::ensure_built`],
+/// [`BucketMatcher::matches_mut`]) fold them into the index.
 #[derive(Debug, Clone, Default)]
 pub struct BucketMatcher {
     index: RoutingIndex<()>,
@@ -106,13 +107,14 @@ impl BucketMatcher {
         Self::default()
     }
 
-    /// Number of index buckets (diagnostic; rebuilds if stale).
+    /// Number of index buckets (diagnostic; folds changes in first).
     pub fn bucket_count(&mut self) -> usize {
         self.index.ensure_built();
         self.index.bucket_count()
     }
 
-    /// Like [`Matcher::matches`] but rebuilds the index in place first.
+    /// Like [`Matcher::matches`] but folds every change into the index
+    /// first.
     pub fn matches_mut(&mut self, publication: &Publication) -> Vec<SubId> {
         self.index.ensure_built();
         self.matches(publication)
@@ -123,14 +125,15 @@ impl BucketMatcher {
     /// the publication's attribute and value strings, and callers reuse
     /// `out` across publications.
     ///
-    /// The index must be fresh (see [`BucketMatcher::ensure_built`]);
-    /// a stale index matches against the last built state.
+    /// Changes not yet folded in (see [`BucketMatcher::ensure_built`])
+    /// are scanned one by one.
     pub fn matches_into(&self, publication: &Publication, out: &mut Vec<SubId>) {
         self.index.all_matches_into(publication, out);
     }
 
-    /// Rebuilds the index now if stale (call after a subscribe burst so
-    /// later `&self` matches use the index rather than a linear scan).
+    /// Folds every insert and removal into the index now (call after a
+    /// subscribe burst so later `&self` matches use the index rather
+    /// than a scan of the changes).
     pub fn ensure_built(&mut self) {
         self.index.ensure_built();
     }
@@ -146,16 +149,6 @@ impl Matcher for BucketMatcher {
     }
 
     fn matches(&self, publication: &Publication) -> Vec<SubId> {
-        // `&self` never builds: a stale index is answered by scanning
-        // the store, which is already in id order.
-        if self.index.is_stale() {
-            return self
-                .index
-                .iter()
-                .filter(|(sub, _)| sub.filter.matches(publication))
-                .map(|(sub, _)| sub.id)
-                .collect();
-        }
         // An owned-result convenience over `matches_into`; hot callers
         // reuse a buffer through that entry point instead.
         let mut out: Vec<SubId> = Vec::new();
@@ -190,10 +183,10 @@ mod tests {
     }
 
     /// The naive scan's answer, checked against the bucket matcher's
-    /// `&self` path (a scan while stale) and its built index.
+    /// `&self` path (changes unfolded) and its built index.
     fn both_match(naive: &NaiveMatcher, bucket: &mut BucketMatcher, p: &Publication) -> Vec<SubId> {
         let a = naive.matches(p);
-        assert_eq!(a, bucket.matches(p), "engines disagree on {p} (stale)");
+        assert_eq!(a, bucket.matches(p), "engines disagree on {p} (unfolded)");
         assert_eq!(a, bucket.matches_mut(p), "engines disagree on {p}");
         a
     }
@@ -300,9 +293,8 @@ mod tests {
                 .attr("high", rng.gen_range(0.0..100.0))
                 .attr("volume", rng.gen_range(0.0..100.0))
                 .build();
-            // `&self` on the stale index (a scan of the store), then
-            // the built index.
-            assert_eq!(naive.matches(&p), bucket.matches(&p), "stale, pub {k}");
+            // `&self` with the changes unfolded, then the built index.
+            assert_eq!(naive.matches(&p), bucket.matches(&p), "unfolded, pub {k}");
             assert_eq!(naive.matches(&p), bucket.matches_mut(&p), "pub {k}");
             assert_eq!(naive.matches(&p), bucket.matches(&p));
             bucket.insert(SubId::new(901), Filter::new());

@@ -44,11 +44,15 @@
 //! sorting the handful of per-hop witnesses by `SubId` reproduces the
 //! order exactly, and every simulated run stays bit-identical.
 //!
-//! Inserts and removals mark the index stale; it is rebuilt on the next
-//! `&mut` match. No `&self` method builds or clones an index.
+//! Inserts and removals go onto the index's short change list beside
+//! its built part, which a walk reads too; the `&mut` match paths
+//! rebuild it only once the changes pass a budget (`index.rs`), and
+//! [`RoutingTables::rebuild_counts`] says how often that happened. No
+//! `&self` method builds or clones an index.
 
 use crate::filter::Filter;
 use crate::ids::{AdvId, SubId};
+pub use crate::index::RebuildCounts;
 use crate::index::RoutingIndex;
 use crate::message::{Advertisement, Publication, Subscription};
 use std::collections::BTreeMap;
@@ -86,6 +90,16 @@ impl<H: Clone + Ord> RoutingTables<H> {
     /// Creates empty routing tables.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty tables whose subscription index holds `budget` changes
+    /// beside its built part whatever its size.
+    #[cfg(test)]
+    pub(crate) fn with_change_budget(budget: usize) -> Self {
+        Self {
+            advertisements: BTreeMap::new(),
+            subscriptions: RoutingIndex::with_change_budget(budget),
+        }
     }
 
     /// Records an advertisement arriving from `last_hop`.
@@ -167,8 +181,9 @@ impl<H: Clone + Ord> RoutingTables<H> {
     /// of every hop `is_client` accepts; for other hops matching stops
     /// at the first hit (module docs).
     ///
-    /// Rebuilds the index first when stale; otherwise allocates only
-    /// to grow `out`, which callers reuse across publications.
+    /// Rebuilds the index first when its changes have passed their
+    /// budget; otherwise allocates only to grow `out`, which callers
+    /// reuse across publications.
     pub fn route_into<C, M>(
         &mut self,
         publication: &Publication,
@@ -180,7 +195,7 @@ impl<H: Clone + Ord> RoutingTables<H> {
         C: Fn(&H) -> bool,
         M: FnMut(SubId),
     {
-        self.subscriptions.ensure_built();
+        self.subscriptions.prepare();
         out.clear();
         self.subscriptions
             .walk(publication, from, is_client, |hop, witness, client| {
@@ -202,7 +217,7 @@ impl<H: Clone + Ord> RoutingTables<H> {
 
     /// The distinct last hops of matching subscriptions, excluding the
     /// hop the publication arrived from, in [`RoutingTables::route_into`]
-    /// order. Rebuilds the match index in place when stale.
+    /// order. Rebuilds the match index in place as `route_into` does.
     pub fn route_publication_mut(&mut self, publication: &Publication, from: Option<&H>) -> Vec<H> {
         let mut forwards = Vec::new();
         self.route_into(publication, from, |_| false, |_| {}, &mut forwards);
@@ -210,10 +225,10 @@ impl<H: Clone + Ord> RoutingTables<H> {
     }
 
     /// The ids of every subscription matching a publication, whatever
-    /// its hop, in id order. Rebuilds the match index in place when
-    /// stale.
+    /// its hop, in id order. Rebuilds the match index in place as
+    /// `route_into` does.
     pub fn matching_subscriptions_mut(&mut self, publication: &Publication) -> Vec<SubId> {
-        self.subscriptions.ensure_built();
+        self.subscriptions.prepare();
         let mut out = Vec::new();
         self.subscriptions.all_matches_into(publication, &mut out);
         out
@@ -243,6 +258,12 @@ impl<H: Clone + Ord> RoutingTables<H> {
     /// Number of stored advertisements.
     pub fn advertisement_count(&self) -> usize {
         self.advertisements.len()
+    }
+
+    /// How often the subscription index has been rebuilt, and over how
+    /// many entries, since these tables were created.
+    pub fn rebuild_counts(&self) -> RebuildCounts {
+        self.subscriptions.rebuild_counts()
     }
 }
 

@@ -95,6 +95,8 @@ names! {
     Counter CRAM_MERGES = "cram.merges";
     Counter CRAM_FAILED_MERGES = "cram.failed_merges";
     Counter CRAM_ONE_TO_MANY_MERGES = "cram.one_to_many_merges";
+    Counter CRAM_PACKS = "cram.packs";
+    Counter CRAM_PACKS_FAILED = "cram.packs_failed";
     Counter CRAM_TILE_CHECKS = "cram.tile.checks";
     Counter CRAM_TILE_PRUNED = "cram.tile.pruned";
     Counter PAIR_CACHE_HITS = "core.pair_cache.hits";
@@ -103,6 +105,8 @@ names! {
     Counter CHECKPOINT_MISSES = "pipeline.checkpoint.misses";
     Counter ZONE_CROSS_LINKS = "zone.merge.cross_links";
     Counter CANCEL_OBSERVED = "pipeline.cancel.observed";
+    Counter ROUTING_REBUILDS = "routing.rebuilds";
+    Counter ROUTING_REBUILD_ENTRIES = "routing.rebuild_entries";
     Counter TRANSPORT_FRAMES_SENT = "transport.frames_sent";
     Counter TRANSPORT_FRAMES_RECEIVED = "transport.frames_received";
     Counter TRANSPORT_BYTES_SENT = "transport.bytes_sent";

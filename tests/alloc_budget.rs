@@ -178,6 +178,54 @@ fn routing_walk_allocates_nothing() {
     }
 }
 
+/// A subscription change below the index's change budget is absorbed
+/// beside the built index: the next `route_into` walks it where it
+/// lies instead of rebuilding, so it allocates nothing, change after
+/// change.
+#[test]
+fn route_into_after_a_buffered_insert_allocates_nothing() {
+    for seed in SEEDS {
+        let s = scenario(seed);
+        let (early, late) = s.subs.split_at(s.subs.len() - 8);
+        let mut tables: RoutingTables<u32> = RoutingTables::new();
+        for (i, adv) in advertisements(&s).into_iter().enumerate() {
+            tables.insert_advertisement(greenps::pubsub::Advertisement::new(adv_of(i), adv), 0);
+        }
+        for (k, sub) in early.iter().enumerate() {
+            tables.insert_subscription(
+                Subscription::new(sub.id, sub.filter.clone()),
+                1 + (k % 4) as u32,
+            );
+        }
+        let publications = publications(&s, 0);
+        let mut out = Vec::with_capacity(s.subs.len());
+        // Builds the index once.
+        for publication in &publications {
+            tables.route_into(publication, Some(&0), |hop| *hop == 1, |_| {}, &mut out);
+        }
+        let built = tables.rebuild_counts();
+        for (k, sub) in late.iter().enumerate() {
+            tables.insert_subscription(
+                Subscription::new(sub.id, sub.filter.clone()),
+                1 + (k % 4) as u32,
+            );
+            let publication = &publications[k % publications.len()];
+            let n = allocations(|| {
+                tables.route_into(publication, Some(&0), |hop| *hop == 1, |_| {}, &mut out);
+            });
+            assert_eq!(
+                n, 0,
+                "seed {seed}: route_into after insert {k} allocated {n} times"
+            );
+        }
+        assert_eq!(
+            tables.rebuild_counts(),
+            built,
+            "seed {seed}: a change rebuilt"
+        );
+    }
+}
+
 #[test]
 fn bucket_matcher_matches_into_allocates_nothing() {
     for seed in SEEDS {
