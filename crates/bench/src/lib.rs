@@ -1,8 +1,9 @@
 //! # greenps-bench
 //!
-//! Shared input builders and the scale report for the `experiments`
-//! binary that regenerates every figure/table of the paper (see
-//! DESIGN.md §4 for the experiment index E1–E10).
+//! The experiments ([`experiments`]) behind the `experiments` binary
+//! that regenerates every figure/table of the paper (see DESIGN.md §4
+//! for the experiment index E1–E10), with their shared input builders
+//! and the scale report.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -17,6 +18,8 @@ use greenps_pubsub::ids::{AdvId, MsgId, SubId};
 use greenps_telemetry::json::JsonValue;
 use greenps_workload::scenario::Scenario;
 use std::time::Instant;
+
+pub mod experiments;
 
 /// Number of publications per publisher used to fill synthetic
 /// profiles.
@@ -132,6 +135,7 @@ pub const SCALE_SEED: u64 = 11;
 /// so peak RSS tracks the largest zone rather than the whole workload;
 /// every row records it via [`peak_rss_kib`] (note `VmHWM` is a
 /// high-water mark, so rows share the process-lifetime peak so far).
+/// Every row's zoned run records into `registry`.
 ///
 /// The key vocabulary of the emitted JSON is pinned by `BENCH_KEYS` in
 /// `tests/experiments_smoke.rs` — keep the two in sync.
@@ -139,9 +143,13 @@ pub const SCALE_SEED: u64 = 11;
 /// # Panics
 /// Panics when the zoned allocator fails on a generated workload or a
 /// row drops subscriptions.
-pub fn scale_report_json(rows: &[(usize, usize)], zone_threads: usize, quick: bool) -> String {
+pub fn scale_report_json(
+    rows: &[(usize, usize)],
+    zone_threads: usize,
+    quick: bool,
+    registry: &greenps_telemetry::Registry,
+) -> String {
     use greenps_core::zones::{zoned_allocate, ZonedConfig};
-    use greenps_telemetry::Registry;
     use greenps_workload::zones::{ZonedSpec, ZonedStreamFeed};
 
     let available = greenps_core::engine::available_threads();
@@ -159,11 +167,10 @@ pub fn scale_report_json(rows: &[(usize, usize)], zone_threads: usize, quick: bo
         let mut feed = ZonedStreamFeed::new(spec, PROFILE_WINDOW);
         let brokers = feed.broker_pool((subs / 50).max(80));
         let publishers = feed.publishers().clone();
-        let registry = Registry::new();
         let config =
             ZonedConfig::with_metric(ClosenessMetric::Intersect).zone_threads(zone_threads);
         let t0 = Instant::now();
-        let zoned = zoned_allocate(&mut feed, &brokers, &publishers, &config, &registry)
+        let zoned = zoned_allocate(&mut feed, &brokers, &publishers, &config, registry)
             .expect("zoned CRAM");
         // Microsecond resolution is all a wall time carries.
         let wall_ms = (t0.elapsed().as_secs_f64() * 1e6).round() / 1e3;

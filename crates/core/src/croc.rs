@@ -254,7 +254,6 @@ pub fn allocate(
         AllocatorKind::Cram(cfg) => {
             let (a, stats) = CramBuilder::from_config(*cfg)
                 .telemetry(registry)
-                .threads(ctx.threads())
                 .cancel_token(&cancel)
                 .run(input)?;
             cram_stats = Some(stats);

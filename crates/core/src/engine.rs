@@ -1,14 +1,15 @@
-//! The parallel closeness engine: a sharded map over worker threads and
-//! a memoized pair-closeness cache.
+//! The closeness engine: a sharded map over worker threads and a
+//! memoized pair-closeness cache.
 //!
 //! CRAM and the PAIRWISE baselines spend almost all their time scanning
 //! candidate pairs and evaluating a closeness measure on each. This
-//! module factors that scan into two reusable pieces:
+//! module factors that work into two reusable pieces:
 //!
-//! * [`shard_map`] — partitions a slice of work items across a scoped
-//!   worker pool (`crossbeam::thread::scope`) and returns per-item
+//! * [`shard_map`] — partitions a slice of work items across scoped
+//!   worker threads (`std::thread::scope`) and returns per-item
 //!   results **in input order**, so callers observe exactly the
-//!   sequential result regardless of thread count;
+//!   sequential result regardless of thread count (PAIRWISE's scans,
+//!   and the zones of [`crate::zones`]);
 //! * [`PairCache`] — a symmetric memo table of pair-closeness values
 //!   keyed by ordered key pairs, with whole-key invalidation for keys
 //!   whose profile changed (merged or deleted GIFs) and a hard entry
@@ -21,7 +22,7 @@
 //! snapshot state. Callers keep their own tie-breaking rules; the
 //! engine never reorders. The thread count is the caller's decision:
 //! how many items make a worker worth spawning depends on what an item
-//! costs (one poset scan for CRAM, one whole zone for
+//! costs (one row scan for PAIRWISE, one whole zone for
 //! [`crate::zones`]), which only the caller knows.
 
 use std::collections::BTreeMap;
@@ -58,70 +59,20 @@ where
     }
     let chunk = items.len().div_ceil(threads);
     let fref = &f;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|shard| s.spawn(move || shard.iter().map(fref).collect::<Vec<R>>()))
             .collect();
         let mut out = Vec::with_capacity(items.len());
         for h in handles {
-            out.extend(h.join());
+            match h.join() {
+                Ok(part) => out.extend(part),
+                // A worker's panic is the caller's: re-raise it.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
         out
-    })
-}
-
-/// Like [`shard_map`], but threads a per-worker scratch value through
-/// every call so item processing can reuse buffers instead of
-/// allocating per item.
-///
-/// `make_scratch` runs once per shard (once total on the sequential
-/// path); `f` receives the shard's scratch mutably alongside each item.
-/// Returns the per-item results in input order plus every scratch in
-/// shard order. Because shards are contiguous chunks, concatenating the
-/// scratches' accumulated state in shard order observes items in input
-/// order — callers that merge scratch contents deterministically get
-/// thread-count-independent results, same as [`shard_map`].
-pub fn shard_map_scratch<T, R, S, FS, F>(
-    items: &[T],
-    threads: usize,
-    make_scratch: FS,
-    f: F,
-) -> (Vec<R>, Vec<S>)
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        let mut scratch = make_scratch();
-        let out = items.iter().map(|it| f(&mut scratch, it)).collect();
-        return (out, vec![scratch]);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let fref = &f;
-    let mref = &make_scratch;
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| {
-                s.spawn(move || {
-                    let mut scratch = mref();
-                    let out: Vec<R> = shard.iter().map(|it| fref(&mut scratch, it)).collect();
-                    (out, scratch)
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        let mut scratches = Vec::with_capacity(handles.len());
-        for h in handles {
-            let (part, scratch) = h.join();
-            out.extend(part);
-            scratches.push(scratch);
-        }
-        (out, scratches)
     })
 }
 
@@ -141,9 +92,9 @@ pub struct PairCache<K: Ord + Copy> {
     /// Entry budget, [`PAIR_CACHE_BUDGET`] outside this module's tests.
     budget: usize,
     /// Lookup tallies. Atomics because [`PairCache::get`] runs
-    /// concurrently on shard workers over a frozen cache; the totals
-    /// are still thread-count-deterministic because every worker
-    /// performs the same lookups regardless of sharding.
+    /// concurrently on PAIRWISE's [`shard_map`] workers over a frozen
+    /// cache; the totals are still thread-count-deterministic because
+    /// every worker performs the same lookups regardless of sharding.
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -156,18 +107,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups that hit, in `[0, 1]`; 0.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 impl<K: Ord + Copy> Default for PairCache<K> {
@@ -283,46 +222,9 @@ mod tests {
     #[test]
     fn shard_map_fans_out_over_few_items() {
         let items = [0u8; 8];
-        let plain = shard_map(&items, 4, |_| std::thread::current().id());
-        let (scratch, _) = shard_map_scratch(&items, 4, || (), |(), _| std::thread::current().id());
-        for ids in [plain, scratch] {
-            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
-            assert!(distinct.len() > 1, "ran on {distinct:?}");
-        }
-    }
-
-    #[test]
-    fn shard_map_scratch_matches_sequential_for_all_thread_counts() {
-        let items: Vec<u64> = (0..103).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for threads in [0usize, 1, 2, 3, 4, 7, 8, 64, 200] {
-            let (got, scratches) =
-                shard_map_scratch(&items, threads, Vec::new, |scratch: &mut Vec<u64>, x| {
-                    scratch.push(*x);
-                    x * 3
-                });
-            assert_eq!(got, expected, "threads={threads}");
-            // Concatenating scratches in shard order recovers input order.
-            let seen: Vec<u64> = scratches.into_iter().flatten().collect();
-            assert_eq!(seen, items, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_map_scratch_reuses_buffers_within_a_shard() {
-        let items: Vec<u32> = (0..8).collect();
-        let (calls, scratches) = shard_map_scratch(
-            &items,
-            1,
-            || 0u32,
-            |scratch: &mut u32, _| {
-                *scratch += 1;
-                *scratch
-            },
-        );
-        // One scratch on the sequential path, incremented once per item.
-        assert_eq!(scratches, vec![8]);
-        assert_eq!(calls, (1..=8).collect::<Vec<_>>());
+        let ids = shard_map(&items, 4, |_| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.len() > 1, "ran on {distinct:?}");
     }
 
     #[test]
@@ -377,14 +279,12 @@ mod tests {
     fn pair_cache_stats_count_hits_and_misses() {
         let mut c: PairCache<u64> = PairCache::default();
         assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.stats().hit_rate(), 0.0);
         c.insert(1, 2, 0.5);
         assert!(c.get(1, 2).is_some());
         assert!(c.get(2, 1).is_some());
         assert!(c.get(1, 3).is_none());
         let stats = c.stats();
         assert_eq!(stats, CacheStats { hits: 2, misses: 1 });
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Inserting again (budget check included) must not skew stats.
         c.insert(1, 2, 0.7);
         c.insert(4, 5, 0.9);

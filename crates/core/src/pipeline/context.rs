@@ -1,7 +1,7 @@
 //! The one context every reconfiguration layer receives.
 //!
 //! [`ReconfigContext`] bundles the cross-cutting run parameters —
-//! telemetry registry, thread budget, cancellation flag — that used to
+//! telemetry registry and cancellation flag — that used to
 //! be threaded through ad-hoc per-function twins.
 //! Clones share the cancellation flag and the registry, so a context
 //! can be handed to every phase (and every thread) of a run.
@@ -78,15 +78,14 @@ impl CancelToken {
     }
 }
 
-/// Shared per-run context: telemetry, thread budget, cancellation.
+/// Shared per-run context: telemetry and cancellation.
 ///
 /// Telemetry is observation only — a run with an enabled registry is
 /// bit-identical to one with [`Registry::disabled`]. The default
-/// context is exactly that: untraced and single-threaded.
+/// context is exactly that: untraced.
 #[derive(Debug, Clone)]
 pub struct ReconfigContext {
     registry: Registry,
-    threads: usize,
     cancel: CancelToken,
 }
 
@@ -97,11 +96,10 @@ impl Default for ReconfigContext {
 }
 
 impl ReconfigContext {
-    /// An untraced, single-threaded context.
+    /// An untraced context.
     pub fn new() -> Self {
         Self {
             registry: Registry::disabled(),
-            threads: 1,
             cancel: CancelToken::new(),
         }
     }
@@ -113,21 +111,9 @@ impl ReconfigContext {
         self
     }
 
-    /// Replaces the thread budget (builder style); 0 is clamped to 1.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The telemetry registry for this run.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The worker-thread budget for parallel stages (at least 1).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Requests cancellation: the next poll point stops the run.
@@ -171,16 +157,14 @@ mod tests {
     fn defaults() {
         let ctx = ReconfigContext::default();
         assert!(!ctx.registry().is_enabled());
-        assert_eq!(ctx.threads(), 1);
         assert!(!ctx.is_cancelled());
     }
 
     #[test]
     fn builders() {
         let reg = Registry::new();
-        let ctx = ReconfigContext::new().with_registry(&reg).with_threads(0);
+        let ctx = ReconfigContext::new().with_registry(&reg);
         assert!(ctx.registry().is_enabled());
-        assert_eq!(ctx.threads(), 1, "0 clamps to 1");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! interruption mid-loop. This module provides the machinery:
 //!
 //! * [`ReconfigContext`] — the one context every layer takes (telemetry
-//!   registry, thread budget, cancellation flag).
+//!   registry and cancellation flag).
 //! * [`Phase`] — a typed pipeline stage whose output is a serializable
 //!   [`Artifact`].
 //! * [`Pipeline`] — the orchestrator: runs phases in order, records a

@@ -450,8 +450,10 @@ fn count_cross_links(allocation: &Allocation, sub_zone: &[(SubId, u32)]) -> u64 
 /// Telemetry: `zone.count` (gauge), `zone.size` per-zone subscription
 /// histogram, a `zone.cram.z<id>` span per zone, the literal
 /// `zone.cram.cross` span for the recursive pass, and the
-/// `zone.merge.cross_links` counter. Observation only — results are
-/// bit-identical with [`Registry::disabled`].
+/// `zone.merge.cross_links` counter. Every zone's CRAM run and the
+/// cross pass add their `cram.*` counters into `registry`, so they sum
+/// over the whole run. Observation only — results are bit-identical
+/// with [`Registry::disabled`].
 ///
 /// With exactly one zone the cross-zone pass is skipped and the result
 /// equals a flat [`CramBuilder::run`] bit-for-bit (allocation and
@@ -535,6 +537,7 @@ pub fn zoned_allocate_resumable(
     let run_zone = |z: u32, gifs: usize, units: Vec<Unit>| {
         let _span = Span::enter(registry, &names::zone_cram(z));
         CramBuilder::from_config(config.cram)
+            .telemetry(registry)
             .cancel_token(cancel)
             .run_units(&shared, units)
             .map(|(alloc, stats)| (z, gifs, alloc, stats))
@@ -1131,6 +1134,23 @@ mod tests {
         assert_eq!(
             snap.counters.get("zone.merge.cross_links").copied(),
             Some(zoned.cross_links)
+        );
+        // Each zone's CRAM run records, not only the cross pass.
+        let merges = zoned.zones.iter().map(|z| z.stats.merges).sum::<usize>()
+            + zoned.cross_stats.map_or(0, |s| s.merges);
+        assert_eq!(
+            snap.counters.get("cram.merges").copied(),
+            Some(merges as u64)
+        );
+        let gifs = zoned
+            .zones
+            .iter()
+            .map(|z| z.stats.initial_gifs)
+            .sum::<usize>()
+            + zoned.cross_stats.map_or(0, |s| s.initial_gifs);
+        assert_eq!(
+            snap.counters.get("cram.initial_gifs").copied(),
+            Some(gifs as u64)
         );
     }
 

@@ -95,6 +95,8 @@ names! {
     Counter CRAM_MERGES = "cram.merges";
     Counter CRAM_FAILED_MERGES = "cram.failed_merges";
     Counter CRAM_ONE_TO_MANY_MERGES = "cram.one_to_many_merges";
+    Counter CRAM_INITIAL_GIFS = "cram.initial_gifs";
+    Counter CRAM_FINAL_UNITS = "cram.final_units";
     Counter CRAM_PACKS = "cram.packs";
     Counter CRAM_PACKS_FAILED = "cram.packs_failed";
     Counter CRAM_TILE_CHECKS = "cram.tile.checks";
@@ -119,10 +121,6 @@ names! {
     Counter TRANSPORT_STALE_EVENTS_FENCED = "transport.stale_events_fenced";
 
     Gauge SIMNET_MAX_QUEUE_WAIT_US = "simnet.max_queue_wait_us";
-    Gauge CRAM_INITIAL_GIFS = "cram.initial_gifs";
-    Gauge CRAM_FINAL_UNITS = "cram.final_units";
-    Gauge CRAM_TILE_PRUNED_PCT = "cram.tile.pruned_pct";
-    Gauge PAIR_CACHE_HIT_RATE_PCT = "core.pair_cache.hit_rate_pct";
     Gauge ZONE_COUNT = "zone.count";
 
     Histogram SIMNET_DELIVERY_DELAY_US = "simnet.delivery_delay_us";

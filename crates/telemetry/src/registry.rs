@@ -317,7 +317,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter(&crate::names::CRAM_CLOSENESS_COMPUTATIONS)
             .add(280_000);
-        reg.gauge(&crate::names::PAIR_CACHE_HIT_RATE_PCT).set(93);
+        reg.gauge(&crate::names::ZONE_COUNT).set(8);
         reg.histogram(&crate::names::SIMNET_DELIVERY_DELAY_US)
             .record(700);
         crate::Span::enter(&reg, &crate::names::PHASE2_ALLOCATION).finish();

@@ -448,7 +448,6 @@ impl Phase for PairwisePhase<'_> {
         let result = if self.use_cram_k {
             let (_, stats) = CramBuilder::new(ClosenessMetric::Xor)
                 .telemetry(ctx.registry())
-                .threads(ctx.threads())
                 .run(self.input)
                 .map_err(|e| PipelineError::Phase {
                     phase: PhaseKind::Allocate,

@@ -109,7 +109,6 @@ pub fn outcome_table(outcomes: &[Outcome]) -> Table {
         "deliveries",
         "mean hops",
         "mean delay (ms)",
-        "plan time (ms)",
     ]);
     for o in outcomes {
         t.row(vec![
@@ -121,6 +120,19 @@ pub fn outcome_table(outcomes: &[Outcome]) -> Table {
             o.metrics.deliveries.to_string(),
             format!("{:.2}", o.metrics.mean_hops),
             format!("{:.2}", o.metrics.mean_delay_s * 1e3),
+        ]);
+    }
+    t
+}
+
+/// The wall-clock column of [`outcome_table`]'s rows, kept apart
+/// because no two runs reproduce it.
+pub fn plan_time_table(outcomes: &[Outcome]) -> Table {
+    let mut t = Table::new(&["scenario", "approach", "plan time (ms)"]);
+    for o in outcomes {
+        t.row(vec![
+            o.scenario.clone(),
+            o.approach.clone(),
             format!("{:.1}", o.plan_time.as_secs_f64() * 1e3),
         ]);
     }

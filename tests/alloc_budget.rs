@@ -362,10 +362,7 @@ fn cancel_polls_allocate_nothing() {
 fn telemetry_lookups_by_a_registered_name_allocate_nothing() {
     let registry = Registry::new();
     assert_eq!(per_call(|| registry.counter(&names::CRAM_MERGES)), 0);
-    assert_eq!(
-        per_call(|| registry.gauge(&names::PAIR_CACHE_HIT_RATE_PCT)),
-        0
-    );
+    assert_eq!(per_call(|| registry.gauge(&names::ZONE_COUNT)), 0);
     assert_eq!(
         per_call(|| registry.histogram(&names::SIMNET_DELIVERY_DELAY_US)),
         0

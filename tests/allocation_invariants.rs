@@ -138,24 +138,4 @@ proptest! {
         assert_eq!(alloc.sub_count(), input.subscriptions.len());
         assert_feasible(&input, &alloc);
     }
-
-    /// The parallel closest-pair search is a pure performance knob:
-    /// for any thread count, every metric must reproduce the
-    /// sequential allocation (and stats) bit for bit.
-    #[test]
-    fn parallel_cram_is_bit_identical_to_sequential(input in arb_input()) {
-        if bin_packing(&input).is_err() { return Ok(()); }
-        for metric in ClosenessMetric::ALL {
-            let (seq_alloc, seq_stats) =
-                CramBuilder::new(metric).run(&input).unwrap();
-            for threads in [2usize, 4, 8] {
-                let (par_alloc, par_stats) = CramBuilder::new(metric)
-                    .threads(threads)
-                    .run(&input)
-                    .unwrap();
-                prop_assert_eq!(&par_alloc, &seq_alloc, "{} t={}", metric, threads);
-                prop_assert_eq!(par_stats, seq_stats, "{} t={}", metric, threads);
-            }
-        }
-    }
 }

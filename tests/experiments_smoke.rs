@@ -259,7 +259,7 @@ const BENCH_KEYS: [&str; 15] = [
 /// undeclared keys, no dead entries.
 #[test]
 fn bench_report_keys_match_telemetry_schema() {
-    let report = greenps_bench::scale_report_json(&[(600, 4)], 2, true);
+    let report = greenps_bench::scale_report_json(&[(600, 4)], 2, true, &Registry::disabled());
     let report = json::parse(&report).expect("the scale report is valid JSON");
     let mut keys = std::collections::BTreeSet::new();
     json_keys(&report, &mut keys);

@@ -2,7 +2,7 @@
 //! pipeline after any phase and resuming from the exported checkpoint
 //! JSON must reproduce the straight-through run bit for bit —
 //! allocations, overlay-derived placement metrics, and CramStats — for
-//! every closeness metric and thread budget.
+//! every closeness metric.
 
 use greenps::core::pipeline::{CheckpointStore, PhaseKind, ReconfigContext};
 use greenps::profile::ClosenessMetric;
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const STOPS: [PhaseKind; 5] = [
     PhaseKind::Gather,
     PhaseKind::Allocate,
@@ -38,20 +37,19 @@ fn scenario() -> (Scenario, RunConfig) {
     (s, cfg)
 }
 
-/// Straight-through outcomes, computed once per (metric, threads) pair —
-/// the reference each interrupted/resumed case is compared against.
-fn straight(metric_i: usize, threads_i: usize) -> Outcome {
-    static CACHE: OnceLock<Mutex<HashMap<(usize, usize), Outcome>>> = OnceLock::new();
+/// Straight-through outcomes, computed once per metric — the reference
+/// each interrupted/resumed case is compared against.
+fn straight(metric_i: usize) -> Outcome {
+    static CACHE: OnceLock<Mutex<HashMap<usize, Outcome>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut cache = cache.lock().expect("straight-run cache");
     cache
-        .entry((metric_i, threads_i))
+        .entry(metric_i)
         .or_insert_with(|| {
             let (s, cfg) = scenario();
             let metric = ClosenessMetric::ALL[metric_i];
-            let ctx = ReconfigContext::new().with_threads(THREADS[threads_i]);
             ReconfigPipeline::approach(&s, Approach::Cram(metric), cfg)
-                .run(&ctx)
+                .run(&ReconfigContext::new())
                 .expect("straight run")
         })
         .clone()
@@ -119,14 +117,13 @@ proptest! {
     #[test]
     fn interrupted_and_resumed_run_is_bit_identical(
         metric_i in 0usize..4,
-        threads_i in 0usize..4,
         stop_i in 0usize..5,
     ) {
         let (s, cfg) = scenario();
         let metric = ClosenessMetric::ALL[metric_i];
         let run = ReconfigPipeline::approach(&s, Approach::Cram(metric), cfg);
-        let ctx = ReconfigContext::new().with_threads(THREADS[threads_i]);
-        let label = format!("CRAM-{metric} t={} stop={:?}", THREADS[threads_i], STOPS[stop_i]);
+        let ctx = ReconfigContext::new();
+        let label = format!("CRAM-{metric} stop={:?}", STOPS[stop_i]);
 
         let store = run.run_until(&ctx, STOPS[stop_i]).expect("interrupted run");
         prop_assert_eq!(
@@ -142,6 +139,6 @@ proptest! {
         prop_assert_eq!(&reloaded.to_json(), &json, "checkpoint JSON round-trips");
 
         let resumed = run.resume(&ctx, reloaded).expect("resumed run");
-        assert_bit_identical(&resumed, &straight(metric_i, threads_i), &label);
+        assert_bit_identical(&resumed, &straight(metric_i), &label);
     }
 }

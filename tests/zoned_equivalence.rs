@@ -1,6 +1,6 @@
 //! Property-based tests on the hierarchical zones subsystem
 //! (DESIGN.md §12): a single-zone hierarchical run is the flat CRAM
-//! run — bit for bit, for every metric and thread count — and the
+//! run — bit for bit, for every metric — and the
 //! affinity partitioner is a deterministic total partition.
 
 use greenps::core::cram::CramBuilder;
@@ -74,39 +74,35 @@ proptest! {
     /// `zones = 1` is the degenerate hierarchy: the per-zone run sees
     /// the full pool and the cross-zone pass is skipped, so the result
     /// must equal a flat `CramBuilder` run bit for bit — allocation
-    /// AND stats, for every metric × thread count.
+    /// AND stats, for every metric.
     #[test]
     fn single_zone_run_is_bit_identical_to_flat_cram(input in arb_input()) {
         for metric in ClosenessMetric::ALL {
-            for threads in [1usize, 2, 4, 8] {
-                let mut config = ZonedConfig::with_metric(metric);
-                config.cram.threads = threads;
-                let flat = CramBuilder::from_config(config.cram).run(&input);
-                let plan = ZonePlan::PublisherAffinity { zones: 1, seed: 7 };
-                let mut feed = InputZoneFeed::new(&input, &plan);
-                let zoned = zoned_allocate(
-                    &mut feed,
-                    &input.brokers,
-                    &input.publishers,
-                    &config,
-                    &Registry::disabled(),
-                );
-                match (flat, zoned) {
-                    (Ok((flat_alloc, flat_stats)), Ok(zoned)) => {
-                        prop_assert_eq!(&zoned.allocation, &flat_alloc,
-                            "{} t={}", metric, threads);
-                        prop_assert_eq!(
-                            zoned.zones.first().map(|z| z.stats),
-                            Some(flat_stats),
-                            "{} t={}", metric, threads);
-                        prop_assert_eq!(zoned.cross_links, 0);
-                        prop_assert!(zoned.cross_stats.is_none());
-                    }
-                    (Err(_), Err(_)) => {}
-                    (flat, zoned) => prop_assert!(false,
-                        "flat/zoned disagree on feasibility: {:?} vs {:?}",
-                        flat.is_ok(), zoned.is_ok()),
+            let config = ZonedConfig::with_metric(metric);
+            let flat = CramBuilder::from_config(config.cram).run(&input);
+            let plan = ZonePlan::PublisherAffinity { zones: 1, seed: 7 };
+            let mut feed = InputZoneFeed::new(&input, &plan);
+            let zoned = zoned_allocate(
+                &mut feed,
+                &input.brokers,
+                &input.publishers,
+                &config,
+                &Registry::disabled(),
+            );
+            match (flat, zoned) {
+                (Ok((flat_alloc, flat_stats)), Ok(zoned)) => {
+                    prop_assert_eq!(&zoned.allocation, &flat_alloc, "{}", metric);
+                    prop_assert_eq!(
+                        zoned.zones.first().map(|z| z.stats),
+                        Some(flat_stats),
+                        "{}", metric);
+                    prop_assert_eq!(zoned.cross_links, 0);
+                    prop_assert!(zoned.cross_stats.is_none());
                 }
+                (Err(_), Err(_)) => {}
+                (flat, zoned) => prop_assert!(false,
+                    "flat/zoned disagree on feasibility: {:?} vs {:?}",
+                    flat.is_ok(), zoned.is_ok()),
             }
         }
     }
